@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .intlinalg import (
     DimensionError,
     IntMatrix,
+    _reduce_exact,
     hnf,
     invert_unimodular,
     kernel_mod_lattice,
     snf,
-    solve_congruence,
     vec_mat,
 )
 
@@ -75,6 +75,10 @@ class CanonicalGroup:
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
+
+    @property
+    def exponent(self) -> int:
+        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def reduce(self, coords) -> tuple:
         d = self.invariant_factors
@@ -175,27 +179,20 @@ class Element:
 
 
 def canonicalize(p: Presentation) -> CanonicalGroup:
-    """Normalize a presentation; raises NotFiniteError on infinite groups."""
+    """Normalize a presentation; raises NotFiniteError on infinite groups.
+
+    `from_can` is taken modulo the exponent e: e times any vector is a
+    relation, so its rows still name the same elements.
+    """
     k = p.num_gens
     res = snf(p.relations)
     diag = res.d.diagonal_entries()
     if sum(1 for x in diag if x != 0) < k:
         raise NotFiniteError("not finite: relation matrix rank is below the generator count")
-    vinv = invert_unimodular(res.v)
     kept = [i for i, di in enumerate(diag) if di > 1]
     factors = [diag[i] for i in kept]
-    to_can = res.v.take_columns(kept)
-    from_can = vinv.take_rows(kept)
-    return CanonicalGroup(factors, k, to_can, from_can)
-
-
-def direct_sum(groups) -> CanonicalGroup:
-    """External direct sum; user coordinates are the concatenated canonical
-    coordinates of the summands."""
-    factors = []
-    for g in groups:
-        factors.extend(g.invariant_factors)
-    return canonicalize(Presentation(len(factors), IntMatrix.diagonal(factors)))
+    vinv = invert_unimodular(res.v, factors[-1] if factors else 1)
+    return CanonicalGroup(factors, k, res.v.take_columns(kept), vinv.take_rows(kept))
 
 
 class Subgroup:
@@ -221,8 +218,7 @@ class Subgroup:
 
     def contains(self, x: Element) -> bool:
         _check_group(self.ambient, x.group)
-        return solve_congruence(self.basis, IntMatrix.zeros(0, self.ambient.rank),
-                                list(x.coords)) is not None
+        return _reduce_exact(self.basis, x.coords) is not None
 
     def elements(self) -> list:
         """Brute enumeration; intended for small ambient groups (tests)."""
@@ -249,20 +245,24 @@ class Subgroup:
         return f"Subgroup(order={self.order()} of {self.ambient!r})"
 
 
+def _from_basis(g: CanonicalGroup, basis: IntMatrix, gens=None) -> Subgroup:
+    """The subgroup of a full-rank HNF basis; without a generator list its
+    nonzero basis rows serve as one."""
+    sub = Subgroup(g, (), basis)
+    sub.gens = tuple(sub.basis_elements() if gens is None else gens)
+    return sub
+
+
 def _lattice_to_subgroup(g: CanonicalGroup, rows, gens=None) -> Subgroup:
     r = g.rank
     all_rows = [list(row) for row in rows]
     all_rows.extend([g.invariant_factors[i] if j == i else 0 for j in range(r)]
                     for i in range(r))
-    h, _ = hnf(IntMatrix(len(all_rows), r, all_rows))
+    h = hnf(IntMatrix(len(all_rows), r, all_rows), g.exponent).h
     nonzero = [row for row in h.data if any(row)]
     if len(nonzero) != r:
         raise RuntimeError("subgroup lattice lost full rank")
-    basis = IntMatrix(r, r, nonzero)
-    sub = Subgroup(g, () if gens is None else tuple(gens), basis)
-    if gens is None:
-        sub = Subgroup(g, tuple(sub.basis_elements()), basis)
-    return sub
+    return _from_basis(g, h, gens)
 
 
 def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
@@ -274,20 +274,20 @@ def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
 
 
 def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
-    """Intersection, via the kernel of the stacked-basis map."""
+    """Intersection, via the kernel of the stacked-basis map: the bottom
+    half of the HNF of [b1 | b1 ; b2 | 0] is the HNF of the intersection."""
     _check_group(s1.ambient, s2.ambient)
     g = s1.ambient
     r = g.rank
     if r == 0:
         return _lattice_to_subgroup(g, [])
-    rows = []
-    for row in s1.basis.data:
-        rows.append(list(row) + list(row))
-    for row in s2.basis.data:
-        rows.append(list(row) + [0] * r)
-    h, _ = hnf(IntMatrix(2 * r, 2 * r, rows))
+    rows = [row + row for row in s1.basis.data]
+    rows.extend(row + (0,) * r for row in s2.basis.data)
+    h = hnf(IntMatrix(2 * r, 2 * r, rows), g.exponent).h
     inter = [row[r:] for row in h.data if not any(row[:r]) and any(row[r:])]
-    return _lattice_to_subgroup(g, inter)
+    if len(inter) != r:
+        raise RuntimeError("subgroup intersection lost full rank")
+    return _from_basis(g, IntMatrix(r, r, inter))
 
 
 def subgroup_join(s1: Subgroup, s2: Subgroup) -> Subgroup:
@@ -355,6 +355,18 @@ def hom_kernel(domain: CanonicalGroup, images) -> Subgroup:
         if not (d * im).is_zero():
             raise NotHomomorphismError(f"d_{i} * image_{i} is nonzero; the map is not "
                                        "well defined on the presented group")
-    a = IntMatrix(domain.rank, codomain.rank, [list(im.coords) for im in images])
-    ker = kernel_mod_lattice(a, IntMatrix.diagonal(codomain.invariant_factors))
-    return _lattice_to_subgroup(domain, ker.data)
+    return map_kernel(domain, [im.coords for im in images], codomain.invariant_factors)
+
+
+def map_kernel(domain: CanonicalGroup, rows, moduli) -> Subgroup:
+    """Kernel of x -> x @ rows into Z/moduli[0] x Z/moduli[1] x ..., for a
+    well-defined map from `domain`; the moduli need not form a chain.
+
+    One HNF modulo lcm(moduli) of [rows | I ; diag(moduli) | 0 ; 0 | diag(d)]
+    gives the kernel lattice together with the relations diag(d) of the
+    domain, so its bottom rows are the subgroup's HNF basis.
+    """
+    a = IntMatrix(domain.rank, len(moduli), rows)
+    basis = kernel_mod_lattice(a, IntMatrix.diagonal(moduli),
+                               IntMatrix.diagonal(domain.invariant_factors), lcm(*moduli))
+    return _from_basis(domain, basis)

@@ -27,7 +27,9 @@ def _err(msg: str) -> int:
 
 
 def _parse_file(path: str, validate: bool):
-    parsed = instances.parse_instance(instances.load(path), validate=validate)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    parsed = instances.parse_instance(text, validate=validate)
     for w in parsed.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return parsed

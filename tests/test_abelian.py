@@ -9,7 +9,6 @@ from modcyclic.abelian import (
     NotHomomorphismError,
     Presentation,
     canonicalize,
-    direct_sum,
     hom_kernel,
     quotient,
     subgroup_join,
@@ -221,10 +220,3 @@ def test_canonicalize_order_vs_enumeration():
         assert g.order == order
         assert g.order == group_order_by_enumeration(rows, k)
 
-
-def test_direct_sum():
-    g = direct_sum([zn(2), zn(3)])
-    assert g.order == 6
-    assert g.invariant_factors == (6,)
-    el = g.from_user([1, 1])
-    assert el.additive_order() == 6

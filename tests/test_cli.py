@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from modcyclic import instances
 from modcyclic.cli import main
-from modcyclic.instances import dumps, gen_trunc, gen_zmod, load
+from modcyclic.instances import dumps, gen_randquot, gen_trunc, gen_zmod, load, parse_instance
+from modcyclic.modules import cyclic_span_is_all
 
 
 @pytest.fixture
@@ -92,8 +94,39 @@ def test_validate(cyclic_file, tmp_path, capsys):
     assert "identity" in err
 
 
-def test_missing_file_is_an_error(capsys):
+def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["check", "/nonexistent/instance.json"]) == 2
+    assert main(["check", str(tmp_path)]) == 2
+
+
+def test_check_decodes_the_document_once(cyclic_file, monkeypatch):
+    calls = []
+    original = instances.decode_document
+
+    def counting(obj):
+        calls.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(instances, "decode_document", counting)
+    assert main(["check", cyclic_file]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, seed, max_deg, width", [
+    (15, 11, 7, 2),        # entries once passed the 4,300-digit str() limit
+    (30, 10, 6, 3),
+    (24, 520611, 8, 1),    # entries once had 522 digits
+])
+def test_printed_generator_is_small_and_spans(tmp_path, capsys, n, seed, max_deg, width):
+    doc = gen_randquot(n, seed, max_deg=max_deg, summands=2)
+    path = tmp_path / "rq.json"
+    path.write_text(dumps(doc))
+    assert main(["check", str(path), "--format", "json"]) == 0
+    gen = [int(x) for x in json.loads(capsys.readouterr().out)["generator"]]
+    assert max(len(str(x)) for x in gen) <= width
+    parsed = parse_instance(doc, validate=False)
+    y = parsed.module.group.from_user(gen)
+    assert cyclic_span_is_all(parsed.ring, parsed.module, y)
 
 
 def test_not_finite_is_an_error(tmp_path, capsys):

@@ -61,6 +61,44 @@ def test_hnf_examples():
     assert h == IntMatrix.zeros(2, 3)
 
 
+def test_hnf_modulus_matches_exact():
+    # Random lattices that contain diag(d) for a divisibility chain d: modulo
+    # D = d_r the HNF is the exact one without its zero rows, and no entry
+    # exceeds D.
+    rng = random.Random(248)
+    for _ in range(300):
+        c = rng.randint(1, 6)
+        d = [rng.randint(1, 4)]
+        for _ in range(c - 1):
+            d.append(d[-1] * rng.randint(1, 3))
+        rows = [[rng.randint(-40, 40) for _ in range(c)] for _ in range(rng.randint(0, 5))]
+        rows.extend([d[i] if j == i else 0 for j in range(c)] for i in range(c))
+        rng.shuffle(rows)
+        m = IntMatrix.from_rows(rows, cols=c)
+        big = d[-1]
+        h = hnf(m, modulus=big).h
+        exact = hnf(m).h
+        assert h.to_lists() == [row for row in exact.to_lists() if any(row)]
+        for i, row in enumerate(h.data):
+            assert big % row[i] == 0
+            assert all(0 <= x < big for j, x in enumerate(row) if j != i)
+
+
+def test_hnf_modulus_adds_the_multiples():
+    # Without diag(d) in its rows, hnf(m, D) is the HNF of m plus D*Z^c.
+    rng = random.Random(87)
+    for _ in range(200):
+        r, c = rng.randint(0, 5), rng.randint(1, 5)
+        big = rng.randint(1, 60)
+        m = random_matrix(rng, r, c, -30, 30)
+        with_multiples = IntMatrix(r + c, c, list(m.data) + IntMatrix.diagonal([big] * c).to_lists())
+        exact = hnf(with_multiples).h
+        assert hnf(m, modulus=big).h == exact.take_rows(range(c))
+        assert not any(any(row) for row in exact.data[c:])
+    with pytest.raises(ValueError):
+        hnf(IntMatrix.identity(2), modulus=0)
+
+
 def test_snf_hnf_randomized():
     rng = random.Random(2024)
     for _ in range(250):
@@ -144,6 +182,11 @@ def test_kernel_examples():
     k = kernel_mod_lattice(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[7]]))
     assert k.to_lists() == [[7]]
 
+    # the domain lattice joins the kernel: 3Z + 2Z = Z, 3Z + 6Z = 3Z
+    a, l = IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[12]])
+    assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[2]])).to_lists() == [[1]]
+    assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[6]]), 12).to_lists() == [[3]]
+
 
 def test_kernel_requires_finite_codomain():
     with pytest.raises(InfiniteCodomainError):
@@ -180,8 +223,14 @@ def test_invert_unimodular():
         inv = invert_unimodular(mat)
         assert inv @ mat == IntMatrix.identity(n)
 
+        inv_mod = invert_unimodular(mat, 10)
+        assert inv_mod.to_lists() == [[x % 10 for x in row] for row in inv.data]
+
     with pytest.raises(NotUnimodularError):
         invert_unimodular(IntMatrix.from_rows([[2]]))
+    with pytest.raises(NotUnimodularError):
+        invert_unimodular(IntMatrix.from_rows([[2]]), 4)
+    assert invert_unimodular(IntMatrix.from_rows([[2]]), 5).to_lists() == [[3]]
 
 
 def test_big_integer_exactness():

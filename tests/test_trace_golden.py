@@ -1,0 +1,43 @@
+"""Traces pinned to a golden file.
+
+`trace_golden.json` holds 40 seeded instances (draws of all four families
+in the style of the benchmark's corpus, plus four cheap randquot draws
+whose exact normal forms swell) with the verdict, iteration count, witness
+and trace that `check --format json --trace` printed for each before the
+normal forms were reduced modulo the exponent.  Those outputs must stay
+byte-identical; the printed generator is not pinned, since any generator
+in user coordinates is as good as another.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from modcyclic.cli import main
+from modcyclic.instances import dumps, gen_prod, gen_randquot, gen_trunc, gen_zmod
+
+CASES = json.loads((Path(__file__).parent / "trace_golden.json").read_text())
+
+
+def build(spec):
+    fam = spec["family"]
+    if fam == "zmod":
+        return gen_zmod(spec["n"], spec["d"])
+    if fam == "trunc":
+        return gen_trunc(spec["p"], spec["e"], spec["mdeg"])
+    if fam == "prod":
+        return gen_prod(build(spec["left"]), build(spec["right"]))
+    return gen_randquot(spec["n"], spec["seed"], max_deg=spec["max_deg"],
+                        summands=spec["summands"])
+
+
+@pytest.mark.parametrize("case", CASES,
+                         ids=[f"{i:02d}-{c['spec']['family']}" for i, c in enumerate(CASES)])
+def test_trace_matches_golden(tmp_path, capsys, case):
+    path = tmp_path / "instance.json"
+    path.write_text(dumps(build(case["spec"])))
+    assert main(["check", str(path), "--format", "json", "--trace"]) == case["exit"]
+    report = json.loads(capsys.readouterr().out)
+    for key in ("verdict", "iterations", "witness", "trace"):
+        assert report[key] == case[key], key
