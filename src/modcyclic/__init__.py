@@ -4,7 +4,6 @@ and if it is, produce a generator."""
 from .abelian import (
     CanonicalGroup,
     Element,
-    GroupHom,
     NotFiniteError,
     Presentation,
     Subgroup,
@@ -30,7 +29,6 @@ from .intlinalg import IntMatrix, SnfResult, hnf, kernel_mod_lattice, snf, solve
 from .modules import (
     FiniteModule,
     ScalarExtension,
-    Submodule,
     ann_element,
     cyclic_span_is_all,
     ideal_times_submodule,
@@ -43,8 +41,6 @@ from .rings import (
     Diagnostic,
     FiniteRing,
     NoIdentityError,
-    PreIdeal,
-    QuotientRing,
     find_identity,
     ideal_annihilator,
     ideal_meet_is_zero,

@@ -100,8 +100,11 @@ class CanonicalGroup:
         return self.element(vec_mat(list(vec), self.to_can))
 
     def to_user(self, el: "Element") -> list:
+        """User coordinates, each reduced modulo the exponent e: e times
+        any user vector is a relation, so they name the same element."""
         _check_group(self, el.group)
-        return vec_mat(list(el.coords), self.from_can)
+        e = self.exponent
+        return [c % e for c in vec_mat(list(el.coords), self.from_can)]
 
     def elements(self):
         """All elements, canonical coordinates in lexicographic order."""
@@ -198,16 +201,15 @@ def canonicalize(p: Presentation) -> CanonicalGroup:
 class Subgroup:
     """A subgroup of a canonical group, carried by an integer lattice.
 
-    `basis` is the full-rank HNF basis of span(gens) + diag(d); `gens` keeps
-    the construction-order generator list (used when a deterministic
-    element choice matters downstream).
+    `basis` is the full-rank HNF basis (modulo the exponent) of the
+    subgroup's preimage in Z^r, which contains diag(d).  The HNF is unique,
+    so two subgroups are equal exactly when their bases are.
     """
 
-    __slots__ = ("ambient", "gens", "basis")
+    __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: CanonicalGroup, gens: tuple, basis: IntMatrix):
+    def __init__(self, ambient: CanonicalGroup, basis: IntMatrix):
         self.ambient = ambient
-        self.gens = gens
         self.basis = basis
 
     def order(self) -> int:
@@ -219,10 +221,6 @@ class Subgroup:
     def contains(self, x: Element) -> bool:
         _check_group(self.ambient, x.group)
         return _reduce_exact(self.basis, x.coords) is not None
-
-    def elements(self) -> list:
-        """Brute enumeration; intended for small ambient groups (tests)."""
-        return [x for x in self.ambient.elements() if self.contains(x)]
 
     def basis_elements(self) -> list:
         """Nonzero reductions of the basis rows; a deterministic generator
@@ -238,22 +236,11 @@ class Subgroup:
         return (isinstance(other, Subgroup) and _same_group(self.ambient, other.ambient)
                 and self.basis == other.basis)
 
-    def __hash__(self):
-        return hash(self.basis)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order()} of {self.ambient!r})"
 
 
-def _from_basis(g: CanonicalGroup, basis: IntMatrix, gens=None) -> Subgroup:
-    """The subgroup of a full-rank HNF basis; without a generator list its
-    nonzero basis rows serve as one."""
-    sub = Subgroup(g, (), basis)
-    sub.gens = tuple(sub.basis_elements() if gens is None else gens)
-    return sub
-
-
-def _lattice_to_subgroup(g: CanonicalGroup, rows, gens=None) -> Subgroup:
+def _lattice_to_subgroup(g: CanonicalGroup, rows) -> Subgroup:
     r = g.rank
     all_rows = [list(row) for row in rows]
     all_rows.extend([g.invariant_factors[i] if j == i else 0 for j in range(r)]
@@ -262,7 +249,7 @@ def _lattice_to_subgroup(g: CanonicalGroup, rows, gens=None) -> Subgroup:
     nonzero = [row for row in h.data if any(row)]
     if len(nonzero) != r:
         raise RuntimeError("subgroup lattice lost full rank")
-    return _from_basis(g, h, gens)
+    return Subgroup(g, h)
 
 
 def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
@@ -270,7 +257,7 @@ def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
     elems = list(elems)
     for e in elems:
         _check_group(g, e.group)
-    return _lattice_to_subgroup(g, [e.coords for e in elems], gens=elems)
+    return _lattice_to_subgroup(g, [e.coords for e in elems])
 
 
 def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
@@ -287,53 +274,31 @@ def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
     inter = [row[r:] for row in h.data if not any(row[:r]) and any(row[r:])]
     if len(inter) != r:
         raise RuntimeError("subgroup intersection lost full rank")
-    return _from_basis(g, IntMatrix(r, r, inter))
+    return Subgroup(g, IntMatrix(r, r, inter))
 
 
 def subgroup_join(s1: Subgroup, s2: Subgroup) -> Subgroup:
     """Span of the union."""
     _check_group(s1.ambient, s2.ambient)
     rows = list(s1.basis.data) + list(s2.basis.data)
-    return _lattice_to_subgroup(s1.ambient, rows, gens=tuple(s1.gens) + tuple(s2.gens))
+    return _lattice_to_subgroup(s1.ambient, rows)
 
 
-def subgroup_eq(s1: Subgroup, s2: Subgroup) -> bool:
-    return s1 == s2
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    """Homomorphism between canonical groups; acts as coords @ matrix."""
-
-    domain: CanonicalGroup
-    codomain: CanonicalGroup
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.domain.rank or self.matrix.cols != self.codomain.rank:
-            raise DimensionError("homomorphism matrix shape does not match the groups")
-        for i, d in enumerate(self.domain.invariant_factors):
-            image = self.codomain.reduce([d * x for x in self.matrix.data[i]])
-            if any(image):
-                raise NotHomomorphismError(f"generator {i} of order {d} maps to an element "
-                                           f"whose order does not divide {d}")
-
-    def __call__(self, x: Element) -> Element:
-        _check_group(self.domain, x.group)
-        return self.codomain.element(vec_mat(list(x.coords), self.matrix))
-
-    def kernel(self) -> Subgroup:
-        return hom_kernel(self.domain, [self(g) for g in self.domain.gens()])
-
-
-def quotient(g: CanonicalGroup, s: Subgroup):
-    """Quotient group and the projection homomorphism onto it."""
+def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
+    """Quotient group g/s.  The projection of x onto it is
+    `q.from_user(x.coords)`, since g's canonical coordinates are the user
+    coordinates of q's presentation."""
     _check_group(g, s.ambient)
     q = canonicalize(Presentation(g.rank, s.basis))
-    proj = GroupHom(g, q, q.to_can)
+    # The projection is well defined: generator i of order d_i maps to an
+    # element whose order divides d_i.
+    for i, d in enumerate(g.invariant_factors):
+        if any(q.reduce([d * x for x in q.to_can.data[i]])):
+            raise RuntimeError(f"projection onto the quotient is not well defined "
+                               f"at generator {i} of order {d}")
     if q.order * s.order() != g.order:
         raise RuntimeError("quotient order mismatch")
-    return q, proj
+    return q
 
 
 def hom_kernel(domain: CanonicalGroup, images) -> Subgroup:
@@ -369,4 +334,4 @@ def map_kernel(domain: CanonicalGroup, rows, moduli) -> Subgroup:
     a = IntMatrix(domain.rank, len(moduli), rows)
     basis = kernel_mod_lattice(a, IntMatrix.diagonal(moduli),
                                IntMatrix.diagonal(domain.invariant_factors), lcm(*moduli))
-    return _from_basis(domain, basis)
+    return Subgroup(domain, basis)

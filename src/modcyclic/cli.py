@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 = cyclic, 1 = not cyclic, 2 = error or invalid instance,
-3 = module too large for the oracle (oracle/compare only).
+Exit codes: 0 = cyclic, 1 = not cyclic, 2 = error or invalid instance
+(every failure that is not a verdict), 3 = module too large for the
+oracle (oracle/compare only).
 """
 
 from __future__ import annotations
@@ -217,6 +218,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except InvariantViolationError as exc:
         return _err(f"internal invariant violation: {exc}")
+    except RuntimeError as exc:
+        # A failed internal self-check, or RecursionError on a deeply
+        # nested file: not a verdict, so never exit 1.
+        return _err(f"{type(exc).__name__}: {exc}")
     except (ValueError, OSError) as exc:
         return _err(str(exc))
 

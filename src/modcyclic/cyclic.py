@@ -1,11 +1,11 @@
 """Driver that decides cyclicity of a finite module and finds a generator.
 
 The run keeps a live triple (I_A, y, N): the ideal defining the current
-quotient ring A = R/I_A, the candidate generator accumulated so far, and a
-submodule N that still surjects onto M_A.  Each step either finishes (M_A
-trivial: y generates; or a size obstruction |A/a| < |M_{A/a}| appears: no
-generator exists) or shrinks A by an index of at least two, so the number
-of steps is logarithmic in |R|.
+quotient ring A = R/I_A, the candidate generator accumulated so far, and
+the generators of a submodule N that still surjects onto M_A.  Each step
+either finishes (M_A trivial: y generates; or a size obstruction
+|A/a| < |M_{A/a}| appears: no generator exists) or shrinks A by an index
+of at least two, so the number of steps is logarithmic in |R|.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abelian import Element
+from .abelian import Element, Subgroup, subgroup_span
 from .modules import (
     FiniteModule,
     ScalarExtension,
-    Submodule,
     ann_element,
     cyclic_span_is_all,
     ideal_times_submodule,
@@ -25,7 +24,7 @@ from .modules import (
     spans_extension,
     submodule_plus_ideal_module_is_all,
 )
-from .rings import FiniteRing, PreIdeal, QuotientRing, ideal_annihilator, ideal_meet_is_zero
+from .rings import FiniteRing, ideal_annihilator, ideal_meet_is_zero
 
 
 class InvariantViolationError(RuntimeError):
@@ -80,15 +79,20 @@ class TraceEntry:
 
 @dataclass
 class AlgState:
-    """Live state: A = R/I_A is implicit in i_a; y and N live in M."""
+    """Live state: A = R/I_A is implicit in i_a; y and the generators n of
+    N live in M.  `ext` is M_A, built once when the state is."""
 
     ring: FiniteRing
     module: FiniteModule
-    i_a: PreIdeal
+    i_a: Subgroup
     y: Element
-    n: Submodule
+    n: tuple
     iteration: int = 0
     trace: list = field(default_factory=list)
+    ext: ScalarExtension = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ext = scalar_extension(self.module, self.i_a)
 
     @property
     def order_A(self) -> int:
@@ -130,36 +134,35 @@ class CyclicityResult:
 
 def init(ring: FiniteRing, module: FiniteModule) -> AlgState:
     """Starting state: A = R (zero ideal), y = 0, N = M."""
-    return AlgState(ring, module, PreIdeal.zero(ring), module.zero(),
-                    Submodule.full(module))
+    return AlgState(ring, module, subgroup_span(ring.group, []), module.zero(),
+                    tuple(module.group.gens()))
 
 
-def pick_x(state: AlgState, ext: ScalarExtension) -> Element:
-    """First carrier generator of N (in stored order) with nonzero image in
-    M_A.  One must exist while M_A is nontrivial, since N surjects onto
-    M_A; anything else means the state is corrupt."""
-    for el in state.n.carrier.gens:
-        if not ext.projection(el).is_zero():
+def pick_x(state: AlgState) -> Element:
+    """First generator of N (in stored order) with nonzero image in M_A.
+    One must exist while M_A is nontrivial, since N surjects onto M_A;
+    anything else means the state is corrupt."""
+    for el in state.n:
+        if not state.ext.projection(el).is_zero():
             return el
     raise InvariantViolationError(
         "no N-generator has nonzero image although M_A is nontrivial",
         state.trace)
 
 
-def check_state_invariants(state: AlgState, ext: Optional[ScalarExtension] = None):
+def check_state_invariants(state: AlgState):
     """Checkable fragment of the quadruple invariants: y dies in M_A, N
     covers M_A, and N together with I_A*M fills M."""
-    if ext is None:
-        ext = scalar_extension(state.module, state.i_a)
+    ext = state.ext
     if not ext.projection(state.y).is_zero():
         raise InvariantViolationError(
             "candidate generator y has nonzero image in M_A", state.trace)
-    if not spans_extension(state.n.carrier.gens, ext):
+    if not spans_extension(state.n, ext):
         raise InvariantViolationError(
             "N-generator images do not span M_A", state.trace)
     if not submodule_plus_ideal_module_is_all(state.n, ext.iam):
         raise InvariantViolationError(
-            "carrier(N) + carrier(I_A*M) is a proper subgroup of M", state.trace)
+            "span(N) + I_A*M is a proper subgroup of M", state.trace)
 
 
 def step(state: AlgState, *, check_invariants: bool = True):
@@ -167,18 +170,17 @@ def step(state: AlgState, *, check_invariants: bool = True):
     ring, module = state.ring, state.module
     iteration = state.iteration + 1
     order_A = state.order_A
-    ext = scalar_extension(module, state.i_a)
+    ext = state.ext
 
     if ext.order == 1:
         state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
         state.iteration = iteration
         return Yes(state.y)
 
-    x = pick_x(state, ext)
-    quot = QuotientRing(ring, state.i_a)
-    a = ann_element(quot, module, x, ext)
-    b = ideal_annihilator(quot, a)
-    meet, meet_zero = ideal_meet_is_zero(quot, a, b)
+    x = pick_x(state)
+    a = ann_element(module, x, ext)
+    b = ideal_annihilator(ring, state.i_a, a)
+    meet, meet_zero = ideal_meet_is_zero(ring, state.i_a, a, b)
     i_a_order = state.i_a.order()
     order_a = a.order() // i_a_order
     order_b = b.order() // i_a_order
@@ -206,7 +208,7 @@ def step(state: AlgState, *, check_invariants: bool = True):
                        order_a, order_b, meet_zero,
                        order_A_mod_a, ext_a.order)
     new_state = AlgState(ring, module, b, x + state.y,
-                         ideal_times_submodule(a, state.n),
+                         ideal_times_submodule(a, state.n, module),
                          iteration, state.trace + [entry])
     _after_continue(state, new_state, order_A, check_invariants)
     return new_state

@@ -57,7 +57,6 @@ class ParsedInstance:
     ring: FiniteRing
     module: FiniteModule
     warnings: list = field(default_factory=list)
-    doc: dict = field(default_factory=dict)
 
 
 # -- decoding ----------------------------------------------------------------
@@ -172,11 +171,6 @@ def dumps(doc: dict) -> str:
     if "one" in ring and ring["one"] is not None:
         out["ring"]["one"] = [s(x) for x in ring["one"]]
     return json.dumps(out, indent=2) + "\n"
-
-
-def dump(doc: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
 
 
 # -- parsing into canonical objects ------------------------------------------
@@ -325,7 +319,7 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
         diags.extend(module_validate(ring, module))
     if diags:
         raise ValidationFailure(diags)
-    return ParsedInstance(ring, module, warnings, doc)
+    return ParsedInstance(ring, module, warnings)
 
 
 # -- instance families -------------------------------------------------------

@@ -59,29 +59,15 @@ class IntMatrix:
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
         n = len(entries)
         return cls(n, n, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
 
     def diagonal_entries(self) -> list:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
     def to_lists(self) -> list:
         return [list(row) for row in self.data]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def take_columns(self, idxs: Sequence[int]) -> "IntMatrix":
         return IntMatrix(self.rows, len(idxs), [[row[j] for j in idxs] for row in self.data])
@@ -144,31 +130,6 @@ def xgcd(a: int, b: int) -> tuple:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 class SnfResult(NamedTuple):

@@ -1,12 +1,14 @@
-"""Finite modules over a finite commutative ring: submodules, scalar
-extension M_A = M/(I_A M), and element annihilators."""
+"""Finite modules over a finite commutative ring: scalar extension
+M_A = M/(I_A M), element annihilators, and the span tests of the driver.
+
+A submodule is passed around as a tuple of generating elements; the
+driver's N keeps them in construction order, which fixes its choices."""
 
 from __future__ import annotations
 
 from .abelian import (
     CanonicalGroup,
     Element,
-    GroupHom,
     Subgroup,
     _check_group,
     hom_kernel,
@@ -14,13 +16,7 @@ from .abelian import (
     subgroup_join,
     subgroup_span,
 )
-from .rings import (
-    Diagnostic,
-    FiniteRing,
-    PreIdeal,
-    QuotientRing,
-    _assoc_diagnostics,
-)
+from .rings import Diagnostic, FiniteRing, _assoc_diagnostics
 
 
 class FiniteModule:
@@ -107,71 +103,21 @@ def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
     return diags
 
 
-class Submodule:
-    """Submodule of M, carried by an action-closed subgroup."""
-
-    __slots__ = ("module", "carrier")
-
-    def __init__(self, module: FiniteModule, carrier: Subgroup):
-        self.module = module
-        self.carrier = carrier
-
-    @classmethod
-    def span(cls, module: FiniteModule, gens) -> "Submodule":
-        """Smallest submodule containing `gens`; the carrier generator list
-        is the given elements followed by their generator actions."""
-        gens = list(gens)
-        closure = list(gens)
-        seen = {el.coords for el in gens}
-        for i in range(module.ring.group.rank):
-            for el in gens:
-                prod = module.gen_action(i, el)
-                if not prod.is_zero() and prod.coords not in seen:
-                    seen.add(prod.coords)
-                    closure.append(prod)
-        return cls(module, subgroup_span(module.group, closure))
-
-    @classmethod
-    def full(cls, module: FiniteModule) -> "Submodule":
-        return cls(module, subgroup_span(module.group, module.group.gens()))
-
-    @classmethod
-    def zero(cls, module: FiniteModule) -> "Submodule":
-        return cls(module, subgroup_span(module.group, []))
-
-    def order(self) -> int:
-        return self.carrier.order()
-
-    def contains(self, x: Element) -> bool:
-        return self.carrier.contains(x)
-
-    def is_action_closed(self) -> bool:
-        return all(self.carrier.contains(self.module.gen_action(i, el))
-                   for i in range(self.module.ring.group.rank)
-                   for el in self.carrier.gens)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Submodule) and self.carrier == other.carrier
-
-    def __repr__(self) -> str:
-        return f"Submodule(order={self.order()})"
-
-
-def ideal_times_submodule(i: PreIdeal, n: Submodule) -> Submodule:
-    """The submodule i*N spanned by all products u*z, u over carrier
-    generators of the ideal, z over carrier generators of N."""
-    module = n.module
+def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
+    """Generators of the submodule i*N: the distinct nonzero products u*z,
+    u over the basis elements of the ideal i and z over the generators n
+    of N, in that order."""
     products = []
     seen = set()
-    for u in i.carrier.gens:
-        for z in n.carrier.gens:
+    for u in i.basis_elements():
+        for z in n:
             p = module.act(u, z)
             if not p.is_zero() and p.coords not in seen:
                 seen.add(p.coords)
                 products.append(p)
     # Products of an ideal with a submodule are already action closed:
     # g*(u*z) = (g*u)*z and g*u stays inside the ideal.
-    return Submodule(module, subgroup_span(module.group, products))
+    return tuple(products)
 
 
 class ScalarExtension:
@@ -181,39 +127,37 @@ class ScalarExtension:
     no tensor machinery is involved.
     """
 
-    __slots__ = ("quotient", "projection", "i_a", "iam")
+    __slots__ = ("quotient", "iam")
 
-    def __init__(self, quotient_group: CanonicalGroup, projection: GroupHom,
-                 i_a: PreIdeal, iam: Submodule):
+    def __init__(self, quotient_group: CanonicalGroup, iam: Subgroup):
         self.quotient = quotient_group
-        self.projection = projection
-        self.i_a = i_a
         self.iam = iam
 
     @property
     def order(self) -> int:
         return self.quotient.order
 
+    def projection(self, m: Element) -> Element:
+        _check_group(self.iam.ambient, m.group)
+        return self.quotient.from_user(m.coords)
+
     def __repr__(self) -> str:
         return f"ScalarExtension(order={self.order})"
 
 
-def scalar_extension(module: FiniteModule, i_a: PreIdeal) -> ScalarExtension:
+def scalar_extension(module: FiniteModule, i_a: Subgroup) -> ScalarExtension:
     """Base change of M along R -> R/I_A, computed as M/(I_A M)."""
-    iam = ideal_times_submodule(i_a, Submodule.full(module))
-    q, proj = quotient(module.group, iam.carrier)
-    return ScalarExtension(q, proj, i_a, iam)
+    products = ideal_times_submodule(i_a, module.group.gens(), module)
+    iam = subgroup_span(module.group, products)
+    return ScalarExtension(quotient(module.group, iam), iam)
 
 
-def ann_element(a: QuotientRing, module: FiniteModule, x: Element,
-                ext: ScalarExtension | None = None) -> PreIdeal:
-    """Ann_A(1 (x) x): the kernel of r -> projection(r*x) into M_A."""
-    if ext is None:
-        ext = scalar_extension(module, a.i_a)
-    ring = a.base
+def ann_element(module: FiniteModule, x: Element, ext: ScalarExtension) -> Subgroup:
+    """Ann_A(1 (x) x) in A = R/I_A, with ext = M_A: the kernel of
+    r -> projection(r*x)."""
     images = [ext.projection(module.gen_action(i, x))
-              for i in range(ring.group.rank)]
-    return PreIdeal(hom_kernel(ring.group, images))
+              for i in range(module.ring.group.rank)]
+    return hom_kernel(module.ring.group, images)
 
 
 def spans_extension(elems, ext: ScalarExtension) -> bool:
@@ -229,6 +173,7 @@ def cyclic_span_is_all(ring: FiniteRing, module: FiniteModule, y: Element) -> bo
     return span.order() == module.order
 
 
-def submodule_plus_ideal_module_is_all(n: Submodule, iam: Submodule) -> bool:
-    """carrier(N) + carrier(I_A M) = M, one of the live state invariants."""
-    return subgroup_join(n.carrier, iam.carrier).order() == n.module.order
+def submodule_plus_ideal_module_is_all(n, iam: Subgroup) -> bool:
+    """span(n) + I_A M = M, one of the live state invariants."""
+    m = iam.ambient
+    return subgroup_join(subgroup_span(m, n), iam).order() == m.order

@@ -1,10 +1,11 @@
-"""Finite commutative rings, quotient rings, and ideal arithmetic.
+"""Finite commutative rings and ideal arithmetic.
 
 A ring is a canonical abelian group plus the products of all pairs of
 canonical generators; multiplication of arbitrary elements is the bilinear
-extension of that table.  Ideals of a quotient ring A = R/I_A are always
-stored as their full preimage subgroup in R (`PreIdeal`), so replacing A by
-a further quotient is a single carrier assignment.
+extension of that table.  A quotient ring A = R/I_A is never built: the
+ideal I_A is a `Subgroup` of R, and every ideal of A is stored as its full
+preimage in R, a `Subgroup` that contains I_A.  Replacing A by a further
+quotient is then a single assignment of that subgroup.
 """
 
 from __future__ import annotations
@@ -203,96 +204,38 @@ def ring_validate(ring: FiniteRing) -> list:
     return diags
 
 
-class PreIdeal:
-    """An ideal of the current quotient ring, stored as its full preimage
-    subgroup in R."""
-
-    __slots__ = ("carrier",)
-
-    def __init__(self, carrier: Subgroup):
-        self.carrier = carrier
-
-    @classmethod
-    def zero(cls, ring: FiniteRing) -> "PreIdeal":
-        return cls(subgroup_span(ring.group, []))
-
-    @classmethod
-    def unit(cls, ring: FiniteRing) -> "PreIdeal":
-        return cls(subgroup_span(ring.group, ring.group.gens()))
-
-    def order(self) -> int:
-        return self.carrier.order()
-
-    def contains(self, x: Element) -> bool:
-        return self.carrier.contains(x)
-
-    def is_mult_closed(self, ring: FiniteRing) -> bool:
-        return all(self.carrier.contains(ring.mul(g, s))
-                   for g in ring.gens() for s in self.carrier.gens)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PreIdeal) and self.carrier == other.carrier
-
-    def __hash__(self):
-        return hash(self.carrier)
-
-    def __repr__(self) -> str:
-        return f"PreIdeal(order={self.order()})"
-
-
-class QuotientRing:
-    """A = R/I_A; elements are represented by R-elements modulo i_a."""
-
-    __slots__ = ("base", "i_a")
-
-    def __init__(self, base: FiniteRing, i_a: PreIdeal):
-        _check_group(base.group, i_a.carrier.ambient)
-        self.base = base
-        self.i_a = i_a
-
-    @property
-    def order(self) -> int:
-        return self.base.order // self.i_a.order()
-
-    def eq_mod(self, a: Element, b: Element) -> bool:
-        return self.i_a.contains(a - b)
-
-    def __repr__(self) -> str:
-        return f"QuotientRing(order={self.order})"
-
-
-def ideal_span(a: QuotientRing, elems) -> PreIdeal:
-    """Ideal of A generated by the given R-elements (as a preimage in R)."""
-    ring = a.base
+def ideal_span(ring: FiniteRing, i_a: Subgroup, elems) -> Subgroup:
+    """Ideal of A = R/I_A generated by the given R-elements, as its
+    preimage in R."""
     gens = []
     for s in elems:
         _check_group(ring.group, s.group)
         for g in ring.gens():
             gens.append(ring.mul(g, s))
-    gens.extend(a.i_a.carrier.gens)
-    return PreIdeal(subgroup_span(ring.group, gens))
+    gens.extend(i_a.basis_elements())
+    return subgroup_span(ring.group, gens)
 
 
-def ideal_annihilator(a: QuotientRing, x: PreIdeal) -> PreIdeal:
+def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
     """Ann_A(x) = {r : r*u in i_a for every generator u of x}, computed as
     the kernel of the block map r -> (r*u_1 mod i_a, ..., r*u_s mod i_a)
     into s copies of R/i_a."""
-    ring = a.base
-    targets = [u for u in x.carrier.gens if not u.is_zero()]
+    targets = x.basis_elements()
     if not targets:
-        return PreIdeal.unit(ring)
-    q, proj = quotient(ring.group, a.i_a.carrier)
+        return subgroup_span(ring.group, ring.gens())
+    q = quotient(ring.group, i_a)
     rows = []
     for g in ring.gens():
         row = []
         for u in targets:
-            row.extend(proj(ring.mul(g, u)).coords)
+            row.extend(q.from_user(ring.mul(g, u).coords).coords)
         rows.append(row)
-    return PreIdeal(map_kernel(ring.group, rows, q.invariant_factors * len(targets)))
+    return map_kernel(ring.group, rows, q.invariant_factors * len(targets))
 
 
-def ideal_meet_is_zero(a: QuotientRing, p: PreIdeal, q: PreIdeal):
-    """Intersection of two ideals of A, and whether it is the zero ideal of
-    A (i.e. the carriers meet exactly in i_a)."""
-    meet = PreIdeal(subgroup_meet(p.carrier, q.carrier))
-    return meet, meet.carrier == a.i_a.carrier
+def ideal_meet_is_zero(ring: FiniteRing, i_a: Subgroup, p: Subgroup, q: Subgroup):
+    """Intersection of two ideals of A = R/I_A, and whether it is the zero
+    ideal of A (i.e. the preimages meet exactly in i_a)."""
+    _check_group(ring.group, i_a.ambient)
+    meet = subgroup_meet(p, q)
+    return meet, meet == i_a

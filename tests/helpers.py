@@ -7,7 +7,33 @@ and span questions from additive closure over coordinate tuples.
 
 from itertools import product
 
-from modcyclic.intlinalg import IntMatrix, det, hnf, snf
+from modcyclic.abelian import subgroup_span
+from modcyclic.intlinalg import DimensionError, IntMatrix, hnf, snf
+
+
+def det(m):
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise DimensionError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def check_snf(m):
@@ -29,7 +55,7 @@ def check_snf(m):
     for i in range(res.d.rows):
         for j in range(res.d.cols):
             if i != j:
-                assert res.d.entry(i, j) == 0
+                assert res.d.data[i][j] == 0
     return res
 
 
@@ -63,7 +89,7 @@ def check_hnf(m):
         if piv is None:
             continue
         for k in range(i):
-            assert 0 <= h.entry(k, piv) < row[piv]
+            assert 0 <= h.data[k][piv] < row[piv]
     return h, t
 
 
@@ -142,7 +168,44 @@ def brute_cyclic(ring, module):
 
 def subgroup_coords(sub):
     """Element coordinates of a subgroup by brute enumeration."""
-    return {x.coords for x in sub.elements()}
+    return {x.coords for x in sub.ambient.elements() if sub.contains(x)}
+
+
+def submodule_span(module, gens):
+    """Generators of the smallest submodule containing `gens`: the given
+    elements followed by their distinct nonzero generator actions."""
+    gens = list(gens)
+    closure = list(gens)
+    seen = {el.coords for el in gens}
+    for i in range(module.ring.group.rank):
+        for el in gens:
+            prod = module.gen_action(i, el)
+            if not prod.is_zero() and prod.coords not in seen:
+                seen.add(prod.coords)
+                closure.append(prod)
+    return tuple(closure)
+
+
+def is_action_closed(module, gens):
+    """Does the subgroup spanned by `gens` absorb every generator action?"""
+    span = subgroup_span(module.group, gens)
+    return all(span.contains(module.gen_action(i, el))
+               for i in range(module.ring.group.rank) for el in gens)
+
+
+def zero_ideal(ring):
+    """The zero ideal of R, so A = R."""
+    return subgroup_span(ring.group, [])
+
+
+def unit_ideal(ring):
+    return subgroup_span(ring.group, ring.gens())
+
+
+def is_mult_closed(ring, ideal):
+    """Is the subgroup `ideal` of the ring closed under multiplication by R?"""
+    return all(ideal.contains(ring.mul(g, s))
+               for g in ring.gens() for s in ideal.basis_elements())
 
 
 def random_matrix(rng, rows, cols, lo=-100, hi=100):

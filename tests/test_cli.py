@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from modcyclic import instances
+from modcyclic import cyclic, instances
 from modcyclic.cli import main
 from modcyclic.instances import dumps, gen_randquot, gen_trunc, gen_zmod, load, parse_instance
 from modcyclic.modules import cyclic_span_is_all
@@ -125,8 +125,27 @@ def test_printed_generator_is_small_and_spans(tmp_path, capsys, n, seed, max_deg
     gen = [int(x) for x in json.loads(capsys.readouterr().out)["generator"]]
     assert max(len(str(x)) for x in gen) <= width
     parsed = parse_instance(doc, validate=False)
+    assert all(0 <= x < parsed.module.group.exponent for x in gen)
     y = parsed.module.group.from_user(gen)
     assert cyclic_span_is_all(parsed.ring, parsed.module, y)
+
+
+def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_failed_self_check_is_an_error_not_a_verdict(noncyclic_file, capsys, monkeypatch):
+    def broken(module, i_a):
+        raise RuntimeError("subgroup lattice lost full rank")
+
+    monkeypatch.setattr(cyclic, "scalar_extension", broken)
+    assert main(["check", noncyclic_file]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert main(["compare", noncyclic_file]) == 2
 
 
 def test_not_finite_is_an_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from modcyclic import cyclic
+from modcyclic.abelian import subgroup_span
 from modcyclic.cyclic import (
     AlgState,
     InvariantViolationError,
@@ -13,10 +15,10 @@ from modcyclic.cyclic import (
     step,
 )
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
-from modcyclic.modules import Submodule, cyclic_span_is_all, scalar_extension
-from modcyclic.rings import PreIdeal, QuotientRing, ideal_span
+from modcyclic.modules import cyclic_span_is_all, scalar_extension
+from modcyclic.rings import ideal_span
 
-from helpers import brute_cyclic
+from helpers import brute_cyclic, submodule_span, zero_ideal
 
 
 def parse(doc):
@@ -70,9 +72,9 @@ def test_transcript_z6():
 def test_init_state():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     state = init(ring, mod)
-    assert state.i_a.carrier.order() == 1
+    assert state.i_a.order() == 1
     assert state.y.is_zero()
-    assert state.n.order() == mod.order
+    assert subgroup_span(mod.group, state.n).order() == mod.order
     assert state.order_A == 4
     check_state_invariants(state)
 
@@ -91,22 +93,20 @@ def test_trivial_module_and_zero_ring():
 
 def test_pick_x_skips_generators_that_die():
     ring, mod = parse(gen_zmod(4, [4]))
-    two = ideal_span(QuotientRing(ring, PreIdeal.zero(ring)),
-                     [ring.group.element((2,))])
-    n = Submodule.span(mod, [mod.group.element((2,)), mod.group.element((1,))])
+    two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
+    n = submodule_span(mod, [mod.group.element((2,)), mod.group.element((1,))])
     state = AlgState(ring, mod, two, mod.zero(), n)
-    ext = scalar_extension(mod, two)
-    assert ext.order == 2
-    assert pick_x(state, ext) == mod.group.element((1,))
+    assert state.ext.order == 2
+    assert pick_x(state) == mod.group.element((1,))
 
 
 def test_pick_x_hard_error_on_corrupt_state():
     ring, mod = parse(gen_zmod(4, [4]))
-    state = AlgState(ring, mod, PreIdeal.zero(ring), mod.zero(),
-                     Submodule.zero(mod))
-    ext = scalar_extension(mod, state.i_a)
+    # N = 0 cannot cover M_A = M
+    state = AlgState(ring, mod, zero_ideal(ring), mod.zero(), ())
+    assert state.ext.order == 4
     with pytest.raises(InvariantViolationError):
-        pick_x(state, ext)
+        pick_x(state)
 
 
 def test_check_state_invariants_rejects_corruption():
@@ -118,7 +118,7 @@ def test_check_state_invariants_rejects_corruption():
     with pytest.raises(InvariantViolationError):
         check_state_invariants(bad)
     # N too small to cover M_A
-    bad2 = AlgState(ring, mod, good.i_a, mod.zero(), Submodule.zero(mod))
+    bad2 = AlgState(ring, mod, good.i_a, mod.zero(), ())
     with pytest.raises(InvariantViolationError):
         check_state_invariants(bad2)
 
@@ -196,5 +196,28 @@ def test_step_returns_fresh_states():
     s0 = init(ring, mod)
     s1 = step(s0)
     assert isinstance(s1, AlgState)
-    assert s0.i_a.carrier.order() == 1  # original state untouched
+    assert s0.i_a.order() == 1  # original state untouched
     assert s1.iteration == 1 and len(s1.trace) == 1
+
+
+def test_state_builds_its_extension_once(monkeypatch):
+    # The invariant checks read the M_A each state built, so they add no
+    # scalar extension to a run.
+    calls = []
+
+    def counting(module, i_a):
+        calls.append(i_a)
+        return scalar_extension(module, i_a)
+
+    monkeypatch.setattr(cyclic, "scalar_extension", counting)
+    docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
+            gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
+    for doc in docs:
+        ring, mod = parse(doc)
+        counts = []
+        for check in (True, False):
+            calls.clear()
+            result = run(ring, mod, check_invariants=check)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert counts[0] >= result.iterations

@@ -1,9 +1,9 @@
 import random
 
+from modcyclic.abelian import subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
 from modcyclic.modules import (
     FiniteModule,
-    Submodule,
     ann_element,
     cyclic_span_is_all,
     ideal_times_submodule,
@@ -11,9 +11,17 @@ from modcyclic.modules import (
     scalar_extension,
     spans_extension,
 )
-from modcyclic.rings import PreIdeal, QuotientRing, ideal_span, ring_validate
+from modcyclic.rings import ideal_span, ring_validate
 
-from helpers import additive_closure, span_coords, subgroup_coords
+from helpers import (
+    additive_closure,
+    is_action_closed,
+    span_coords,
+    subgroup_coords,
+    submodule_span,
+    unit_ideal,
+    zero_ideal,
+)
 
 
 def parse(doc):
@@ -21,8 +29,9 @@ def parse(doc):
     return p.ring, p.module
 
 
-def whole(ring):
-    return QuotientRing(ring, PreIdeal.zero(ring))
+def ann_in_whole(ring, mod, x):
+    """Ann_R(x), the element annihilator over A = R."""
+    return ann_element(mod, x, scalar_extension(mod, zero_ideal(ring)))
 
 
 def small_instances():
@@ -85,19 +94,21 @@ def test_module_validate_violations():
 
 def test_ideal_times_submodule_examples():
     ring, mod = parse(gen_zmod(12, [12]))
-    two = ideal_span(whole(ring), [ring.group.element((2,))])
-    n = Submodule.full(mod)
-    prod = ideal_times_submodule(two, n)
-    assert subgroup_coords(prod.carrier) == {(0,), (2,), (4,), (6,), (8,), (10,)}
+    two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
+    n = mod.group.gens()
+    prod = ideal_times_submodule(two, n, mod)
+    assert subgroup_coords(subgroup_span(mod.group, prod)) == {
+        (0,), (2,), (4,), (6,), (8,), (10,)}
 
-    assert ideal_times_submodule(PreIdeal.zero(ring), n).order() == 1
+    assert subgroup_span(mod.group,
+                         ideal_times_submodule(zero_ideal(ring), n, mod)).order() == 1
 
     # idempotent ring acting on itself: (e2) * R = {0, e2}
     ring2, mod2 = parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))
     e2 = ring2.group.element((0, 1))
-    ideal = ideal_span(whole(ring2), [e2])
-    prod2 = ideal_times_submodule(ideal, Submodule.full(mod2))
-    assert subgroup_coords(prod2.carrier) == {(0, 0), (0, 1)}
+    ideal = ideal_span(ring2, zero_ideal(ring2), [e2])
+    prod2 = ideal_times_submodule(ideal, mod2.group.gens(), mod2)
+    assert subgroup_coords(subgroup_span(mod2.group, prod2)) == {(0, 0), (0, 1)}
 
 
 def test_ideal_times_submodule_closure_and_containment():
@@ -105,31 +116,32 @@ def test_ideal_times_submodule_closure_and_containment():
     for ring, mod in small_instances():
         elements = list(ring.group.elements()) if ring.order <= 500 else [ring.one]
         for _ in range(4):
-            i = ideal_span(whole(ring),
+            i = ideal_span(ring, zero_ideal(ring),
                            [elements[rng.randrange(len(elements))]
                             for _ in range(rng.randint(0, 2))])
             gens = [mod.group.element(tuple(rng.randrange(d)
                                             for d in mod.group.invariant_factors))
                     for _ in range(rng.randint(0, 2))]
-            n = Submodule.span(mod, gens)
-            assert n.is_action_closed()
-            prod = ideal_times_submodule(i, n)
-            assert prod.is_action_closed()
+            n = submodule_span(mod, gens)
+            assert is_action_closed(mod, n)
+            prod = ideal_times_submodule(i, n, mod)
+            assert is_action_closed(mod, prod)
             # i*N sits inside N since N is action closed
-            for el in prod.carrier.gens:
-                assert n.contains(el)
+            n_span = subgroup_span(mod.group, n)
+            for el in prod:
+                assert n_span.contains(el)
 
 
 def test_scalar_extension_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
-    two = ideal_span(whole(ring), [ring.group.element((2,))])
+    two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
     ext = scalar_extension(mod, two)
     assert ext.order == 4  # 2*M = 0, so M_A = M
 
-    ext_unit = scalar_extension(mod, PreIdeal.unit(ring))
+    ext_unit = scalar_extension(mod, unit_ideal(ring))
     assert ext_unit.order == 1
 
-    ext_zero = scalar_extension(mod, PreIdeal.zero(ring))
+    ext_zero = scalar_extension(mod, zero_ideal(ring))
     assert ext_zero.order == mod.order
 
 
@@ -138,7 +150,7 @@ def test_scalar_extension_order_divides():
     for ring, mod in small_instances():
         elements = list(ring.group.elements()) if ring.order <= 500 else [ring.one]
         for _ in range(4):
-            i = ideal_span(whole(ring),
+            i = ideal_span(ring, zero_ideal(ring),
                            [elements[rng.randrange(len(elements))]
                             for _ in range(rng.randint(0, 2))])
             ext = scalar_extension(mod, i)
@@ -148,20 +160,20 @@ def test_scalar_extension_order_divides():
             if mod.order <= 200:
                 kernel = {x.coords for x in mod.group.elements()
                           if ext.projection(x).is_zero()}
-                assert kernel == subgroup_coords(ext.iam.carrier)
+                assert kernel == subgroup_coords(ext.iam)
 
 
 def test_ann_element_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     x = mod.group.element((1, 0))
-    ann = ann_element(whole(ring), mod, x)
-    assert subgroup_coords(ann.carrier) == {(0,), (2,)}
+    ann = ann_in_whole(ring, mod, x)
+    assert subgroup_coords(ann) == {(0,), (2,)}
 
-    assert ann_element(whole(ring), mod, mod.zero()).carrier.order() == ring.order
+    assert ann_in_whole(ring, mod, mod.zero()).order() == ring.order
 
     ring6, mod6 = parse(gen_zmod(6, [6]))
-    ann6 = ann_element(whole(ring6), mod6, mod6.group.element((1,)))
-    assert ann6.carrier.order() == 1
+    ann6 = ann_in_whole(ring6, mod6, mod6.group.element((1,)))
+    assert ann6.order() == 1
 
 
 def test_ann_element_vs_enumeration():
@@ -171,33 +183,32 @@ def test_ann_element_vs_enumeration():
             continue
         ia_elements = list(ring.group.elements())
         for _ in range(5):
-            i_a = ideal_span(whole(ring),
+            i_a = ideal_span(ring, zero_ideal(ring),
                              [ia_elements[rng.randrange(len(ia_elements))]
                               for _ in range(rng.randint(0, 1))])
-            quot = QuotientRing(ring, i_a)
             x = mod.group.element(tuple(rng.randrange(d)
                                         for d in mod.group.invariant_factors))
-            ann = ann_element(quot, mod, x)
             ext = scalar_extension(mod, i_a)
-            iam = subgroup_coords(ext.iam.carrier)
+            ann = ann_element(mod, x, ext)
+            iam = subgroup_coords(ext.iam)
             expect = {r.coords for r in ring.group.elements()
                       if mod.act(r, x).coords in iam}
-            assert subgroup_coords(ann.carrier) == expect
+            assert subgroup_coords(ann) == expect
 
 
 def test_spans_extension_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     x = mod.group.element((1, 0))
-    a = ann_element(whole(ring), mod, x)  # = (2), so A/a has order 2
+    a = ann_in_whole(ring, mod, x)  # = (2), so A/a has order 2
     ext = scalar_extension(mod, a)
     images = [mod.gen_action(i, x) for i in range(ring.group.rank)]
     assert ext.order == 4
     assert not spans_extension(images, ext)
 
-    ext_trivial = scalar_extension(mod, PreIdeal.unit(ring))
+    ext_trivial = scalar_extension(mod, unit_ideal(ring))
     assert spans_extension([], ext_trivial)
 
-    ext_zero = scalar_extension(mod, PreIdeal.zero(ring))
+    ext_zero = scalar_extension(mod, zero_ideal(ring))
     assert spans_extension(list(mod.group.gens()), ext_zero)
 
 
@@ -208,7 +219,7 @@ def test_spans_extension_vs_closure():
             continue
         elements = list(ring.group.elements())
         for _ in range(5):
-            i_a = ideal_span(whole(ring),
+            i_a = ideal_span(ring, zero_ideal(ring),
                              [elements[rng.randrange(len(elements))]
                               for _ in range(rng.randint(0, 1))])
             ext = scalar_extension(mod, i_a)

@@ -6,8 +6,6 @@ from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, par
 from modcyclic.rings import (
     FiniteRing,
     NoIdentityError,
-    PreIdeal,
-    QuotientRing,
     find_identity,
     ideal_annihilator,
     ideal_meet_is_zero,
@@ -15,7 +13,7 @@ from modcyclic.rings import (
     ring_validate,
 )
 
-from helpers import subgroup_coords
+from helpers import is_mult_closed, subgroup_coords, unit_ideal, zero_ideal
 
 
 def ring_of(doc):
@@ -113,40 +111,35 @@ def test_mul_commutative_associative_randomized():
                     assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
 
 
-def whole(ring):
-    return QuotientRing(ring, PreIdeal.zero(ring))
-
-
 def test_ideal_span_examples():
     r = z12()
-    a = whole(r)
-    p = ideal_span(a, [r.group.element((4,))])
-    assert subgroup_coords(p.carrier) == {(0,), (4,), (8,)}
+    z = zero_ideal(r)
+    p = ideal_span(r, z, [r.group.element((4,))])
+    assert subgroup_coords(p) == {(0,), (4,), (8,)}
 
-    assert ideal_span(a, []).carrier.order() == 1
-    assert ideal_span(a, [r.one]).carrier.order() == 12
+    assert ideal_span(r, z, []).order() == 1
+    assert ideal_span(r, z, [r.one]).order() == 12
 
 
 def test_ideal_annihilator_examples():
     r = z12()
-    a = whole(r)
-    p = ideal_span(a, [r.group.element((4,))])
-    ann = ideal_annihilator(a, p)
-    assert subgroup_coords(ann.carrier) == {(0,), (3,), (6,), (9,)}
+    z = zero_ideal(r)
+    p = ideal_span(r, z, [r.group.element((4,))])
+    ann = ideal_annihilator(r, z, p)
+    assert subgroup_coords(ann) == {(0,), (3,), (6,), (9,)}
 
-    assert ideal_annihilator(a, PreIdeal.zero(r)).carrier.order() == 12
-    assert ideal_annihilator(a, PreIdeal.unit(r)).carrier.order() == 1
+    assert ideal_annihilator(r, z, zero_ideal(r)).order() == 12
+    assert ideal_annihilator(r, z, unit_ideal(r)).order() == 1
 
 
 def test_ideal_annihilator_in_proper_quotient():
     # A = Z/12 / (6) = Z/6; Ann_A((2)) = (3) pulled back to Z/12
     r = z12()
-    six = ideal_span(whole(r), [r.group.element((6,))])
-    a = QuotientRing(r, six)
-    two = ideal_span(a, [r.group.element((2,))])
-    ann = ideal_annihilator(a, two)
-    assert subgroup_coords(ann.carrier) == {(0,), (3,), (6,), (9,)}
-    assert ann.carrier.contains(r.group.element((6,)))
+    six = ideal_span(r, zero_ideal(r), [r.group.element((6,))])
+    two = ideal_span(r, six, [r.group.element((2,))])
+    ann = ideal_annihilator(r, six, two)
+    assert subgroup_coords(ann) == {(0,), (3,), (6,), (9,)}
+    assert ann.contains(r.group.element((6,)))
 
 
 def test_ideal_annihilator_vs_enumeration():
@@ -158,33 +151,32 @@ def test_ideal_annihilator_vs_enumeration():
         for _ in range(6):
             seeds = [elements[rng.randrange(len(elements))]
                      for _ in range(rng.randint(0, 2))]
-            i_a = ideal_span(whole(ring), seeds)
-            a = QuotientRing(ring, i_a)
-            x = ideal_span(a, [elements[rng.randrange(len(elements))]])
-            ann = ideal_annihilator(a, x)
-            x_set = subgroup_coords(x.carrier)
-            ia_set = subgroup_coords(i_a.carrier)
+            i_a = ideal_span(ring, zero_ideal(ring), seeds)
+            x = ideal_span(ring, i_a, [elements[rng.randrange(len(elements))]])
+            ann = ideal_annihilator(ring, i_a, x)
+            x_set = subgroup_coords(x)
+            ia_set = subgroup_coords(i_a)
             expect = {r.coords for r in elements
                       if all(ring.mul(r, ring.group.element(u)).coords in ia_set
                              for u in x_set)}
-            assert subgroup_coords(ann.carrier) == expect
+            assert subgroup_coords(ann) == expect
 
 
 def test_ideal_meet_is_zero_examples():
     r = z12()
-    a = whole(r)
-    p = ideal_span(a, [r.group.element((4,))])
-    q = ideal_span(a, [r.group.element((3,))])
-    meet, zero = ideal_meet_is_zero(a, p, q)
-    assert zero and meet.carrier.order() == 1
+    z = zero_ideal(r)
+    p = ideal_span(r, z, [r.group.element((4,))])
+    q = ideal_span(r, z, [r.group.element((3,))])
+    meet, zero = ideal_meet_is_zero(r, z, p, q)
+    assert zero and meet.order() == 1
 
     r4 = ring_of(gen_zmod(4, [4]))
-    a4 = whole(r4)
-    two = ideal_span(a4, [r4.group.element((2,))])
-    meet, zero = ideal_meet_is_zero(a4, two, two)
+    z4 = zero_ideal(r4)
+    two = ideal_span(r4, z4, [r4.group.element((2,))])
+    meet, zero = ideal_meet_is_zero(r4, z4, two, two)
     assert not zero and meet == two
 
-    meet, zero = ideal_meet_is_zero(a, PreIdeal.zero(r), q)
+    meet, zero = ideal_meet_is_zero(r, z, zero_ideal(r), q)
     assert zero
 
 
@@ -195,15 +187,14 @@ def test_preideals_are_multiplicatively_closed():
         for _ in range(4):
             seeds = [elements[rng.randrange(len(elements))]
                      for _ in range(rng.randint(0, 2))]
-            i_a = ideal_span(whole(ring), seeds)
-            assert i_a.is_mult_closed(ring)
-            a = QuotientRing(ring, i_a)
-            x = ideal_span(a, seeds[:1])
-            ann = ideal_annihilator(a, x)
-            assert ann.is_mult_closed(ring)
-            assert all(ann.carrier.contains(u) for u in i_a.carrier.gens)
-            meet, _ = ideal_meet_is_zero(a, x, ann)
-            assert meet.is_mult_closed(ring)
+            i_a = ideal_span(ring, zero_ideal(ring), seeds)
+            assert is_mult_closed(ring, i_a)
+            x = ideal_span(ring, i_a, seeds[:1])
+            ann = ideal_annihilator(ring, i_a, x)
+            assert is_mult_closed(ring, ann)
+            assert all(ann.contains(u) for u in i_a.basis_elements())
+            meet, _ = ideal_meet_is_zero(ring, i_a, x, ann)
+            assert is_mult_closed(ring, meet)
 
 
 def test_annihilator_splitting_orders():
@@ -215,17 +206,17 @@ def test_annihilator_splitting_orders():
             continue
         elements = list(ring.group.elements())
         for _ in range(8):
-            i_a = ideal_span(whole(ring),
+            i_a = ideal_span(ring, zero_ideal(ring),
                              [elements[rng.randrange(len(elements))]
                               for _ in range(rng.randint(0, 1))])
-            quot = QuotientRing(ring, i_a)
-            a = ideal_span(quot, [elements[rng.randrange(len(elements))]])
-            b = ideal_annihilator(quot, a)
-            meet, zero = ideal_meet_is_zero(quot, a, b)
+            order_A = ring.order // i_a.order()
+            a = ideal_span(ring, i_a, [elements[rng.randrange(len(elements))]])
+            b = ideal_annihilator(ring, i_a, a)
+            meet, zero = ideal_meet_is_zero(ring, i_a, a, b)
             if not zero:
                 continue
-            na = a.carrier.order() // i_a.carrier.order()
-            nb = b.carrier.order() // i_a.carrier.order()
-            assert na * nb == quot.order
+            na = a.order() // i_a.order()
+            nb = b.order() // i_a.order()
+            assert na * nb == order_A
             if nb == 1:
-                assert na == quot.order
+                assert na == order_A
