@@ -28,7 +28,6 @@ from .instances import (
 from .intlinalg import IntMatrix, SnfResult, hnf, kernel_mod_lattice, snf, solve_congruence
 from .modules import (
     FiniteModule,
-    ScalarExtension,
     ann_element,
     cyclic_span_is_all,
     ideal_times_submodule,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from math import gcd, lcm, prod
+from math import prod
 
 from .intlinalg import (
     DimensionError,
@@ -163,13 +163,6 @@ class Element:
 
     __rmul__ = __mul__
 
-    def additive_order(self) -> int:
-        n = 1
-        for c, d in zip(self.coords, self.group.invariant_factors):
-            k = d // gcd(c, d)
-            n = n * k // gcd(n, k)
-        return n
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Element) and _same_group(self.group, other.group)
                 and self.coords == other.coords)
@@ -285,9 +278,12 @@ def subgroup_join(s1: Subgroup, s2: Subgroup) -> Subgroup:
 
 
 def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
-    """Quotient group g/s.  The projection of x onto it is
-    `q.from_user(x.coords)`, since g's canonical coordinates are the user
-    coordinates of q's presentation."""
+    """Quotient group g/s in its own invariant-factor coordinates.  The
+    projection of x onto it is `q.from_user(x.coords)`, since g's canonical
+    coordinates are the user coordinates of q's presentation.  Building q
+    costs a `canonicalize`; a question about g/s that needs no coordinates
+    of it (is x zero there, what is |g/s|) is `s.contains(x)` or
+    `s.index()`."""
     _check_group(g, s.ambient)
     q = canonicalize(Presentation(g.rank, s.basis))
     # The projection is well defined: generator i of order d_i maps to an
@@ -301,37 +297,25 @@ def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
     return q
 
 
-def hom_kernel(domain: CanonicalGroup, images) -> Subgroup:
-    """Kernel of the homomorphism sending the i-th canonical generator of
-    `domain` to images[i].
+def hom_kernel(domain: CanonicalGroup, images, target: Subgroup) -> Subgroup:
+    """Kernel of the homomorphism from `domain` to target.ambient/target
+    that sends the i-th canonical generator to the class of images[i].
 
-    The assignment must be well defined (d_i * images[i] = 0), otherwise
-    NotHomomorphismError is raised.
+    The assignment must be well defined (d_i * images[i] lies in target),
+    otherwise NotHomomorphismError is raised.  One HNF modulo the exponent
+    of target.ambient of [images | I ; target.basis | 0 ; 0 | diag(d)]
+    gives the kernel lattice together with the relations diag(d) of the
+    domain, so its bottom rows are the subgroup's HNF basis.
     """
     images = list(images)
     if len(images) != domain.rank:
         raise DimensionError("one image per canonical generator is required")
-    if domain.rank == 0:
-        return _lattice_to_subgroup(domain, [])
-    codomain = images[0].group
-    for im in images:
-        _check_group(codomain, im.group)
+    codomain = target.ambient
     for i, (d, im) in enumerate(zip(domain.invariant_factors, images)):
-        if not (d * im).is_zero():
-            raise NotHomomorphismError(f"d_{i} * image_{i} is nonzero; the map is not "
-                                       "well defined on the presented group")
-    return map_kernel(domain, [im.coords for im in images], codomain.invariant_factors)
-
-
-def map_kernel(domain: CanonicalGroup, rows, moduli) -> Subgroup:
-    """Kernel of x -> x @ rows into Z/moduli[0] x Z/moduli[1] x ..., for a
-    well-defined map from `domain`; the moduli need not form a chain.
-
-    One HNF modulo lcm(moduli) of [rows | I ; diag(moduli) | 0 ; 0 | diag(d)]
-    gives the kernel lattice together with the relations diag(d) of the
-    domain, so its bottom rows are the subgroup's HNF basis.
-    """
-    a = IntMatrix(domain.rank, len(moduli), rows)
-    basis = kernel_mod_lattice(a, IntMatrix.diagonal(moduli),
-                               IntMatrix.diagonal(domain.invariant_factors), lcm(*moduli))
+        if not target.contains(d * im):
+            raise NotHomomorphismError(f"d_{i} * image_{i} is outside the target; the map "
+                                       "is not well defined on the presented group")
+    a = IntMatrix(domain.rank, codomain.rank, [im.coords for im in images])
+    basis = kernel_mod_lattice(a, target.basis, IntMatrix.diagonal(domain.invariant_factors),
+                               codomain.exponent)
     return Subgroup(domain, basis)

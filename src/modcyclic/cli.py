@@ -14,7 +14,7 @@ import sys
 from . import instances, oracle
 from .abelian import NotFiniteError
 from .cyclic import CyclicityResult, InvariantViolationError, run
-from .instances import InstanceFormatError, ValidationFailure
+from .instances import InstanceFormatError, ValidationFailure, int_to_str
 
 EXIT_CYCLIC = 0
 EXIT_NOT_CYCLIC = 1
@@ -36,16 +36,24 @@ def _parse_file(path: str, validate: bool):
     return parsed
 
 
+def _text(v) -> str:
+    """str(v) for an int, or a list or tuple of ints, of any number of digits."""
+    if isinstance(v, int):
+        return int_to_str(v)
+    inner = ", ".join(map(int_to_str, v)) + ("," if isinstance(v, tuple) and len(v) == 1 else "")
+    return f"[{inner}]" if isinstance(v, list) else f"({inner})"
+
+
 def _trace_lines(result: CyclicityResult) -> list:
     lines = []
     for e in result.trace:
-        bits = [f"iter {e.iteration}: |A|={e.order_A} branch={e.branch}"]
+        bits = [f"iter {e.iteration}: |A|={_text(e.order_A)} branch={e.branch}"]
         if e.chosen_x is not None:
-            bits.append(f"x={e.chosen_x}")
+            bits.append(f"x={_text(e.chosen_x)}")
         if e.order_a is not None:
-            bits.append(f"|a|={e.order_a} |b|={e.order_b} meet_zero={e.meet_zero}")
+            bits.append(f"|a|={_text(e.order_a)} |b|={_text(e.order_b)} meet_zero={e.meet_zero}")
         if e.order_A_mod_a is not None:
-            bits.append(f"|A/a|={e.order_A_mod_a} |M_(A/a)|={e.order_ext_mod_a}")
+            bits.append(f"|A/a|={_text(e.order_A_mod_a)} |M_(A/a)|={_text(e.order_ext_mod_a)}")
         lines.append(" ".join(bits))
     return lines
 
@@ -58,12 +66,12 @@ def cmd_check(args) -> int:
     if args.format == "json":
         payload = {
             "verdict": result.verdict,
-            "generator": [str(c) for c in gen_user] if gen_user is not None else None,
+            "generator": None if gen_user is None else [int_to_str(c) for c in gen_user],
             "iterations": result.iterations,
             "witness": None if result.witness is None else {
                 "iteration": result.witness.iteration,
-                "order_A_mod_a": str(result.witness.quotient_ring_order),
-                "order_ext_mod_a": str(result.witness.extension_order),
+                "order_A_mod_a": int_to_str(result.witness.quotient_ring_order),
+                "order_ext_mod_a": int_to_str(result.witness.extension_order),
             },
         }
         if args.trace:
@@ -72,12 +80,12 @@ def cmd_check(args) -> int:
     else:
         if result.cyclic:
             print("verdict: cyclic")
-            print(f"generator: {gen_user}")
+            print(f"generator: {_text(gen_user)}")
         else:
             w = result.witness
             print("verdict: not cyclic")
-            print(f"witness: iteration {w.iteration}, |A/a| = {w.quotient_ring_order} "
-                  f"< |M_(A/a)| = {w.extension_order}")
+            print(f"witness: iteration {w.iteration}, |A/a| = {_text(w.quotient_ring_order)} "
+                  f"< |M_(A/a)| = {_text(w.extension_order)}")
         print(f"iterations: {result.iterations}")
         if args.trace:
             for line in _trace_lines(result):
@@ -89,12 +97,12 @@ def cmd_oracle(args) -> int:
     parsed = _parse_file(args.file, validate=True)
     verdict = oracle.brute_force(parsed.ring, parsed.module, bound=args.bound)
     if verdict.kind == oracle.TOO_LARGE:
-        print(f"oracle: module order {verdict.module_order} exceeds bound {verdict.bound}")
+        print(f"oracle: module order {_text(verdict.module_order)} exceeds bound {verdict.bound}")
         return EXIT_TOO_LARGE
     if verdict.kind == oracle.CYCLIC:
         gen_user = parsed.module.group.to_user(verdict.generator)
         print("verdict: cyclic")
-        print(f"generator: {gen_user}")
+        print(f"generator: {_text(gen_user)}")
         return EXIT_CYCLIC
     print("verdict: not cyclic")
     return EXIT_NOT_CYCLIC
@@ -105,7 +113,7 @@ def cmd_compare(args) -> int:
     result = run(parsed.ring, parsed.module)
     verdict = oracle.brute_force(parsed.ring, parsed.module, bound=args.bound)
     if verdict.kind == oracle.TOO_LARGE:
-        print(f"oracle too large (|M| = {verdict.module_order} > bound {verdict.bound}); "
+        print(f"oracle too large (|M| = {_text(verdict.module_order)} > bound {verdict.bound}); "
               f"algorithm says {result.verdict}")
         return EXIT_TOO_LARGE
     oracle_cyclic = verdict.kind == oracle.CYCLIC

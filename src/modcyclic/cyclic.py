@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import Element, Subgroup, subgroup_span
+from .instances import int_to_str
 from .modules import (
     FiniteModule,
-    ScalarExtension,
     ann_element,
     cyclic_span_is_all,
     ideal_times_submodule,
@@ -60,9 +60,9 @@ class TraceEntry:
             if isinstance(v, bool) or v is None:
                 return v
             if isinstance(v, int):
-                return str(v)
+                return int_to_str(v)
             if isinstance(v, tuple):
-                return [str(c) for c in v]
+                return [int_to_str(c) for c in v]
             return v
         return {
             "iteration": self.iteration,
@@ -80,7 +80,8 @@ class TraceEntry:
 @dataclass
 class AlgState:
     """Live state: A = R/I_A is implicit in i_a; y and the generators n of
-    N live in M.  `ext` is M_A, built once when the state is."""
+    N live in M.  `iam` is I_A*M, the lattice that M_A = M/(I_A M) is
+    read from, built once when the state is."""
 
     ring: FiniteRing
     module: FiniteModule
@@ -89,10 +90,10 @@ class AlgState:
     n: tuple
     iteration: int = 0
     trace: list = field(default_factory=list)
-    ext: ScalarExtension = field(init=False, repr=False)
+    iam: Subgroup = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.ext = scalar_extension(self.module, self.i_a)
+        self.iam = scalar_extension(self.module, self.i_a)
 
     @property
     def order_A(self) -> int:
@@ -143,7 +144,7 @@ def pick_x(state: AlgState) -> Element:
     One must exist while M_A is nontrivial, since N surjects onto M_A;
     anything else means the state is corrupt."""
     for el in state.n:
-        if not state.ext.projection(el).is_zero():
+        if not state.iam.contains(el):
             return el
     raise InvariantViolationError(
         "no N-generator has nonzero image although M_A is nontrivial",
@@ -153,14 +154,14 @@ def pick_x(state: AlgState) -> Element:
 def check_state_invariants(state: AlgState):
     """Checkable fragment of the quadruple invariants: y dies in M_A, N
     covers M_A, and N together with I_A*M fills M."""
-    ext = state.ext
-    if not ext.projection(state.y).is_zero():
+    iam = state.iam
+    if not iam.contains(state.y):
         raise InvariantViolationError(
             "candidate generator y has nonzero image in M_A", state.trace)
-    if not spans_extension(state.n, ext):
+    if not spans_extension(state.n, iam):
         raise InvariantViolationError(
             "N-generator images do not span M_A", state.trace)
-    if not submodule_plus_ideal_module_is_all(state.n, ext.iam):
+    if not submodule_plus_ideal_module_is_all(state.n, iam):
         raise InvariantViolationError(
             "span(N) + I_A*M is a proper subgroup of M", state.trace)
 
@@ -170,15 +171,15 @@ def step(state: AlgState, *, check_invariants: bool = True):
     ring, module = state.ring, state.module
     iteration = state.iteration + 1
     order_A = state.order_A
-    ext = state.ext
+    iam = state.iam
 
-    if ext.order == 1:
+    if iam.index() == 1:
         state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
         state.iteration = iteration
         return Yes(state.y)
 
     x = pick_x(state)
-    a = ann_element(module, x, ext)
+    a = ann_element(module, x, iam)
     b = ideal_annihilator(ring, state.i_a, a)
     meet, meet_zero = ideal_meet_is_zero(ring, state.i_a, a, b)
     i_a_order = state.i_a.order()
@@ -193,20 +194,21 @@ def step(state: AlgState, *, check_invariants: bool = True):
         _after_continue(state, new_state, order_A, check_invariants)
         return new_state
 
-    ext_a = scalar_extension(module, a)
+    iam_a = scalar_extension(module, a)
     gen_images = [module.gen_action(i, x) for i in range(ring.group.rank)]
     order_A_mod_a = ring.order // a.order()
-    if not spans_extension(gen_images, ext_a):
+    order_ext_mod_a = iam_a.index()
+    if not spans_extension(gen_images, iam_a):
         entry = TraceEntry(iteration, order_A, BRANCH_V_NO, x.coords,
                            order_a, order_b, meet_zero,
-                           order_A_mod_a, ext_a.order)
+                           order_A_mod_a, order_ext_mod_a)
         state.trace.append(entry)
         state.iteration = iteration
-        return No(NotCyclicWitness(iteration, order_A_mod_a, ext_a.order))
+        return No(NotCyclicWitness(iteration, order_A_mod_a, order_ext_mod_a))
 
     entry = TraceEntry(iteration, order_A, BRANCH_V_YES, x.coords,
                        order_a, order_b, meet_zero,
-                       order_A_mod_a, ext_a.order)
+                       order_A_mod_a, order_ext_mod_a)
     new_state = AlgState(ring, module, b, x + state.y,
                          ideal_times_submodule(a, state.n, module),
                          iteration, state.trace + [entry])

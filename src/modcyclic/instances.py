@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 
 from .abelian import CanonicalGroup, NotFiniteError, Presentation, canonicalize
@@ -59,6 +60,33 @@ class ParsedInstance:
     warnings: list = field(default_factory=list)
 
 
+# -- decimal integers --------------------------------------------------------
+# int(s) and str(n) refuse more than sys.get_int_max_str_digits() digits;
+# decimal, imported only past that limit, has none.
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
+
+
+def int_from_str(text: str) -> int:
+    """int(text, 10), also for ASCII sign-and-digit strings of any length;
+    raises ValueError like int()."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        if not _SIGNED_DIGITS.fullmatch(text):
+            raise
+        import decimal
+        return int(decimal.Decimal(text))
+
+
+def int_to_str(n: int) -> str:
+    """str(n), also for ints of any number of digits."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+        return str(decimal.Decimal(n))
+
+
 # -- decoding ----------------------------------------------------------------
 
 def _as_int(value, path: str) -> int:
@@ -68,7 +96,7 @@ def _as_int(value, path: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value.strip(), 10)
+            return int_from_str(value.strip())
         except ValueError:
             raise InstanceFormatError(f"{path}: not a decimal integer: {value!r}") from None
     raise InstanceFormatError(f"{path}: expected an integer, got {type(value).__name__}")
@@ -134,7 +162,7 @@ def decode_document(obj) -> dict:
 
 def loads(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=int_from_str)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from None
     return decode_document(obj)
@@ -150,7 +178,7 @@ def dumps(doc: dict) -> str:
     strings, two-space indent, trailing newline.  Deterministic, so equal
     documents are byte-identical."""
     def s(x):
-        return str(int(x))
+        return int_to_str(int(x))
 
     ring = doc["ring"]
     module = doc["module"]

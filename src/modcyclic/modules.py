@@ -2,7 +2,9 @@
 M_A = M/(I_A M), element annihilators, and the span tests of the driver.
 
 A submodule is passed around as a tuple of generating elements; the
-driver's N keeps them in construction order, which fixes its choices."""
+driver's N keeps them in construction order, which fixes its choices.
+M_A is carried by the lattice I_A*M, a `Subgroup` of M: membership in it
+is a zero image in M_A, and its index is |M_A|."""
 
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from .abelian import (
     Subgroup,
     _check_group,
     hom_kernel,
-    quotient,
     subgroup_join,
     subgroup_span,
 )
@@ -120,50 +121,23 @@ def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
     return tuple(products)
 
 
-class ScalarExtension:
-    """M_A = M/(I_A M) for A = R/I_A, with the projection from M.
-
-    The element 1 (x) m of the extension is represented by projection(m);
-    no tensor machinery is involved.
-    """
-
-    __slots__ = ("quotient", "iam")
-
-    def __init__(self, quotient_group: CanonicalGroup, iam: Subgroup):
-        self.quotient = quotient_group
-        self.iam = iam
-
-    @property
-    def order(self) -> int:
-        return self.quotient.order
-
-    def projection(self, m: Element) -> Element:
-        _check_group(self.iam.ambient, m.group)
-        return self.quotient.from_user(m.coords)
-
-    def __repr__(self) -> str:
-        return f"ScalarExtension(order={self.order})"
+def scalar_extension(module: FiniteModule, i_a: Subgroup) -> Subgroup:
+    """Base change of M along R -> R/I_A, as the lattice I_A*M that
+    M_A = M/(I_A M) is read from; the quotient group is never built."""
+    return subgroup_span(module.group, ideal_times_submodule(i_a, module.group.gens(), module))
 
 
-def scalar_extension(module: FiniteModule, i_a: Subgroup) -> ScalarExtension:
-    """Base change of M along R -> R/I_A, computed as M/(I_A M)."""
-    products = ideal_times_submodule(i_a, module.group.gens(), module)
-    iam = subgroup_span(module.group, products)
-    return ScalarExtension(quotient(module.group, iam), iam)
+def ann_element(module: FiniteModule, x: Element, iam: Subgroup) -> Subgroup:
+    """Ann_A(1 (x) x) in A = R/I_A, with iam = I_A*M: the kernel of
+    r -> r*x modulo iam."""
+    images = [module.gen_action(i, x) for i in range(module.ring.group.rank)]
+    return hom_kernel(module.ring.group, images, iam)
 
 
-def ann_element(module: FiniteModule, x: Element, ext: ScalarExtension) -> Subgroup:
-    """Ann_A(1 (x) x) in A = R/I_A, with ext = M_A: the kernel of
-    r -> projection(r*x)."""
-    images = [ext.projection(module.gen_action(i, x))
-              for i in range(module.ring.group.rank)]
-    return hom_kernel(module.ring.group, images)
-
-
-def spans_extension(elems, ext: ScalarExtension) -> bool:
-    """Do the projections of `elems` generate the whole extension group?"""
-    span = subgroup_span(ext.quotient, [ext.projection(e) for e in elems])
-    return span.order() == ext.order
+def spans_extension(elems, iam: Subgroup) -> bool:
+    """Do the images of `elems` generate M_A = M/iam, i.e. do they span M
+    together with iam?"""
+    return subgroup_span(iam.ambient, list(elems) + iam.basis_elements()).index() == 1
 
 
 def cyclic_span_is_all(ring: FiniteRing, module: FiniteModule, y: Element) -> bool:

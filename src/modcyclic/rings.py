@@ -17,12 +17,11 @@ from .abelian import (
     Element,
     Subgroup,
     _check_group,
-    map_kernel,
     quotient,
     subgroup_meet,
     subgroup_span,
 )
-from .intlinalg import IntMatrix, solve_congruence
+from .intlinalg import IntMatrix, kernel_mod_lattice, solve_congruence
 
 
 class NoIdentityError(ValueError):
@@ -219,7 +218,7 @@ def ideal_span(ring: FiniteRing, i_a: Subgroup, elems) -> Subgroup:
 def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
     """Ann_A(x) = {r : r*u in i_a for every generator u of x}, computed as
     the kernel of the block map r -> (r*u_1 mod i_a, ..., r*u_s mod i_a)
-    into s copies of R/i_a."""
+    into s copies of R/i_a, in the compact coordinates of `quotient`."""
     targets = x.basis_elements()
     if not targets:
         return subgroup_span(ring.group, ring.gens())
@@ -230,7 +229,12 @@ def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
         for u in targets:
             row.extend(q.from_user(ring.mul(g, u).coords).coords)
         rows.append(row)
-    return map_kernel(ring.group, rows, q.invariant_factors * len(targets))
+    # One HNF mod e(R/i_a) of [rows | I ; diag(moduli) | 0 ; 0 | diag(d_R)].
+    moduli = q.invariant_factors * len(targets)
+    basis = kernel_mod_lattice(IntMatrix(ring.group.rank, len(moduli), rows),
+                               IntMatrix.diagonal(moduli),
+                               IntMatrix.diagonal(ring.group.invariant_factors), q.exponent)
+    return Subgroup(ring.group, basis)
 
 
 def ideal_meet_is_zero(ring: FiniteRing, i_a: Subgroup, p: Subgroup, q: Subgroup):

@@ -6,6 +6,7 @@ and span questions from additive closure over coordinate tuples.
 """
 
 from itertools import product
+from math import gcd, lcm
 
 from modcyclic.abelian import subgroup_span
 from modcyclic.intlinalg import DimensionError, IntMatrix, hnf, snf
@@ -164,6 +165,15 @@ def brute_cyclic(ring, module):
         if len(span_coords(ring, module, y)) == size:
             return True, coords
     return False, None
+
+
+def additive_order(el):
+    """Order of a group element: the lcm over its coordinates of
+    d_i / gcd(c_i, d_i)."""
+    n = 1
+    for c, d in zip(el.coords, el.group.invariant_factors):
+        n = lcm(n, d // gcd(c, d))
+    return n
 
 
 def subgroup_coords(sub):

@@ -19,6 +19,7 @@ from modcyclic.intlinalg import IntMatrix
 
 from helpers import (
     additive_closure,
+    additive_order,
     group_order_by_enumeration,
     random_finite_presentation,
     subgroup_coords,
@@ -72,7 +73,7 @@ def test_element_arithmetic():
     assert (a + (-a)).is_zero()
     assert (g.zero() + a) == a
     assert (3 * a).coords == (1, 1)
-    assert a.additive_order() == 4
+    assert additive_order(a) == 4
 
     h = zn(12)
     with pytest.raises(GroupMismatchError):
@@ -181,13 +182,22 @@ def test_quotient_order_property():
 
 def test_hom_kernel_examples():
     g = zn(12)
-    ker = hom_kernel(g, [g.element((4,))])
+    zero = subgroup_span(g, [])
+    ker = hom_kernel(g, [g.element((4,))], zero)
     assert subgroup_coords(ker) == {(0,), (3,), (6,), (9,)}
 
-    ker = hom_kernel(g, [g.zero()])
+    ker = hom_kernel(g, [g.zero()], zero)
     assert ker.order() == 12
 
-    ker = hom_kernel(g, [g.element((1,))])
+    ker = hom_kernel(g, [g.element((1,))], zero)
+    assert ker.order() == 1
+
+    # Z/12 -> Z/12 / <4> = Z/4, 1 -> 1: the kernel is <4>
+    ker = hom_kernel(g, [g.element((1,))], subgroup_span(g, [g.element((4,))]))
+    assert subgroup_coords(ker) == {(0,), (4,), (8,)}
+    # Z/4 -> Z/8 / <4>, 1 -> 1 is well defined (4 lies in <4>) and injective
+    z8 = zn(8)
+    ker = hom_kernel(zn(4), [z8.element((1,))], subgroup_span(z8, [z8.element((4,))]))
     assert ker.order() == 1
 
 
@@ -195,7 +205,11 @@ def test_hom_kernel_rejects_ill_defined():
     g2 = zn(2)
     g3 = zn(3)
     with pytest.raises(NotHomomorphismError):
-        hom_kernel(g2, [g3.element((1,))])
+        hom_kernel(g2, [g3.element((1,))], subgroup_span(g3, []))
+    # Z/2 -> Z/8 / <4>, 1 -> 1: 2*1 = 2 lies outside <4>
+    z8 = zn(8)
+    with pytest.raises(NotHomomorphismError):
+        hom_kernel(g2, [z8.element((1,))], subgroup_span(z8, [z8.element((4,))]))
 
 
 def test_hom_kernel_first_isomorphism():
@@ -211,9 +225,42 @@ def test_hom_kernel_first_isomorphism():
             coords = tuple(rng.randrange(gcd(dc, d)) * (dc // gcd(dc, d))
                            for dc in cod.invariant_factors)
             images.append(cod.element(coords))
-        ker = hom_kernel(dom, images)
+        ker = hom_kernel(dom, images, subgroup_span(cod, []))
         image = subgroup_span(cod, images)
         assert ker.order() * image.order() == dom.order
+
+
+def test_hom_kernel_nonzero_target_vs_enumeration():
+    rng = random.Random(59)
+    for _ in range(40):
+        k, rows, _ = random_finite_presentation(rng, max_order=120)
+        dom = group_from_relations(rows, k)
+        k2, rows2, _ = random_finite_presentation(rng, max_order=120)
+        cod = group_from_relations(rows2, k2)
+
+        def random_element():
+            return cod.element(tuple(rng.randrange(d) for d in cod.invariant_factors))
+
+        target = subgroup_span(cod, [random_element() for _ in range(rng.randint(1, 2))])
+        images = []
+        for d in dom.invariant_factors:
+            # an element of order dividing d, plus a random element of the
+            # target, so that d * image lies in the target
+            coords = tuple(rng.randrange(gcd(dc, d)) * (dc // gcd(dc, d))
+                           for dc in cod.invariant_factors)
+            t = cod.zero()
+            for b in target.basis_elements():
+                t = t + rng.randrange(cod.exponent) * b
+            images.append(cod.element(coords) + t)
+        ker = hom_kernel(dom, images, target)
+        expect = set()
+        for x in dom.elements():
+            image = cod.zero()
+            for c, im in zip(x.coords, images):
+                image = image + c * im
+            if target.contains(image):
+                expect.add(x.coords)
+        assert subgroup_coords(ker) == expect
 
 
 def test_canonicalize_order_vs_enumeration():

@@ -148,6 +148,29 @@ def test_failed_self_check_is_an_error_not_a_verdict(noncyclic_file, capsys, mon
     assert main(["compare", noncyclic_file]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_integers_past_the_digit_limit(tmp_path, capsys, fmt):
+    # 10^4400 has 4,401 digits, past the interpreter's 4,300-digit limit on
+    # int/str conversion; reading, the verdict and printing must not care.
+    n = 10 ** 4400
+    digits = "1" + "0" * 4400
+    for d, code, orders in (([1], 0, [digits]), ([n, n], 1, [digits, digits + "0" * 4400])):
+        path = tmp_path / "big.json"
+        path.write_text(dumps(gen_zmod(n, d)))
+        assert main(["check", str(path), "--format", fmt, "--trace"]) == code
+        out = capsys.readouterr().out
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["trace"][0]["order_A"] == digits
+            if code:
+                witness = report["witness"]
+                assert [witness["order_A_mod_a"], witness["order_ext_mod_a"]] == orders
+        else:
+            assert f"iter 1: |A|={digits} branch=" in out
+            if code:
+                assert f"|A/a| = {orders[0]} < |M_(A/a)| = {orders[1]}" in out
+
+
 def test_not_finite_is_an_error(tmp_path, capsys):
     doc = gen_zmod(4, [4])
     doc["ring"]["relations"] = []

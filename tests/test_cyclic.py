@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from modcyclic import cyclic
+from modcyclic import abelian, cyclic
 from modcyclic.abelian import subgroup_span
 from modcyclic.cyclic import (
     AlgState,
@@ -96,7 +96,7 @@ def test_pick_x_skips_generators_that_die():
     two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
     n = submodule_span(mod, [mod.group.element((2,)), mod.group.element((1,))])
     state = AlgState(ring, mod, two, mod.zero(), n)
-    assert state.ext.order == 2
+    assert state.iam.index() == 2
     assert pick_x(state) == mod.group.element((1,))
 
 
@@ -104,7 +104,7 @@ def test_pick_x_hard_error_on_corrupt_state():
     ring, mod = parse(gen_zmod(4, [4]))
     # N = 0 cannot cover M_A = M
     state = AlgState(ring, mod, zero_ideal(ring), mod.zero(), ())
-    assert state.ext.order == 4
+    assert state.iam.index() == 4
     with pytest.raises(InvariantViolationError):
         pick_x(state)
 
@@ -221,3 +221,39 @@ def test_state_builds_its_extension_once(monkeypatch):
             counts.append(len(calls))
         assert counts[0] == counts[1]
         assert counts[0] >= result.iterations
+
+
+def test_m_a_queries_never_canonicalize(monkeypatch):
+    # M_A is read from the lattice I_A*M (membership and index), so no
+    # quotient group is built for it: canonicalize is reached only from
+    # parsing and from ideal_annihilator, never from these four.
+    guarded = ("scalar_extension", "ann_element", "spans_extension",
+               "check_state_invariants")
+    active, entered, reached = [], [], []
+    real = abelian.canonicalize
+
+    def counting(presentation):
+        reached.append(tuple(active))
+        return real(presentation)
+
+    def guard(name, f):
+        def wrapped(*args, **kwargs):
+            entered.append(name)
+            active.append(name)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapped
+
+    monkeypatch.setattr(abelian, "canonicalize", counting)
+    for name in guarded:
+        monkeypatch.setattr(cyclic, name, guard(name, getattr(cyclic, name)))
+    docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
+            gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
+    for doc in docs:
+        ring, mod = parse(doc)
+        run(ring, mod, check_invariants=True)
+    assert set(entered) == set(guarded)
+    assert reached and () in reached  # the wrapper does see canonicalize
+    assert [path for path in reached if path] == []

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from modcyclic.abelian import NotFiniteError
@@ -67,6 +69,29 @@ def test_decimal_string_encoding():
     parsed = parse_instance(redoc)
     assert parsed.ring.order == big
     assert parsed.module.order == 2 * big
+
+
+def test_integers_past_the_digit_limit():
+    # int() and str() refuse more than 4,300 digits; the format has no
+    # width limit, so a 5,001-digit entry must survive dumps -> loads.
+    big = 10 ** 5000 + 3
+    doc = gen_zmod(big, [1])
+    doc["module"]["relations"] = [[-big]]
+    text = dumps(doc)
+    assert '"1' + "0" * 4999 + '3"' in text
+    redoc = loads(text)
+    assert redoc["ring"]["relations"] == [[big]]
+    assert redoc["module"]["relations"] == [[-big]]
+    assert dumps(redoc) == text
+    # plain JSON numbers are accepted on input, at any width too
+    bare = text.replace('"' + "1" + "0" * 4999 + '3"', "1" + "0" * 4999 + "3")
+    assert bare != text and loads(bare) == redoc
+
+    raw = json.loads(dumps(gen_zmod(4, [4])))
+    for bad in ("12a", "1" * 5000 + "x", "\u0663" * 5000, ""):
+        raw["ring"]["relations"] = [[bad]]
+        with pytest.raises(InstanceFormatError, match="not a decimal integer"):
+            loads(json.dumps(raw))
 
 
 def test_negative_coordinates_accepted():

@@ -135,14 +135,14 @@ def test_ideal_times_submodule_closure_and_containment():
 def test_scalar_extension_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
-    ext = scalar_extension(mod, two)
-    assert ext.order == 4  # 2*M = 0, so M_A = M
+    iam = scalar_extension(mod, two)
+    assert iam.index() == 4  # 2*M = 0, so M_A = M
 
-    ext_unit = scalar_extension(mod, unit_ideal(ring))
-    assert ext_unit.order == 1
+    iam_unit = scalar_extension(mod, unit_ideal(ring))
+    assert iam_unit.index() == 1
 
-    ext_zero = scalar_extension(mod, zero_ideal(ring))
-    assert ext_zero.order == mod.order
+    iam_zero = scalar_extension(mod, zero_ideal(ring))
+    assert iam_zero.index() == mod.order
 
 
 def test_scalar_extension_order_divides():
@@ -153,14 +153,17 @@ def test_scalar_extension_order_divides():
             i = ideal_span(ring, zero_ideal(ring),
                            [elements[rng.randrange(len(elements))]
                             for _ in range(rng.randint(0, 2))])
-            ext = scalar_extension(mod, i)
-            assert mod.order % ext.order == 0
-            assert ext.order * ext.iam.order() == mod.order
-            # kernel of the projection is exactly I_A*M
-            if mod.order <= 200:
-                kernel = {x.coords for x in mod.group.elements()
-                          if ext.projection(x).is_zero()}
-                assert kernel == subgroup_coords(ext.iam)
+            iam = scalar_extension(mod, i)
+            assert mod.order % iam.index() == 0
+            assert iam.index() * iam.order() == mod.order
+            # the elements with zero image in M_A are exactly I_A*M, the
+            # sums of products u*m with u in I_A
+            if mod.order <= 200 and ring.order <= 500:
+                products = [mod.act(u, m).coords for u in elements if i.contains(u)
+                            for m in mod.group.gens()]
+                kernel = additive_closure(products, mod.group.invariant_factors)
+                assert kernel == subgroup_coords(iam)
+                assert len(kernel) * iam.index() == mod.order
 
 
 def test_ann_element_examples():
@@ -188,9 +191,9 @@ def test_ann_element_vs_enumeration():
                               for _ in range(rng.randint(0, 1))])
             x = mod.group.element(tuple(rng.randrange(d)
                                         for d in mod.group.invariant_factors))
-            ext = scalar_extension(mod, i_a)
-            ann = ann_element(mod, x, ext)
-            iam = subgroup_coords(ext.iam)
+            iam_sub = scalar_extension(mod, i_a)
+            ann = ann_element(mod, x, iam_sub)
+            iam = subgroup_coords(iam_sub)
             expect = {r.coords for r in ring.group.elements()
                       if mod.act(r, x).coords in iam}
             assert subgroup_coords(ann) == expect
@@ -200,16 +203,16 @@ def test_spans_extension_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     x = mod.group.element((1, 0))
     a = ann_in_whole(ring, mod, x)  # = (2), so A/a has order 2
-    ext = scalar_extension(mod, a)
+    iam = scalar_extension(mod, a)
     images = [mod.gen_action(i, x) for i in range(ring.group.rank)]
-    assert ext.order == 4
-    assert not spans_extension(images, ext)
+    assert iam.index() == 4
+    assert not spans_extension(images, iam)
 
-    ext_trivial = scalar_extension(mod, unit_ideal(ring))
-    assert spans_extension([], ext_trivial)
+    iam_trivial = scalar_extension(mod, unit_ideal(ring))
+    assert spans_extension([], iam_trivial)
 
-    ext_zero = scalar_extension(mod, zero_ideal(ring))
-    assert spans_extension(list(mod.group.gens()), ext_zero)
+    iam_zero = scalar_extension(mod, zero_ideal(ring))
+    assert spans_extension(list(mod.group.gens()), iam_zero)
 
 
 def test_spans_extension_vs_closure():
@@ -222,13 +225,17 @@ def test_spans_extension_vs_closure():
             i_a = ideal_span(ring, zero_ideal(ring),
                              [elements[rng.randrange(len(elements))]
                               for _ in range(rng.randint(0, 1))])
-            ext = scalar_extension(mod, i_a)
+            iam = scalar_extension(mod, i_a)
             elems = [mod.group.element(tuple(rng.randrange(d)
                                              for d in mod.group.invariant_factors))
                      for _ in range(rng.randint(0, 3))]
-            images = [ext.projection(e).coords for e in elems]
-            closure = additive_closure(images, ext.quotient.invariant_factors)
-            assert spans_extension(elems, ext) == (len(closure) == ext.order)
+            # the images of elems span M_A = M/iam exactly when elems and
+            # iam together span M
+            factors = mod.group.invariant_factors
+            iam_gens = [e.coords for e in iam.basis_elements()]
+            assert len(additive_closure(iam_gens, factors)) * iam.index() == mod.order
+            closure = additive_closure([e.coords for e in elems] + iam_gens, factors)
+            assert spans_extension(elems, iam) == (len(closure) == mod.order)
 
 
 def test_cyclic_span_is_all_examples():

@@ -4,9 +4,10 @@
 in the style of the benchmark's corpus, plus four cheap randquot draws
 whose exact normal forms swell) with the verdict, iteration count, witness
 and trace that `check --format json --trace` printed for each before the
-normal forms were reduced modulo the exponent.  Those outputs must stay
-byte-identical; the printed generator is not pinned, since any generator
-in user coordinates is as good as another.
+normal forms were reduced modulo the exponent, and the generator it
+printed once generators were reduced modulo the exponent of M.  All five
+must stay byte-identical: a changed generator is still a generator, but
+it means the driver took a different path.
 """
 
 import json
@@ -39,5 +40,5 @@ def test_trace_matches_golden(tmp_path, capsys, case):
     path.write_text(dumps(build(case["spec"])))
     assert main(["check", str(path), "--format", "json", "--trace"]) == case["exit"]
     report = json.loads(capsys.readouterr().out)
-    for key in ("verdict", "iterations", "witness", "trace"):
+    for key in ("verdict", "generator", "iterations", "witness", "trace"):
         assert report[key] == case[key], key
