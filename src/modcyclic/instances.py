@@ -67,13 +67,13 @@ _SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
 
 
 def int_from_str(text: str) -> int:
-    """int(text, 10), also for ASCII sign-and-digit strings of any length;
-    raises ValueError like int()."""
+    """The value of an ASCII sign-and-digit string of any length; raises
+    ValueError on any other string, even one int() accepts."""
+    if not (text.isdigit() and text.isascii()) and not _SIGNED_DIGITS.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
     try:
         return int(text, 10)
     except ValueError:
-        if not _SIGNED_DIGITS.fullmatch(text):
-            raise
         import decimal
         return int(decimal.Decimal(text))
 

@@ -14,7 +14,6 @@ from .abelian import (
     Subgroup,
     _check_group,
     hom_kernel,
-    subgroup_join,
     subgroup_span,
 )
 from .rings import Diagnostic, FiniteRing, _assoc_diagnostics
@@ -105,26 +104,29 @@ def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
 
 
 def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
-    """Generators of the submodule i*N: the distinct nonzero products u*z,
-    u over the basis elements of the ideal i and z over the generators n
-    of N, in that order."""
-    products = []
-    seen = set()
+    """Generators of the submodule i*N: of the products u*z, u over the basis
+    elements of the ideal i and z over the generators n of N, in that order,
+    those outside the span of the ones kept before them.  They span a strict
+    subgroup chain in M, so there are at most log2|M| of them."""
+    kept = []
+    span = subgroup_span(module.group, [])
     for u in i.basis_elements():
         for z in n:
             p = module.act(u, z)
-            if not p.is_zero() and p.coords not in seen:
-                seen.add(p.coords)
-                products.append(p)
+            if not span.contains(p):
+                kept.append(p)
+                span = subgroup_span(module.group, [p] + span.basis_elements())
     # Products of an ideal with a submodule are already action closed:
     # g*(u*z) = (g*u)*z and g*u stays inside the ideal.
-    return tuple(products)
+    return tuple(kept)
 
 
 def scalar_extension(module: FiniteModule, i_a: Subgroup) -> Subgroup:
     """Base change of M along R -> R/I_A, as the lattice I_A*M that
-    M_A = M/(I_A M) is read from; the quotient group is never built."""
-    return subgroup_span(module.group, ideal_times_submodule(i_a, module.group.gens(), module))
+    M_A = M/(I_A M) is read from: one span of all products u*m, u in the
+    basis of I_A, m a generator of M.  The quotient group is never built."""
+    return subgroup_span(module.group, {module.act(u, m) for u in i_a.basis_elements()
+                                        for m in module.group.gens()})
 
 
 def ann_element(module: FiniteModule, x: Element, iam: Subgroup) -> Subgroup:
@@ -148,6 +150,5 @@ def cyclic_span_is_all(ring: FiniteRing, module: FiniteModule, y: Element) -> bo
 
 
 def submodule_plus_ideal_module_is_all(n, iam: Subgroup) -> bool:
-    """span(n) + I_A M = M, one of the live state invariants."""
-    m = iam.ambient
-    return subgroup_join(subgroup_span(m, n), iam).order() == m.order
+    """span(n) + I_A M = M, the predicate `spans_extension` tests."""
+    return spans_extension(n, iam)

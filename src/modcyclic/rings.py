@@ -17,7 +17,6 @@ from .abelian import (
     Element,
     Subgroup,
     _check_group,
-    quotient,
     subgroup_meet,
     subgroup_span,
 )
@@ -216,24 +215,23 @@ def ideal_span(ring: FiniteRing, i_a: Subgroup, elems) -> Subgroup:
 
 
 def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
-    """Ann_A(x) = {r : r*u in i_a for every generator u of x}, computed as
-    the kernel of the block map r -> (r*u_1 mod i_a, ..., r*u_s mod i_a)
-    into s copies of R/i_a, in the compact coordinates of `quotient`."""
-    targets = x.basis_elements()
-    if not targets:
-        return subgroup_span(ring.group, ring.gens())
-    q = quotient(ring.group, i_a)
-    rows = []
-    for g in ring.gens():
-        row = []
-        for u in targets:
-            row.extend(q.from_user(ring.mul(g, u).coords).coords)
-        rows.append(row)
-    # One HNF mod e(R/i_a) of [rows | I ; diag(moduli) | 0 ; 0 | diag(d_R)].
-    moduli = q.invariant_factors * len(targets)
-    basis = kernel_mod_lattice(IntMatrix(ring.group.rank, len(moduli), rows),
-                               IntMatrix.diagonal(moduli),
-                               IntMatrix.diagonal(ring.group.invariant_factors), q.exponent)
+    """Ann_A(x) = {r : r*u in i_a for every u in x}.  A basis element u of
+    x is kept only if it lies outside the ideal spanned by i_a and the ones
+    kept before it; Ann_A(x) is then the kernel of the block map
+    r -> (r*u_1, ..., r*u_s) modulo s diagonal copies of i_a, one HNF
+    modulo e_R (s = 0 gives all of R)."""
+    targets, span = [], i_a
+    for u in x.basis_elements():
+        if not span.contains(u):
+            targets.append(u)
+            span = ideal_span(ring, span, [u])
+    r, s = ring.group.rank, len(targets)
+    rows = [[c for u in targets for c in ring.mul(g, u).coords] for g in ring.gens()]
+    copies = [(0,) * (r * t) + row + (0,) * (r * (s - 1 - t))
+              for t in range(s) for row in i_a.basis.data]
+    basis = kernel_mod_lattice(IntMatrix(r, r * s, rows), IntMatrix(r * s, r * s, copies),
+                               IntMatrix.diagonal(ring.group.invariant_factors),
+                               ring.group.exponent)
     return Subgroup(ring.group, basis)
 
 

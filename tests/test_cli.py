@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import modcyclic
 from modcyclic import cyclic, instances
 from modcyclic.cli import main
 from modcyclic.instances import dumps, gen_randquot, gen_trunc, gen_zmod, load, parse_instance
@@ -225,7 +228,11 @@ def test_warning_goes_to_stderr(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess(cyclic_file):
+    # the child imports the package under test, wherever pytest found it
+    src = str(Path(modcyclic.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "modcyclic", "check", cyclic_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verdict: cyclic" in proc.stdout

@@ -1,8 +1,10 @@
+import functools
+import math
 import random
 
 import pytest
 
-from modcyclic import abelian, cyclic
+from modcyclic import abelian, cyclic, instances
 from modcyclic.abelian import subgroup_span
 from modcyclic.cyclic import (
     AlgState,
@@ -121,6 +123,28 @@ def test_check_state_invariants_rejects_corruption():
     bad2 = AlgState(ring, mod, good.i_a, mod.zero(), ())
     with pytest.raises(InvariantViolationError):
         check_state_invariants(bad2)
+    # N spans M but lists the generator three times: 3 > log2 |M| = 2
+    ring4, mod4 = parse(gen_zmod(4, [4]))
+    bad3 = AlgState(ring4, mod4, zero_ideal(ring4), mod4.zero(), tuple(mod4.group.gens()) * 3)
+    with pytest.raises(InvariantViolationError, match="log2"):
+        check_state_invariants(bad3)
+
+
+def test_n_stays_a_subgroup_chain():
+    # Every kept generator of N enlarges the span of those before it, so
+    # |N| <= floor(log2 |M|) in every state, also after a chain of products
+    # where the distinct products u*z alone grow past that bound.
+    doc = functools.reduce(gen_prod, [
+        gen_trunc(2, 3), gen_zmod(9, [9]), gen_trunc(5, 2), gen_zmod(4, [4]),
+        gen_trunc(3, 3), gen_randquot(12, 4, max_deg=5, summands=2)])
+    ring, mod = parse(doc)
+    bound = math.floor(math.log2(mod.order))
+    state, sizes = init(ring, mod), []
+    while isinstance(state, AlgState):
+        sizes.append(len(state.n))
+        assert len(state.n) <= bound, sizes
+        state = step(state)
+    assert len(sizes) == 5 and max(sizes) > mod.group.rank
 
 
 def corpus(seed, count):
@@ -224,11 +248,12 @@ def test_state_builds_its_extension_once(monkeypatch):
 
 
 def test_m_a_queries_never_canonicalize(monkeypatch):
-    # M_A is read from the lattice I_A*M (membership and index), so no
-    # quotient group is built for it: canonicalize is reached only from
-    # parsing and from ideal_annihilator, never from these four.
+    # The driver works on lattices alone: M_A is read from I_A*M and
+    # Ann(x) is one kernel against copies of I_A, so no quotient group is
+    # built and canonicalize is reached only from parsing, never from
+    # anything under run.
     guarded = ("scalar_extension", "ann_element", "spans_extension",
-               "check_state_invariants")
+               "check_state_invariants", "ideal_annihilator")
     active, entered, reached = [], [], []
     real = abelian.canonicalize
 
@@ -247,13 +272,15 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(abelian, "canonicalize", counting)
+    monkeypatch.setattr(instances, "canonicalize", counting)
     for name in guarded:
         monkeypatch.setattr(cyclic, name, guard(name, getattr(cyclic, name)))
+    guarded_run = guard("run", cyclic.run)
     docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
             gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
     for doc in docs:
         ring, mod = parse(doc)
-        run(ring, mod, check_invariants=True)
-    assert set(entered) == set(guarded)
-    assert reached and () in reached  # the wrapper does see canonicalize
+        guarded_run(ring, mod, check_invariants=True)
+    assert set(entered) == set(guarded) | {"run"}
+    assert reached.count(()) == 2 * len(docs)  # parsing reaches the wrapper
     assert [path for path in reached if path] == []

@@ -152,7 +152,8 @@ def test_ideal_annihilator_vs_enumeration():
             seeds = [elements[rng.randrange(len(elements))]
                      for _ in range(rng.randint(0, 2))]
             i_a = ideal_span(ring, zero_ideal(ring), seeds)
-            x = ideal_span(ring, i_a, [elements[rng.randrange(len(elements))]])
+            x = ideal_span(ring, i_a, [elements[rng.randrange(len(elements))]
+                                       for _ in range(rng.randint(1, 2))])
             ann = ideal_annihilator(ring, i_a, x)
             x_set = subgroup_coords(x)
             ia_set = subgroup_coords(i_a)
