@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
+from operator import mod
 
 from .intlinalg import (
     DimensionError,
@@ -81,12 +82,11 @@ class CanonicalGroup:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def reduce(self, coords) -> tuple:
-        d = self.invariant_factors
-        return tuple(c % d[i] for i, c in enumerate(coords))
-
-    def element(self, coords) -> "Element":
         if len(coords) != self.rank:
             raise DimensionError(f"expected {self.rank} coordinates, got {len(coords)}")
+        return tuple(map(mod, coords, self.invariant_factors))
+
+    def element(self, coords) -> "Element":
         return Element(self, self.reduce(coords))
 
     def zero(self) -> "Element":

@@ -31,9 +31,10 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from operator import mod
 
 from .abelian import CanonicalGroup, NotFiniteError, Presentation, canonicalize
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, vec_mat
 from .modules import FiniteModule, module_validate
 from .rings import Diagnostic, FiniteRing, NoIdentityError, find_identity, ring_validate
 
@@ -105,6 +106,16 @@ def _as_int(value, path: str) -> int:
 def _as_vector(value, length: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != length:
         raise InstanceFormatError(f"{path}: expected a vector of length {length}")
+    # The common spelling, ASCII digits only, decodes in one C-level pass.
+    # join() refuses a non-str entry, and int() an empty one or one past its
+    # digit limit; those and every other spelling take the per-entry path,
+    # the only one that builds each entry's path for its error message.
+    try:
+        digits = "".join(value)
+        if digits.isdigit() and digits.isascii():
+            return list(map(int, value))
+    except (TypeError, ValueError):
+        pass
     return [_as_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
@@ -234,36 +245,43 @@ def _linear(table_slice, coeffs, out_len: int) -> list:
     return acc
 
 
-def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> list:
+def _descent_diagnostics(doc: dict, mul_img, act_img, rg: CanonicalGroup,
+                         mg: CanonicalGroup) -> list:
     """User-level well-definedness: every stated relation must be killed by
     the bilinear tables, otherwise the table does not descend to the
-    presented groups."""
+    presented groups.  `mul_img` and `act_img` are the tables' vectors in
+    canonical coordinates, unreduced; a relation combination of them is the
+    image of the same combination of the user vectors, since the change of
+    coordinates is linear."""
     diags = []
-    ring = doc["ring"]
-    module = doc["module"]
-    k = ring["num_gens"]
-    m = module["num_gens"]
-    for ridx, rho in enumerate(ring["relations"]):
+    k = doc["ring"]["num_gens"]
+    m = doc["module"]["num_gens"]
+    dr, dm = rg.invariant_factors, mg.invariant_factors
+
+    def killed(vec, factors):
+        return not any(map(mod, vec, factors))
+
+    mul_cols = [[row[j] for row in mul_img] for j in range(k)]
+    act_cols = [[row[j] for row in act_img] for j in range(m)]
+    for ridx, rho in enumerate(doc["ring"]["relations"]):
         for j in range(k):
-            left = _linear([ring["mul"][i][j] for i in range(k)], rho, k)
-            right = _linear(ring["mul"][j], rho, k)
-            if not rg.from_user(left).is_zero() or not rg.from_user(right).is_zero():
+            left = _linear(mul_cols[j], rho, rg.rank)
+            right = _linear(mul_img[j], rho, rg.rank)
+            if not killed(left, dr) or not killed(right, dr):
                 diags.append(Diagnostic(
                     "well-definedness", f"ring relation {ridx} x g{j}",
                     "multiplication does not kill a stated ring relation"))
     # ring relations must also die under the module action
-    for ridx, rho in enumerate(ring["relations"]):
+    for ridx, rho in enumerate(doc["ring"]["relations"]):
         for j in range(m):
-            v = _linear([module["action"][i][j] for i in range(k)], rho, m)
-            if not mg.from_user(v).is_zero():
+            if not killed(_linear(act_cols[j], rho, mg.rank), dm):
                 diags.append(Diagnostic(
                     "well-definedness", f"ring relation {ridx} x m{j}",
                     "module action does not kill a stated ring relation"))
     # module relations must die under every ring generator
-    for sidx, sigma in enumerate(module["relations"]):
+    for sidx, sigma in enumerate(doc["module"]["relations"]):
         for i in range(k):
-            v = _linear(module["action"][i], sigma, m)
-            if not mg.from_user(v).is_zero():
+            if not killed(_linear(act_img[i], sigma, mg.rank), dm):
                 diags.append(Diagnostic(
                     "well-definedness", f"g{i} x module relation {sidx}",
                     "module action does not kill a stated module relation"))
@@ -312,20 +330,25 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
             continue
         break
 
+    # Every table vector in canonical coordinates, unreduced, once.  The
+    # user vectors are not read again: each is replaced by its image in
+    # place, so the tables are held once, not twice.
+    mul_img, act_img = doc["ring"].pop("mul"), doc["module"].pop("action")
+    for table, group in ((mul_img, rg), (act_img, mg)):
+        for row in table:
+            row[:] = [vec_mat(vec, group.to_can) for vec in row]
+
     diags = []
     if validate:
-        diags.extend(_descent_diagnostics(doc, rg, mg))
+        diags.extend(_descent_diagnostics(doc, mul_img, act_img, rg, mg))
 
     # canonical generator representatives in user coordinates
     r_reps = [list(row) for row in rg.from_can.data]
     m_reps = [list(row) for row in mg.from_can.data]
 
-    mul_can = [[rg.from_user(_bilinear(mul_doc, r_reps[a], r_reps[b], k))
+    mul_can = [[rg.element(_bilinear(mul_img, r_reps[a], r_reps[b], rg.rank))
                 for b in range(rg.rank)] for a in range(rg.rank)]
-
-    act_doc = doc["module"]["action"]
-    m_len = doc["module"]["num_gens"]
-    act_can = [[mg.from_user(_bilinear(act_doc, r_reps[a], m_reps[b], m_len))
+    act_can = [[mg.element(_bilinear(act_img, r_reps[a], m_reps[b], mg.rank))
                 for b in range(mg.rank)] for a in range(rg.rank)]
 
     one_el = None

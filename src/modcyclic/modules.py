@@ -8,6 +8,9 @@ is a zero image in M_A, and its index is |M_A|."""
 
 from __future__ import annotations
 
+from math import gcd
+from operator import mod as remainder
+
 from .abelian import (
     CanonicalGroup,
     Element,
@@ -88,8 +91,8 @@ def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
     table = mod.action_table
     for i in range(ring.group.rank):
         for j in range(mod.group.rank):
-            el = table[i][j]
-            if not (dr[i] * el).is_zero() or not (dm[j] * el).is_zero():
+            # killed by d_i and by d_j exactly when killed by their gcd
+            if any(map(remainder, map(gcd(dr[i], dm[j]).__mul__, table[i][j].coords), dm)):
                 diags.append(Diagnostic(
                     "well-definedness", f"g{i}*m{j}",
                     f"action product does not vanish under the generator orders "

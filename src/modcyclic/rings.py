@@ -11,6 +11,9 @@ quotient is then a single assignment of that subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, zip_longest
+from math import gcd
+from operator import add, lshift, mod, mul, sub
 
 from .abelian import (
     CanonicalGroup,
@@ -110,44 +113,37 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
     return group.element(x)
 
 
-# -- sparse operator helpers -------------------------------------------------
+# -- packed operator rows ----------------------------------------------------
 #
 # Associativity is checked through operator identities: with L_i the matrix
-# of "multiply by generator i" (rows indexed by module generators), the law
-# (g_i g_k) m = g_i (g_k m) for all generators is L_k L_i = sum_t T[i][k]_t L_t.
-# Operator rows are kept as {column: value} dicts because the tables of
-# interest are extremely sparse.
+# of "multiply by generator i" (rows indexed by generators of the target),
+# the law (g_i g_k) x = g_i (g_k x) for all generators is
+# L_k L_i = sum_t T[i][k]_t L_t.  Each operator row is packed into one int,
+# one fixed-width slot per column (Kronecker substitution), wide enough that
+# no unreduced sum on either side carries into the next slot.  A row
+# combination is then one big-integer operation, both sides are built by
+# `map` over whole operators, and rows are compared as ints; only rows that
+# differ as ints are unpacked and compared modulo the column orders.
 
 
-def _op_rows(table_row) -> list:
-    return [{j: x for j, x in enumerate(el.coords) if x} for el in table_row]
+def _combine(coeffs, ops, nrows: int) -> list:
+    """Rows of sum_t coeffs_t * ops[t], on packed rows."""
+    acc = [0] * nrows
+    for c, rows in compress(zip(coeffs, ops), coeffs):
+        acc = list(map(add, acc, map(c.__mul__, rows)))
+    return acc
 
 
-def _reduce_row(row: dict, factors) -> dict:
-    return {j: v % factors[j] for j, v in row.items() if v % factors[j]}
+def _rows_differ(lhs: list, rhs: list, w: int, factors) -> bool:
+    """Do two lists of rows, packed w bits per column, differ modulo the
+    column orders?"""
+    mask, shifts = (1 << w) - 1, range(0, w * len(factors), w)
 
+    def unpack(v):
+        return [(v >> s) & mask for s in shifts]
 
-def _op_mul(p: list, q: list, factors) -> list:
-    out = []
-    for row in p:
-        acc: dict = {}
-        for t, c in row.items():
-            for j, x in q[t].items():
-                acc[j] = acc.get(j, 0) + c * x
-        out.append(_reduce_row(acc, factors))
-    return out
-
-
-def _op_combo(coeffs, ops: list, nrows: int, factors) -> list:
-    out = [dict() for _ in range(nrows)]
-    for t, c in enumerate(coeffs):
-        if not c:
-            continue
-        for i, row in enumerate(ops[t]):
-            acc = out[i]
-            for j, x in row.items():
-                acc[j] = acc.get(j, 0) + c * x
-    return [_reduce_row(row, factors) for row in out]
+    return any(any(map(mod, map(sub, unpack(a), unpack(b)), factors))
+               for a, b in zip(lhs, rhs) if a != b)
 
 
 def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -> list:
@@ -156,13 +152,27 @@ def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -
     generator j of the target."""
     diags = []
     r = ring.group.rank
-    nrows = len(act_table[0]) if r and act_table else 0
-    ops = [_op_rows(act_table[i]) for i in range(r)]
+    n = len(act_factors)
+    e_t = max(act_factors, default=1)
+    # slot width: no unreduced sum on either side reaches 2^w
+    w = (max(r * ring.group.exponent, n * e_t) * e_t).bit_length() + 1
+    shifts = range(0, w * n, w)
+    ops = [[sum(map(lshift, el.coords, shifts)) for el in row] for row in act_table]
+    # layer l of L_k: the l-th nonzero (column t, value x) of every row,
+    # padded with (0, 0), as the tuples of all x and of all t
+    layers = []
+    for row in act_table:
+        xs = [list(filter(None, el.coords)) for el in row]
+        ts = [list(compress(count(), el.coords)) for el in row]
+        layers.append(list(zip(zip_longest(*xs, fillvalue=0), zip_longest(*ts, fillvalue=0))))
     for i in range(r):
+        at = ops[i].__getitem__
         for k in range(r):
-            lhs = _op_combo(ring.mul_table[i][k].coords, ops, nrows, act_factors)
-            rhs = _op_mul(ops[k], ops[i], act_factors)
-            if lhs != rhs:
+            lhs = _combine(ring.mul_table[i][k].coords, ops, n)
+            rhs = [0] * n
+            for xs, ts in layers[k]:
+                rhs = list(map(add, rhs, map(mul, xs, map(at, ts))))
+            if lhs != rhs and _rows_differ(lhs, rhs, w, act_factors):
                 diags.append(Diagnostic(
                     "associativity", f"{label}(g{i}, g{k}, *)",
                     "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator"))
@@ -182,7 +192,8 @@ def ring_validate(ring: FiniteRing) -> list:
     table = ring.mul_table
     for i in range(r):
         for j in range(r):
-            if not (d[i] * table[i][j]).is_zero() or not (d[j] * table[i][j]).is_zero():
+            # killed by d_i and by d_j exactly when killed by their gcd
+            if any(map(mod, map(gcd(d[i], d[j]).__mul__, table[i][j].coords), d)):
                 diags.append(Diagnostic(
                     "well-definedness", f"g{i}*g{j}",
                     f"product does not vanish under the generator orders "
@@ -220,13 +231,15 @@ def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
     kept before it; Ann_A(x) is then the kernel of the block map
     r -> (r*u_1, ..., r*u_s) modulo s diagonal copies of i_a, one HNF
     modulo e_R (s = 0 gives all of R)."""
-    targets, span = [], i_a
-    for u in x.basis_elements():
+    products, span = [], i_a  # per kept u, the products g*u over the generators g
+    us = x.basis_elements()
+    for idx, u in enumerate(us):
         if not span.contains(u):
-            targets.append(u)
-            span = ideal_span(ring, span, [u])
-    r, s = ring.group.rank, len(targets)
-    rows = [[c for u in targets for c in ring.mul(g, u).coords] for g in ring.gens()]
+            products.append([ring.mul(g, u) for g in ring.gens()])
+            if idx + 1 < len(us):  # `ideal_span(ring, span, [u])`; the last is never read
+                span = subgroup_span(ring.group, products[-1] + span.basis_elements())
+    r, s = ring.group.rank, len(products)
+    rows = [[c for row in products for c in row[g].coords] for g in range(r)]
     copies = [(0,) * (r * t) + row + (0,) * (r * (s - 1 - t))
               for t in range(s) for row in i_a.basis.data]
     basis = kernel_mod_lattice(IntMatrix(r, r * s, rows), IntMatrix(r * s, r * s, copies),

@@ -9,6 +9,7 @@ from itertools import product
 from math import gcd, lcm
 
 from modcyclic.abelian import subgroup_span
+from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
 from modcyclic.intlinalg import DimensionError, IntMatrix, hnf, snf
 
 
@@ -275,3 +276,17 @@ def permute_module_gens(doc, perm):
         },
     }
     return out
+
+
+def build(spec):
+    """The instance document of a family spec, as the golden files store
+    them: {"family": ..., and the generator's parameters}."""
+    fam = spec["family"]
+    if fam == "zmod":
+        return gen_zmod(spec["n"], spec["d"])
+    if fam == "trunc":
+        return gen_trunc(spec["p"], spec["e"], spec["mdeg"])
+    if fam == "prod":
+        return gen_prod(build(spec["left"]), build(spec["right"]))
+    return gen_randquot(spec["n"], spec["seed"], max_deg=spec["max_deg"],
+                        summands=spec["summands"])

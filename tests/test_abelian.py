@@ -15,7 +15,7 @@ from modcyclic.abelian import (
     subgroup_meet,
     subgroup_span,
 )
-from modcyclic.intlinalg import IntMatrix
+from modcyclic.intlinalg import DimensionError, IntMatrix
 
 from helpers import (
     additive_closure,
@@ -50,6 +50,14 @@ def test_canonicalize_trivial_group():
     assert g.invariant_factors == ()
     assert g.order == 1
     assert g.zero().is_zero()
+
+
+def test_reduce_checks_the_length():
+    g = group_from_relations([[2, 0], [0, 6]], 2)  # C2 x C6
+    assert g.reduce([5, -1]) == (1, 5)
+    for coords in ([5], [1, 2, 3]):
+        with pytest.raises(DimensionError, match=f"expected 2 coordinates, got {len(coords)}"):
+            g.reduce(coords)
 
 
 def test_roundtrip_user_canonical():

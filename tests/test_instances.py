@@ -95,6 +95,32 @@ def test_integers_past_the_digit_limit():
             loads(json.dumps(raw))
 
 
+def test_decoding_errors_name_the_entry():
+    # An odd spelling at index 2 of a ring.mul vector, after two plain
+    # entries: each decodes to its value, or is rejected with a message
+    # that names the entry's full path.
+    raw = json.loads(dumps(gen_trunc(2, 3)))
+
+    def decode(entry):
+        raw["ring"]["mul"][0][0][2] = entry
+        return loads(json.dumps(raw))["ring"]["mul"][0][0]
+
+    for entry, value in ((" 7 ", 7), ("+7", 7), ("-7", -7), ("007", 7), (7, 7),
+                         ("1" + "0" * 5000, 10 ** 5000)):
+        assert decode(entry) == [1, 0, value]
+    path = "ring.mul[0][0][2]"
+    for entry in ("1_0", "\u0663", "\u00b2", "", "7.0", "1" * 4999 + "x",
+                  "\u0663" * 5001):
+        with pytest.raises(InstanceFormatError) as exc:
+            decode(entry)
+        assert str(exc.value) == f"{path}: not a decimal integer: {entry!r}"
+    for entry, kind in ((True, "a boolean"), (7.5, "float"), (None, "NoneType"),
+                        (["7"], "list")):
+        with pytest.raises(InstanceFormatError) as exc:
+            decode(entry)
+        assert str(exc.value) == f"{path}: expected an integer, got {kind}"
+
+
 def test_negative_coordinates_accepted():
     doc = gen_zmod(12, [12])
     doc["ring"]["mul"] = [[[-11]]]  # -11 = 1 mod 12

@@ -11,7 +11,7 @@ from modcyclic.modules import (
     scalar_extension,
     spans_extension,
 )
-from modcyclic.rings import ideal_span, ring_validate
+from modcyclic.rings import FiniteRing, ideal_span, ring_validate
 
 from helpers import (
     additive_closure,
@@ -90,6 +90,44 @@ def test_module_validate_violations():
     bad2 = FiniteModule(ring, g, [[g.element((1, 1)), g.element((0, 1))]])
     axioms2 = {d.axiom for d in module_validate(ring, bad2)}
     assert "associativity" in axioms2
+
+
+def test_associativity_matches_the_elementwise_law():
+    # The validators check associativity on packed operator rows.  Against
+    # the law itself, (g_i*g_k)*x_j == g_i*(g_k*x_j) element by element, on
+    # seeded one-entry corruptions of the ring and of the module tables.
+    # The 10^25 and 2^70 moduli give slots wider than 64 bits.
+    rng = random.Random(12)
+    docs = [gen_trunc(2, 3, [3, 2]), gen_randquot(4, 6), gen_zmod(12, [4, 6]),
+            gen_randquot(10 ** 25, 6, max_deg=3, summands=2),
+            gen_prod(gen_zmod(2 ** 70, [2 ** 35]), gen_trunc(3, 2))]
+
+    def corrupt(table, group):
+        table = [list(row) for row in table]
+        row = table[rng.randrange(len(table))]
+        row[rng.randrange(len(row))] = group.element(
+            tuple(rng.randrange(d) for d in group.invariant_factors))
+        return table
+
+    def failures(diags):
+        return [d.where for d in diags if d.axiom == "associativity"]
+
+    for ring, mod in (parse(doc) for doc in docs):
+        gens, xs = ring.gens(), mod.group.gens()
+        for _ in range(12):
+            bad = FiniteRing(ring.group, corrupt(ring.mul_table, ring.group), ring.one)
+            expected = [f"mul(g{i}, g{k}, *)" for i, a in enumerate(gens)
+                        for k, b in enumerate(gens)
+                        if any(bad.mul(bad.mul(a, b), x) != bad.mul(a, bad.mul(b, x))
+                               for x in gens)]
+            assert failures(ring_validate(bad)) == expected
+
+            bad = FiniteModule(ring, mod.group, corrupt(mod.action_table, mod.group))
+            expected = [f"act(g{i}, g{k}, *)" for i, a in enumerate(gens)
+                        for k, b in enumerate(gens)
+                        if any(bad.act(ring.mul(a, b), x) != bad.act(a, bad.act(b, x))
+                               for x in xs)]
+            assert failures(module_validate(ring, bad)) == expected
 
 
 def test_ideal_times_submodule_examples():

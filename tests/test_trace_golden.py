@@ -16,21 +16,11 @@ from pathlib import Path
 import pytest
 
 from modcyclic.cli import main
-from modcyclic.instances import dumps, gen_prod, gen_randquot, gen_trunc, gen_zmod
+from modcyclic.instances import dumps
+
+from helpers import build
 
 CASES = json.loads((Path(__file__).parent / "trace_golden.json").read_text())
-
-
-def build(spec):
-    fam = spec["family"]
-    if fam == "zmod":
-        return gen_zmod(spec["n"], spec["d"])
-    if fam == "trunc":
-        return gen_trunc(spec["p"], spec["e"], spec["mdeg"])
-    if fam == "prod":
-        return gen_prod(build(spec["left"]), build(spec["right"]))
-    return gen_randquot(spec["n"], spec["seed"], max_deg=spec["max_deg"],
-                        summands=spec["summands"])
 
 
 @pytest.mark.parametrize("case", CASES,

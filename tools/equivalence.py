@@ -8,11 +8,14 @@ The first form builds every file of the corpus, swell and wide workloads
 for each seed with `bench/workloads.py` (imported, never changed), runs
 `modcyclic.cli.main(["check", file, "--format", "json", "--trace"])`
 in-process on it, and writes the exit code and the full report per file to
-one JSON file.  `--src` names the source tree to import modcyclic from
+one JSON file.  For every corpus and swell file it also records the
+`parse_instance` outcome of two seeded single-entry mutants of the file
+(see `mutant` and `MUTATED`): "ok", the list of validator diagnostics, or
+the error type and message.  `--src` names the source tree to import modcyclic from
 (default: this checkout's `src`), so the same workload files can be run
 against another checkout.  The second form lists every file whose exit
-code, report (verdict, generator, iterations, witness, trace) or standard
-error differs, and exits 1 if any does.
+code, report (verdict, generator, iterations, witness, trace), standard
+error or mutant outcomes differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -21,12 +24,50 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("corpus", "swell", "wide")
+MUTANTS = 2
+# The tables a mutant may change one entry of, as (section, key), per
+# workload.  Swell files keep their relations: one changed module relation
+# can hold the exact Smith form of `canonicalize` past ten seconds there.
+PRODUCTS = (("ring", "mul"), ("module", "action"), ("ring", "one"))
+MUTATED = {"corpus": PRODUCTS + (("ring", "relations"), ("module", "relations")),
+           "swell": PRODUCTS}
+
+
+def _vectors(value):
+    """The innermost integer lists of a nested table, in order."""
+    if value and all(isinstance(x, int) for x in value):
+        return [value]
+    return [vec for item in value or [] for vec in _vectors(item)]
+
+
+def mutant(doc: dict, tables, rng: random.Random) -> dict:
+    """A copy of `doc` with one entry of one of `tables` moved by +-1 to
+    +-3: a table drawn among those with an entry, then an entry of it."""
+    doc = json.loads(json.dumps(doc))
+    tables = [vecs for vecs in (_vectors(doc[sec].get(key)) for sec, key in tables)
+              if vecs]
+    vec = rng.choice(rng.choice(tables))
+    vec[rng.randrange(len(vec))] += rng.choice((-1, 1)) * rng.randint(1, 3)
+    return doc
+
+
+def outcome(instances, doc: dict):
+    """What `parse_instance` makes of a document: "ok", the validator's
+    diagnostics in order, or the error type and message."""
+    try:
+        instances.parse_instance(instances.dumps(doc))
+    except instances.ValidationFailure as exc:
+        return [str(d) for d in exc.diagnostics]
+    except Exception as exc:  # every error the parser raises is an outcome
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
 
 
 def record(src: Path, seeds, out: Path) -> int:
@@ -41,17 +82,23 @@ def record(src: Path, seeds, out: Path) -> int:
         for seed in seeds:
             for name in WORKLOAD_NAMES:
                 for i, spec in enumerate(workloads.WORKLOADS[name](seed)):
-                    path.write_text(instances.dumps(workloads.build(spec, instances)),
-                                    encoding="utf-8")
+                    key = f"{name}-{seed}-{i:04d}"
+                    doc = workloads.build(spec, instances)
+                    path.write_text(instances.dumps(doc), encoding="utf-8")
                     stdout, stderr = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                         code = cli.main(["check", str(path), "--format", "json", "--trace"])
                     text = stdout.getvalue()
-                    files[f"{name}-{seed}-{i:04d}"] = {
+                    files[key] = {
                         "exit": code,
                         "report": json.loads(text) if code in (0, 1) else None,
                         "stderr": stderr.getvalue(),
                     }
+                    if name in MUTATED:
+                        rng = random.Random(f"mutant:{key}")
+                        files[key]["mutants"] = [
+                            outcome(instances, mutant(doc, MUTATED[name], rng))
+                            for _ in range(MUTANTS)]
     out.write_text(json.dumps({"src": str(src), "seeds": list(seeds), "files": files},
                               indent=1) + "\n", encoding="utf-8")
     print(f"{len(files)} files recorded to {out}")
@@ -68,7 +115,7 @@ def compare(a: Path, b: Path) -> int:
             differ.append(f"{key}: only in {a if y is None else b}")
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
-        fields = [f for f in ("exit", "stderr") if x[f] != y[f]]
+        fields = [f for f in ("exit", "stderr", "mutants") if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
             differ.append(f"{key}: {', '.join(fields)}")
