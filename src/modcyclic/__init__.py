@@ -5,7 +5,6 @@ from .abelian import (
     CanonicalGroup,
     Element,
     NotFiniteError,
-    Presentation,
     Subgroup,
     canonicalize,
     hom_kernel,

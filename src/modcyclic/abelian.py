@@ -10,7 +10,6 @@ integer lattices that always contain the relation lattice diag(d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
 from operator import mod
@@ -37,19 +36,6 @@ class GroupMismatchError(ValueError):
 
 class NotHomomorphismError(ValueError):
     """A generator-image assignment does not define a homomorphism."""
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """An abelian group Z^k modulo the lattice spanned by relation rows."""
-
-    num_gens: int
-    relations: IntMatrix
-
-    def __post_init__(self):
-        if self.relations.cols != self.num_gens:
-            raise DimensionError(
-                f"relations have {self.relations.cols} columns for {self.num_gens} generators")
 
 
 class CanonicalGroup:
@@ -174,14 +160,15 @@ class Element:
         return f"Element{self.coords}"
 
 
-def canonicalize(p: Presentation) -> CanonicalGroup:
-    """Normalize a presentation; raises NotFiniteError on infinite groups.
+def canonicalize(relations: IntMatrix) -> CanonicalGroup:
+    """Normalize the presentation Z^k / (row lattice of `relations`), with
+    k = relations.cols; raises NotFiniteError on infinite groups.
 
     `from_can` is taken modulo the exponent e: e times any vector is a
     relation, so its rows still name the same elements.
     """
-    k = p.num_gens
-    res = snf(p.relations)
+    k = relations.cols
+    res = snf(relations)
     diag = res.d.diagonal_entries()
     if sum(1 for x in diag if x != 0) < k:
         raise NotFiniteError("not finite: relation matrix rank is below the generator count")
@@ -285,7 +272,7 @@ def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
     of it (is x zero there, what is |g/s|) is `s.contains(x)` or
     `s.index()`."""
     _check_group(g, s.ambient)
-    q = canonicalize(Presentation(g.rank, s.basis))
+    q = canonicalize(s.basis)
     # The projection is well defined: generator i of order d_i maps to an
     # element whose order divides d_i.
     for i, d in enumerate(g.invariant_factors):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import instances, oracle
 from .abelian import NotFiniteError
@@ -164,7 +165,9 @@ def cmd_gen(args) -> int:
     return EXIT_CYCLIC
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="modcyclic",
         description="Decide whether a finite module over a finite commutative "
@@ -179,21 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip ring/module axiom validation")
     p.add_argument("--no-assert", action="store_true",
                    help="skip per-step state invariant re-checking")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="brute-force enumeration of all candidates")
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="run both the algorithm and the oracle")
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="parse and validate an instance file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gen", help="emit a family instance")
     p.add_argument("--family", required=True,
@@ -209,15 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", help="prod: second factor instance file")
     p.add_argument("--max-deg", type=int, default=4, help="randquot: max degree of f")
     p.add_argument("--summands", type=int, help="randquot: number of module summands")
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The command is looked up by name at call time, never bound when
+        # the parser is built: a wrapper put in place of a cmd_ function in
+        # this module (bench/tracing.py does so) must be the one called.
+        return globals()["cmd_" + args.command](args)
     except (InstanceFormatError, NotFiniteError) as exc:
         return _err(str(exc))
     except ValidationFailure as exc:

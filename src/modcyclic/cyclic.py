@@ -109,16 +109,6 @@ class NotCyclicWitness:
     extension_order: int
 
 
-@dataclass(frozen=True)
-class Yes:
-    generator: Element
-
-
-@dataclass(frozen=True)
-class No:
-    witness: NotCyclicWitness
-
-
 @dataclass
 class CyclicityResult:
     cyclic: bool
@@ -167,7 +157,9 @@ def check_state_invariants(state: AlgState):
 
 
 def step(state: AlgState, *, check_invariants: bool = True):
-    """Execute one loop iteration; returns a new AlgState, Yes, or No."""
+    """Execute one loop iteration; returns a new AlgState, or the
+    CyclicityResult at a verdict.  A yes-verdict generator is always
+    re-verified."""
     ring, module = state.ring, state.module
     iteration = state.iteration + 1
     order_A = state.order_A
@@ -176,10 +168,15 @@ def step(state: AlgState, *, check_invariants: bool = True):
     if iam.index() == 1:
         state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
         state.iteration = iteration
-        return Yes(state.y)
+        # Unconditional, not gated by check_invariants.
+        if not cyclic_span_is_all(ring, module, state.y):
+            raise InvariantViolationError(
+                "claimed generator fails the span re-verification", state.trace)
+        return CyclicityResult(True, state.y, None, iteration, state.trace)
 
     x = pick_x(state)
-    a = ann_element(module, x, iam)
+    images = module.images(x)
+    a = ann_element(module, images, iam)
     b = ideal_annihilator(ring, state.i_a, a)
     meet, meet_zero = ideal_meet_is_zero(ring, state.i_a, a, b)
     i_a_order = state.i_a.order()
@@ -195,16 +192,17 @@ def step(state: AlgState, *, check_invariants: bool = True):
         return new_state
 
     iam_a = scalar_extension(module, a)
-    gen_images = [module.gen_action(i, x) for i in range(ring.group.rank)]
     order_A_mod_a = ring.order // a.order()
     order_ext_mod_a = iam_a.index()
-    if not spans_extension(gen_images, iam_a):
+    if not spans_extension(images, iam_a):
         entry = TraceEntry(iteration, order_A, BRANCH_V_NO, x.coords,
                            order_a, order_b, meet_zero,
                            order_A_mod_a, order_ext_mod_a)
         state.trace.append(entry)
         state.iteration = iteration
-        return No(NotCyclicWitness(iteration, order_A_mod_a, order_ext_mod_a))
+        return CyclicityResult(False, None,
+                               NotCyclicWitness(iteration, order_A_mod_a, order_ext_mod_a),
+                               iteration, state.trace)
 
     entry = TraceEntry(iteration, order_A, BRANCH_V_YES, x.coords,
                        order_a, order_b, meet_zero,
@@ -235,21 +233,10 @@ def run(ring: FiniteRing, module: FiniteModule, *,
     """Decide M = Ry; the yes-verdict generator is always re-verified."""
     state = init(ring, module)
     bound = iteration_bound(ring)
-    while True:
+    while isinstance(state, AlgState):
         if state.iteration >= bound:
             raise InvariantViolationError(
                 f"iteration bound {bound} exceeded for |R| = {ring.order}",
                 state.trace)
-        out = step(state, check_invariants=check_invariants)
-        if isinstance(out, Yes):
-            # Unconditional, not gated by check_invariants.
-            if not cyclic_span_is_all(ring, module, out.generator):
-                raise InvariantViolationError(
-                    "claimed generator fails the span re-verification",
-                    state.trace)
-            return CyclicityResult(True, out.generator, None,
-                                   state.iteration, state.trace)
-        if isinstance(out, No):
-            return CyclicityResult(False, None, out.witness,
-                                   state.iteration, state.trace)
-        state = out
+        state = step(state, check_invariants=check_invariants)
+    return state

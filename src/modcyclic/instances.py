@@ -33,8 +33,8 @@ import re
 from dataclasses import dataclass, field
 from operator import mod
 
-from .abelian import CanonicalGroup, NotFiniteError, Presentation, canonicalize
-from .intlinalg import IntMatrix, vec_mat
+from .abelian import CanonicalGroup, NotFiniteError, canonicalize
+from .intlinalg import IntMatrix, bilinear, lincomb, vec_mat
 from .modules import FiniteModule, module_validate
 from .rings import Diagnostic, FiniteRing, NoIdentityError, find_identity, ring_validate
 
@@ -214,37 +214,6 @@ def dumps(doc: dict) -> str:
 
 # -- parsing into canonical objects ------------------------------------------
 
-def _bilinear(table, u, w, out_len: int) -> list:
-    """Sum_{i,j} u_i w_j table[i][j], over user coordinates."""
-    acc = [0] * out_len
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = table[i]
-        for j, wj in enumerate(w):
-            if not wj:
-                continue
-            c = ui * wj
-            vec = row[j]
-            for t, x in enumerate(vec):
-                if x:
-                    acc[t] += c * x
-    return acc
-
-
-def _linear(table_slice, coeffs, out_len: int) -> list:
-    """Sum_i coeffs_i table_slice[i], over user coordinates."""
-    acc = [0] * out_len
-    for i, ci in enumerate(coeffs):
-        if not ci:
-            continue
-        vec = table_slice[i]
-        for t, x in enumerate(vec):
-            if x:
-                acc[t] += ci * x
-    return acc
-
-
 def _descent_diagnostics(doc: dict, mul_img, act_img, rg: CanonicalGroup,
                          mg: CanonicalGroup) -> list:
     """User-level well-definedness: every stated relation must be killed by
@@ -265,8 +234,8 @@ def _descent_diagnostics(doc: dict, mul_img, act_img, rg: CanonicalGroup,
     act_cols = [[row[j] for row in act_img] for j in range(m)]
     for ridx, rho in enumerate(doc["ring"]["relations"]):
         for j in range(k):
-            left = _linear(mul_cols[j], rho, rg.rank)
-            right = _linear(mul_img[j], rho, rg.rank)
+            left = lincomb(rho, mul_cols[j], rg.rank)
+            right = lincomb(rho, mul_img[j], rg.rank)
             if not killed(left, dr) or not killed(right, dr):
                 diags.append(Diagnostic(
                     "well-definedness", f"ring relation {ridx} x g{j}",
@@ -274,14 +243,14 @@ def _descent_diagnostics(doc: dict, mul_img, act_img, rg: CanonicalGroup,
     # ring relations must also die under the module action
     for ridx, rho in enumerate(doc["ring"]["relations"]):
         for j in range(m):
-            if not killed(_linear(act_cols[j], rho, mg.rank), dm):
+            if not killed(lincomb(rho, act_cols[j], mg.rank), dm):
                 diags.append(Diagnostic(
                     "well-definedness", f"ring relation {ridx} x m{j}",
                     "module action does not kill a stated ring relation"))
     # module relations must die under every ring generator
     for sidx, sigma in enumerate(doc["module"]["relations"]):
         for i in range(k):
-            if not killed(_linear(act_img[i], sigma, mg.rank), dm):
+            if not killed(lincomb(sigma, act_img[i], mg.rank), dm):
                 diags.append(Diagnostic(
                     "well-definedness", f"g{i} x module relation {sidx}",
                     "module action does not kill a stated module relation"))
@@ -304,15 +273,13 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
 
     warnings = []
     try:
-        rg = canonicalize(Presentation(
-            doc["ring"]["num_gens"],
-            IntMatrix.from_rows(doc["ring"]["relations"], cols=doc["ring"]["num_gens"])))
+        rg = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"],
+                                              cols=doc["ring"]["num_gens"]))
     except NotFiniteError as exc:
         raise NotFiniteError(f"ring: {exc}") from None
     try:
-        mg = canonicalize(Presentation(
-            doc["module"]["num_gens"],
-            IntMatrix.from_rows(doc["module"]["relations"], cols=doc["module"]["num_gens"])))
+        mg = canonicalize(IntMatrix.from_rows(doc["module"]["relations"],
+                                              cols=doc["module"]["num_gens"]))
     except NotFiniteError as exc:
         raise NotFiniteError(f"module: {exc}") from None
 
@@ -343,13 +310,12 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
         diags.extend(_descent_diagnostics(doc, mul_img, act_img, rg, mg))
 
     # canonical generator representatives in user coordinates
-    r_reps = [list(row) for row in rg.from_can.data]
-    m_reps = [list(row) for row in mg.from_can.data]
+    r_reps, m_reps = rg.from_can.data, mg.from_can.data
 
-    mul_can = [[rg.element(_bilinear(mul_img, r_reps[a], r_reps[b], rg.rank))
-                for b in range(rg.rank)] for a in range(rg.rank)]
-    act_can = [[mg.element(_bilinear(act_img, r_reps[a], m_reps[b], mg.rank))
-                for b in range(mg.rank)] for a in range(rg.rank)]
+    mul_can = [[rg.reduce(bilinear(mul_img, ra, rb, rg.rank)) for rb in r_reps]
+               for ra in r_reps]
+    act_can = [[mg.reduce(bilinear(act_img, ra, mb, mg.rank)) for mb in m_reps]
+               for ra in r_reps]
 
     one_el = None
     if doc["ring"].get("one") is not None:
@@ -500,15 +466,7 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
 def _shift_reduce(vec, f_low, n):
     """Multiply a polynomial (coefficient vector, degree < deg f) by x and
     reduce modulo the monic f and modulo n."""
-    deg = len(vec)
-    lead = vec[deg - 1]
-    out = [0] + list(vec[:deg - 1])
-    if lead:
-        for t in range(deg):
-            out[t] = (out[t] - lead * f_low[t]) % n
-    else:
-        out = [c % n for c in out]
-    return out
+    return [c % n for c in lincomb((1, -vec[-1]), ([0, *vec[:-1]], f_low), len(vec))]
 
 
 def gen_randquot(n: int, seed, max_deg: int = 4, summands=None) -> dict:

@@ -14,6 +14,7 @@ entries grow past any machine width.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -78,20 +79,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for k, x in enumerate(row):
-                if x:
-                    orow = other.data[k]
-                    for j, y in enumerate(orow):
-                        if y:
-                            acc[j] += x * y
-        return IntMatrix(self.rows, other.cols, out)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -103,18 +90,36 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()!r})"
 
 
+def lincomb(coeffs: Sequence[int], rows, n: int) -> list:
+    """sum_i coeffs_i * rows_i for rows of length n, as a list.  One of the
+    two product kernels: every product of the package, user to canonical
+    coordinates, r*m on generator tables and packed operator rows alike,
+    is this or `bilinear`.  Zero coefficients are skipped, the first term
+    is copied, and every later term costs only its nonzero entries, which
+    `compress` finds at C level."""
+    terms = compress(zip(coeffs, rows), coeffs)
+    c, row = next(terms, (0, None))
+    if row is None:
+        return [0] * n
+    acc = list(row) if c == 1 else [c * x for x in row]
+    for c, row in terms:
+        for t, x in compress(enumerate(row), row):
+            acc[t] += c * x
+    return acc
+
+
+def bilinear(table, u: Sequence[int], w: Sequence[int], n: int) -> list:
+    """sum_{i,j} u_i * w_j * table[i][j], as a list of n entries, for a
+    table of length-n rows."""
+    return lincomb(list(filter(None, u)),
+                   [lincomb(w, row, n) for row in compress(table, u)], n)
+
+
 def vec_mat(v: Sequence[int], m: IntMatrix) -> list:
-    """Row vector times matrix, skipping zero vector entries."""
+    """Row vector times matrix."""
     if len(v) != m.rows:
         raise DimensionError(f"vector of length {len(v)} times {m.rows}x{m.cols}")
-    out = [0] * m.cols
-    for i, vi in enumerate(v):
-        if vi:
-            row = m.data[i]
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += vi * x
-    return out
+    return lincomb(v, m.data, m.cols)
 
 
 def xgcd(a: int, b: int) -> tuple:

@@ -4,7 +4,9 @@ M_A = M/(I_A M), element annihilators, and the span tests of the driver.
 A submodule is passed around as a tuple of generating elements; the
 driver's N keeps them in construction order, which fixes its choices.
 M_A is carried by the lattice I_A*M, a `Subgroup` of M: membership in it
-is a zero image in M_A, and its index is |M_A|."""
+is a zero image in M_A, and its index is |M_A|.  The action is held as
+rows of canonical coordinates, and every product r*m is one of the
+`lincomb` and `bilinear` kernels of `intlinalg`."""
 
 from __future__ import annotations
 
@@ -19,14 +21,16 @@ from .abelian import (
     hom_kernel,
     subgroup_span,
 )
+from .intlinalg import bilinear, lincomb
 from .rings import Diagnostic, FiniteRing, _assoc_diagnostics
 
 
 class FiniteModule:
     """A finite R-module: abelian group plus the generator action table.
 
-    `action_table[i][j]` is (ring generator i) * (module generator j), both
-    in canonical coordinates; arbitrary products are bilinear extensions.
+    `action_table[i][j]` is (ring generator i) * (module generator j), as a
+    tuple of reduced canonical coordinates; arbitrary products are bilinear
+    extensions.
     """
 
     __slots__ = ("ring", "group", "action_table")
@@ -50,34 +54,14 @@ class FiniteModule:
     def act(self, r: Element, m: Element) -> Element:
         _check_group(self.ring.group, r.group)
         _check_group(self.group, m.group)
-        rank = self.group.rank
-        acc = [0] * rank
-        for i, ri in enumerate(r.coords):
-            if not ri:
-                continue
-            row = self.action_table[i]
-            for j, mj in enumerate(m.coords):
-                if not mj:
-                    continue
-                c = ri * mj
-                for t, x in enumerate(row[j].coords):
-                    if x:
-                        acc[t] += c * x
-        return self.group.element(acc)
+        return self.group.element(bilinear(self.action_table, r.coords, m.coords,
+                                           self.group.rank))
 
-    def gen_action(self, i: int, m: Element) -> Element:
-        """g_i * m for a single ring generator (sparse fast path)."""
+    def images(self, m: Element) -> list:
+        """g_i * m for every ring generator g_i, in order."""
         _check_group(self.group, m.group)
-        rank = self.group.rank
-        acc = [0] * rank
-        row = self.action_table[i]
-        for j, mj in enumerate(m.coords):
-            if not mj:
-                continue
-            for t, x in enumerate(row[j].coords):
-                if x:
-                    acc[t] += mj * x
-        return self.group.element(acc)
+        n = self.group.rank
+        return [self.group.element(lincomb(m.coords, row, n)) for row in self.action_table]
 
     def __repr__(self) -> str:
         return f"FiniteModule(order={self.order})"
@@ -92,7 +76,7 @@ def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
     for i in range(ring.group.rank):
         for j in range(mod.group.rank):
             # killed by d_i and by d_j exactly when killed by their gcd
-            if any(map(remainder, map(gcd(dr[i], dm[j]).__mul__, table[i][j].coords), dm)):
+            if any(map(remainder, map(gcd(dr[i], dm[j]).__mul__, table[i][j]), dm)):
                 diags.append(Diagnostic(
                     "well-definedness", f"g{i}*m{j}",
                     f"action product does not vanish under the generator orders "
@@ -132,10 +116,9 @@ def scalar_extension(module: FiniteModule, i_a: Subgroup) -> Subgroup:
                                         for m in module.group.gens()})
 
 
-def ann_element(module: FiniteModule, x: Element, iam: Subgroup) -> Subgroup:
-    """Ann_A(1 (x) x) in A = R/I_A, with iam = I_A*M: the kernel of
-    r -> r*x modulo iam."""
-    images = [module.gen_action(i, x) for i in range(module.ring.group.rank)]
+def ann_element(module: FiniteModule, images, iam: Subgroup) -> Subgroup:
+    """Ann_A(1 (x) x) in A = R/I_A, with iam = I_A*M and images =
+    module.images(x): the kernel of r -> r*x modulo iam."""
     return hom_kernel(module.ring.group, images, iam)
 
 
@@ -147,8 +130,7 @@ def spans_extension(elems, iam: Subgroup) -> bool:
 
 def cyclic_span_is_all(ring: FiniteRing, module: FiniteModule, y: Element) -> bool:
     """Does R*y equal M?  R*y is the subgroup generated by the g_i*y."""
-    images = [module.gen_action(i, y) for i in range(ring.group.rank)]
-    span = subgroup_span(module.group, images)
+    span = subgroup_span(module.group, module.images(y))
     return span.order() == module.order
 
 

@@ -1,19 +1,20 @@
 """Finite commutative rings and ideal arithmetic.
 
 A ring is a canonical abelian group plus the products of all pairs of
-canonical generators; multiplication of arbitrary elements is the bilinear
-extension of that table.  A quotient ring A = R/I_A is never built: the
-ideal I_A is a `Subgroup` of R, and every ideal of A is stored as its full
-preimage in R, a `Subgroup` that contains I_A.  Replacing A by a further
-quotient is then a single assignment of that subgroup.
+canonical generators, held as rows of reduced canonical coordinates;
+multiplication of arbitrary elements is the bilinear extension of that
+table, computed by the `lincomb` and `bilinear` kernels of `intlinalg`.
+A quotient ring A = R/I_A is never built: the ideal I_A is a `Subgroup`
+of R, and every ideal of A is stored as its full preimage in R, a
+`Subgroup` that contains I_A.  Replacing A by a further quotient is then
+a single assignment of that subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, zip_longest
 from math import gcd
-from operator import add, lshift, mod, mul, sub
+from operator import lshift, mod, sub
 
 from .abelian import (
     CanonicalGroup,
@@ -23,7 +24,7 @@ from .abelian import (
     subgroup_meet,
     subgroup_span,
 )
-from .intlinalg import IntMatrix, kernel_mod_lattice, solve_congruence
+from .intlinalg import IntMatrix, bilinear, kernel_mod_lattice, lincomb, solve_congruence
 
 
 class NoIdentityError(ValueError):
@@ -43,7 +44,11 @@ class Diagnostic:
 
 
 class FiniteRing:
-    """Finite commutative ring with identity (the identity may be zero)."""
+    """Finite commutative ring with identity (the identity may be zero).
+
+    `mul_table[i][j]` is g_i * g_j as a tuple of reduced canonical
+    coordinates.
+    """
 
     __slots__ = ("group", "mul_table", "one")
 
@@ -69,20 +74,14 @@ class FiniteRing:
     def mul(self, a: Element, b: Element) -> Element:
         _check_group(self.group, a.group)
         _check_group(self.group, b.group)
+        return self.group.element(bilinear(self.mul_table, a.coords, b.coords,
+                                           self.group.rank))
+
+    def images(self, x: Element) -> list:
+        """g_i * x for every generator g_i, in order."""
+        _check_group(self.group, x.group)
         r = self.group.rank
-        acc = [0] * r
-        for i, ai in enumerate(a.coords):
-            if not ai:
-                continue
-            row = self.mul_table[i]
-            for j, bj in enumerate(b.coords):
-                if not bj:
-                    continue
-                c = ai * bj
-                for t, x in enumerate(row[j].coords):
-                    if x:
-                        acc[t] += c * x
-        return self.group.element(acc)
+        return [self.group.element(lincomb(x.coords, row, r)) for row in self.mul_table]
 
     def __repr__(self) -> str:
         return f"FiniteRing(order={self.order})"
@@ -97,12 +96,7 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
     r = group.rank
     if r == 0:
         return group.zero()
-    a_rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            row.extend(mul_table[i][j].coords)
-        a_rows.append(row)
+    a_rows = [[c for vec in row for c in vec] for row in mul_table]
     lattice = IntMatrix.diagonal(list(group.invariant_factors) * r)
     target = []
     for j in range(r):
@@ -121,20 +115,12 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
 # L_k L_i = sum_t T[i][k]_t L_t.  Each operator row is packed into one int,
 # one fixed-width slot per column (Kronecker substitution), wide enough that
 # no unreduced sum on either side carries into the next slot.  A row
-# combination is then one big-integer operation, both sides are built by
-# `map` over whole operators, and rows are compared as ints; only rows that
-# differ as ints are unpacked and compared modulo the column orders.
+# combination is then one big-integer operation, both sides are `lincomb`s
+# of packed rows, and rows are compared as ints; only rows that differ as
+# ints are unpacked and compared modulo the column orders.
 
 
-def _combine(coeffs, ops, nrows: int) -> list:
-    """Rows of sum_t coeffs_t * ops[t], on packed rows."""
-    acc = [0] * nrows
-    for c, rows in compress(zip(coeffs, ops), coeffs):
-        acc = list(map(add, acc, map(c.__mul__, rows)))
-    return acc
-
-
-def _rows_differ(lhs: list, rhs: list, w: int, factors) -> bool:
+def _rows_differ(lhs, rhs, w: int, factors) -> bool:
     """Do two lists of rows, packed w bits per column, differ modulo the
     column orders?"""
     mask, shifts = (1 << w) - 1, range(0, w * len(factors), w)
@@ -149,34 +135,28 @@ def _rows_differ(lhs: list, rhs: list, w: int, factors) -> bool:
 def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -> list:
     """Operator-identity associativity check shared by ring and module
     validators; `act_table[i][j]` is generator i of the ring acting on
-    generator j of the target."""
-    diags = []
+    generator j of the target, as canonical coordinates."""
     r = ring.group.rank
     n = len(act_factors)
-    e_t = max(act_factors, default=1)
+    if not n:
+        return []
+    e_t = max(act_factors)
     # slot width: no unreduced sum on either side reaches 2^w
     w = (max(r * ring.group.exponent, n * e_t) * e_t).bit_length() + 1
     shifts = range(0, w * n, w)
-    ops = [[sum(map(lshift, el.coords, shifts)) for el in row] for row in act_table]
-    # layer l of L_k: the l-th nonzero (column t, value x) of every row,
-    # padded with (0, 0), as the tuples of all x and of all t
-    layers = []
-    for row in act_table:
-        xs = [list(filter(None, el.coords)) for el in row]
-        ts = [list(compress(count(), el.coords)) for el in row]
-        layers.append(list(zip(zip_longest(*xs, fillvalue=0), zip_longest(*ts, fillvalue=0))))
-    for i in range(r):
-        at = ops[i].__getitem__
-        for k in range(r):
-            lhs = _combine(ring.mul_table[i][k].coords, ops, n)
-            rhs = [0] * n
-            for xs, ts in layers[k]:
-                rhs = list(map(add, rhs, map(mul, xs, map(at, ts))))
-            if lhs != rhs and _rows_differ(lhs, rhs, w, act_factors):
-                diags.append(Diagnostic(
-                    "associativity", f"{label}(g{i}, g{k}, *)",
-                    "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator"))
-    return diags
+    ops = [[sum(map(lshift, vec, shifts)) for vec in row] for row in act_table]
+    op_cols = list(zip(*ops))  # op_cols[t][i]: g_i acting on generator t, packed
+    failed = []
+    for k in range(r):
+        # row j of L_k L_i for every i at once: sum_t act_table[k][j]_t * ops[i][t]
+        rhs = list(zip(*[lincomb(vec, op_cols, r) for vec in act_table[k]]))
+        for i in range(r):
+            lhs = tuple(lincomb(ring.mul_table[i][k], ops, n))
+            if lhs != rhs[i] and _rows_differ(lhs, rhs[i], w, act_factors):
+                failed.append((i, k))
+    return [Diagnostic("associativity", f"{label}(g{i}, g{k}, *)",
+                       "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator")
+            for i, k in sorted(failed)]
 
 
 def ring_validate(ring: FiniteRing) -> list:
@@ -193,7 +173,7 @@ def ring_validate(ring: FiniteRing) -> list:
     for i in range(r):
         for j in range(r):
             # killed by d_i and by d_j exactly when killed by their gcd
-            if any(map(mod, map(gcd(d[i], d[j]).__mul__, table[i][j].coords), d)):
+            if any(map(mod, map(gcd(d[i], d[j]).__mul__, table[i][j]), d)):
                 diags.append(Diagnostic(
                     "well-definedness", f"g{i}*g{j}",
                     f"product does not vanish under the generator orders "
@@ -203,7 +183,7 @@ def ring_validate(ring: FiniteRing) -> list:
             if table[i][j] != table[j][i]:
                 diags.append(Diagnostic(
                     "commutativity", f"g{i}*g{j}",
-                    f"{table[i][j]!r} != {table[j][i]!r}"))
+                    f"Element{table[i][j]} != Element{table[j][i]}"))
     diags.extend(_assoc_diagnostics(ring, table, d, "mul"))
     for i, gen in enumerate(g.gens()):
         if ring.mul(ring.one, gen) != gen:
@@ -216,11 +196,7 @@ def ring_validate(ring: FiniteRing) -> list:
 def ideal_span(ring: FiniteRing, i_a: Subgroup, elems) -> Subgroup:
     """Ideal of A = R/I_A generated by the given R-elements, as its
     preimage in R."""
-    gens = []
-    for s in elems:
-        _check_group(ring.group, s.group)
-        for g in ring.gens():
-            gens.append(ring.mul(g, s))
+    gens = [g for s in elems for g in ring.images(s)]
     gens.extend(i_a.basis_elements())
     return subgroup_span(ring.group, gens)
 
@@ -235,7 +211,7 @@ def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
     us = x.basis_elements()
     for idx, u in enumerate(us):
         if not span.contains(u):
-            products.append([ring.mul(g, u) for g in ring.gens()])
+            products.append(ring.images(u))
             if idx + 1 < len(us):  # `ideal_span(ring, span, [u])`; the last is never read
                 span = subgroup_span(ring.group, products[-1] + span.basis_elements())
     r, s = ring.group.rank, len(products)

@@ -10,7 +10,14 @@ from math import gcd, lcm
 
 from modcyclic.abelian import subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import DimensionError, IntMatrix, hnf, snf
+from modcyclic.intlinalg import DimensionError, IntMatrix, hnf, lincomb, snf
+
+
+def matmul(a, b):
+    """The matrix product a @ b, one row of a at a time."""
+    if a.cols != b.rows:
+        raise DimensionError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    return IntMatrix(a.rows, b.cols, [lincomb(row, b.data, b.cols) for row in a.data])
 
 
 def det(m):
@@ -46,7 +53,7 @@ def check_snf(m):
     """
     res = snf(m)
     assert abs(det(res.v)) == 1
-    assert hnf(m @ res.v).h == hnf(res.d).h
+    assert hnf(matmul(m, res.v)).h == hnf(res.d).h
     diag = res.d.diagonal_entries()
     for i, x in enumerate(diag):
         assert x >= 0
@@ -73,7 +80,7 @@ def check_hnf(m):
                                     for i, row in enumerate(m.data)])).h
     assert full.take_columns(range(c)) == h
     t = full.take_columns(range(c, c + r))
-    assert t @ m == h
+    assert matmul(t, m) == h
     assert abs(det(t)) == 1
     last = -1
     seen_zero = False
@@ -154,7 +161,7 @@ def additive_closure(coords_list, factors):
 def span_coords(ring, module, y):
     """R*y as a set of coordinate tuples, via additive closure of the
     generator actions."""
-    images = [module.gen_action(i, y).coords for i in range(ring.group.rank)]
+    images = [im.coords for im in module.images(y)]
     return additive_closure(images, module.group.invariant_factors)
 
 
@@ -188,9 +195,10 @@ def submodule_span(module, gens):
     gens = list(gens)
     closure = list(gens)
     seen = {el.coords for el in gens}
+    images = [module.images(el) for el in gens]
     for i in range(module.ring.group.rank):
-        for el in gens:
-            prod = module.gen_action(i, el)
+        for ims in images:
+            prod = ims[i]
             if not prod.is_zero() and prod.coords not in seen:
                 seen.add(prod.coords)
                 closure.append(prod)
@@ -200,8 +208,7 @@ def submodule_span(module, gens):
 def is_action_closed(module, gens):
     """Does the subgroup spanned by `gens` absorb every generator action?"""
     span = subgroup_span(module.group, gens)
-    return all(span.contains(module.gen_action(i, el))
-               for i in range(module.ring.group.rank) for el in gens)
+    return all(span.contains(im) for el in gens for im in module.images(el))
 
 
 def zero_ideal(ring):

@@ -7,7 +7,6 @@ from modcyclic.abelian import (
     GroupMismatchError,
     NotFiniteError,
     NotHomomorphismError,
-    Presentation,
     canonicalize,
     hom_kernel,
     quotient,
@@ -27,7 +26,7 @@ from helpers import (
 
 
 def group_from_relations(rows, k):
-    return canonicalize(Presentation(k, IntMatrix.from_rows([list(r) for r in rows], cols=k)))
+    return canonicalize(IntMatrix.from_rows([list(r) for r in rows], cols=k))
 
 
 def zn(n):
@@ -42,7 +41,7 @@ def test_canonicalize_examples():
     assert g.invariant_factors == (6,)
 
     with pytest.raises(NotFiniteError):
-        canonicalize(Presentation(1, IntMatrix(0, 1, [])))
+        canonicalize(IntMatrix(0, 1, []))
 
 
 def test_canonicalize_trivial_group():

@@ -11,13 +11,13 @@ import pytest
 
 from modcyclic.cli import main as cli_main
 from modcyclic.cyclic import (
+    CyclicityResult,
     check_state_invariants,
     init,
     iteration_bound,
     run,
     step,
 )
-from modcyclic.cyclic import No, Yes
 from modcyclic.instances import (
     ValidationFailure,
     dumps,
@@ -28,7 +28,7 @@ from modcyclic.instances import (
     parse_instance,
 )
 from modcyclic.intlinalg import IntMatrix
-from modcyclic.abelian import Presentation, canonicalize
+from modcyclic.abelian import canonicalize
 from modcyclic.modules import cyclic_span_is_all
 
 from helpers import (
@@ -183,7 +183,7 @@ def test_criterion_4_state_invariants(corpus):
         states_checked += 1
         while True:
             out = step(state, check_invariants=False)
-            if isinstance(out, (Yes, No)):
+            if isinstance(out, CyclicityResult):
                 break
             check_state_invariants(out)
             states_checked += 1
@@ -229,7 +229,7 @@ def test_criterion_6_linear_algebra_substrate():
     presentations = 0
     while presentations < 100:
         k, rel_rows, order = random_finite_presentation(rng, max_order=1000)
-        group = canonicalize(Presentation(k, IntMatrix.from_rows(rel_rows, cols=k)))
+        group = canonicalize(IntMatrix.from_rows(rel_rows, cols=k))
         assert group.order == order
         assert group.order == group_order_by_enumeration(rel_rows, k)
         presentations += 1

@@ -35,3 +35,6 @@ def test_tracer_wraps_every_layer(tmp_path, capsys, monkeypatch):
     assert metrics["cyclic.step.calls"]["value"] >= 2
     assert metrics["intlinalg.hnf.calls"]["value"] > 0
     assert metrics["modules.act.calls"]["value"] > 0
+    # the traced main() reached the wrapped cmd_check, though the parser
+    # was already built by the untraced one
+    assert tracer.stats["cli.check"].calls == 1

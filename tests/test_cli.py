@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -113,6 +114,22 @@ def test_check_decodes_the_document_once(cyclic_file, monkeypatch):
     monkeypatch.setattr(instances, "decode_document", counting)
     assert main(["check", cyclic_file]) == 0
     assert len(calls) == 1
+
+
+def test_parser_is_built_once(cyclic_file, monkeypatch):
+    # Building the tree of subcommands costs far more than parsing one
+    # command line, so every main() after the first reuses the parser.
+    assert main(["check", cyclic_file]) == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check", cyclic_file]) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("n, seed, max_deg, width", [

@@ -17,7 +17,7 @@ from modcyclic.cyclic import (
     step,
 )
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
-from modcyclic.modules import cyclic_span_is_all, scalar_extension
+from modcyclic.modules import FiniteModule, cyclic_span_is_all, scalar_extension
 from modcyclic.rings import ideal_span
 
 from helpers import brute_cyclic, submodule_span, zero_ideal
@@ -245,6 +245,29 @@ def test_state_builds_its_extension_once(monkeypatch):
             counts.append(len(calls))
         assert counts[0] == counts[1]
         assert counts[0] >= result.iterations
+
+
+def test_each_step_computes_the_images_of_x_once(monkeypatch):
+    # g_i*x feeds both Ann(x) and the span test of a step; a run computes
+    # them once per step that picks an x, plus once for the generator's
+    # re-verification at a cyclic verdict.
+    calls = []
+    real = FiniteModule.images
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(FiniteModule, "images", counting)
+    docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
+            gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
+    for doc in docs:
+        ring, mod = parse(doc)
+        for check in (True, False):
+            calls.clear()
+            result = run(ring, mod, check_invariants=check)
+            picked = sum(1 for e in result.trace if e.chosen_x is not None)
+            assert len(calls) == picked + result.cyclic
 
 
 def test_m_a_queries_never_canonicalize(monkeypatch):

@@ -9,17 +9,19 @@ from modcyclic.intlinalg import (
     InfiniteCodomainError,
     IntMatrix,
     NotUnimodularError,
+    bilinear,
     hnf,
     in_lattice,
     invert_unimodular,
     kernel_mod_lattice,
+    lincomb,
     snf,
     solve_congruence,
     vec_mat,
     xgcd,
 )
 
-from helpers import check_hnf, check_snf, det, random_matrix
+from helpers import check_hnf, check_snf, det, matmul, random_matrix
 
 
 def test_xgcd():
@@ -31,6 +33,29 @@ def test_xgcd():
         assert g >= 0
         if a or b:
             assert a % g == 0 and b % g == 0
+
+
+def test_product_kernels_vs_sums():
+    # Sparse draws: zero coefficients, zero entries, a leading coefficient
+    # of 1 (whose row is copied) and all-zero coefficient vectors.
+    rng = random.Random(5)
+
+    def draw(length):
+        return [rng.choice([0, 0, 1, -2, 3]) for _ in range(length)]
+
+    for _ in range(200):
+        k, m, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        rows, coeffs = [draw(n) for _ in range(k)], draw(k)
+        assert lincomb(coeffs, rows, n) == [sum(c * row[t] for c, row in zip(coeffs, rows))
+                                            for t in range(n)]
+        table = [[draw(n) for _ in range(m)] for _ in range(k)]
+        u, w = draw(k), draw(m)
+        assert bilinear(table, u, w, n) == [
+            sum(u[i] * w[j] * table[i][j][t] for i in range(k) for j in range(m))
+            for t in range(n)]
+    assert lincomb([0, 0], [[1, 2], [3, 4]], 2) == [0, 0]
+    with pytest.raises(DimensionError):
+        vec_mat([1, 2], IntMatrix.identity(3))
 
 
 def test_snf_examples():
@@ -220,7 +245,7 @@ def test_invert_unimodular():
                 m[i] = [a + q * b for a, b in zip(m[i], m[j])]
         mat = IntMatrix.from_rows(m, cols=n)
         inv = invert_unimodular(mat)
-        assert inv @ mat == IntMatrix.identity(n)
+        assert matmul(inv, mat) == IntMatrix.identity(n)
 
         inv_mod = invert_unimodular(mat, 10)
         assert inv_mod.to_lists() == [[x % 10 for x in row] for row in inv.data]

@@ -31,7 +31,7 @@ def parse(doc):
 
 def ann_in_whole(ring, mod, x):
     """Ann_R(x), the element annihilator over A = R."""
-    return ann_element(mod, x, scalar_extension(mod, zero_ideal(ring)))
+    return ann_element(mod, mod.images(x), scalar_extension(mod, zero_ideal(ring)))
 
 
 def small_instances():
@@ -61,14 +61,20 @@ def test_act_examples():
             assert mod.act(ring.zero(), m).is_zero()
 
 
-def test_gen_action_matches_act():
+def test_images_match_mul_and_act():
     rng = random.Random(8)
     for ring, mod in small_instances():
-        for i in range(ring.group.rank):
-            for _ in range(5):
-                m = mod.group.element(tuple(rng.randrange(d)
-                                            for d in mod.group.invariant_factors))
-                assert mod.gen_action(i, m) == mod.act(ring.gens()[i], m)
+        gens = ring.gens()
+        for _ in range(5):
+            x = ring.group.element(tuple(rng.randrange(d)
+                                         for d in ring.group.invariant_factors))
+            m = mod.group.element(tuple(rng.randrange(d)
+                                        for d in mod.group.invariant_factors))
+            ring_images, mod_images = ring.images(x), mod.images(m)
+            assert len(ring_images) == len(mod_images) == len(gens)
+            for i, g in enumerate(gens):
+                assert ring_images[i] == ring.mul(g, x)
+                assert mod_images[i] == mod.act(g, m)
 
 
 def test_module_validate_ok():
@@ -81,13 +87,13 @@ def test_module_validate_violations():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     g = mod.group
     # unitality broken: 1*m0 = 0
-    bad = FiniteModule(ring, g, [[g.zero(), g.element((0, 1))]])
+    bad = FiniteModule(ring, g, [[g.zero().coords, g.element((0, 1)).coords]])
     axioms = {d.axiom for d in module_validate(ring, bad)}
     assert "identity" in axioms
 
     # associativity broken: g acts as the shear [[1,1],[0,1]], whose square
     # is the identity, but g*g = g should act as the shear again
-    bad2 = FiniteModule(ring, g, [[g.element((1, 1)), g.element((0, 1))]])
+    bad2 = FiniteModule(ring, g, [[g.element((1, 1)).coords, g.element((0, 1)).coords]])
     axioms2 = {d.axiom for d in module_validate(ring, bad2)}
     assert "associativity" in axioms2
 
@@ -106,7 +112,7 @@ def test_associativity_matches_the_elementwise_law():
         table = [list(row) for row in table]
         row = table[rng.randrange(len(table))]
         row[rng.randrange(len(row))] = group.element(
-            tuple(rng.randrange(d) for d in group.invariant_factors))
+            tuple(rng.randrange(d) for d in group.invariant_factors)).coords
         return table
 
     def failures(diags):
@@ -230,7 +236,7 @@ def test_ann_element_vs_enumeration():
             x = mod.group.element(tuple(rng.randrange(d)
                                         for d in mod.group.invariant_factors))
             iam_sub = scalar_extension(mod, i_a)
-            ann = ann_element(mod, x, iam_sub)
+            ann = ann_element(mod, mod.images(x), iam_sub)
             iam = subgroup_coords(iam_sub)
             expect = {r.coords for r in ring.group.elements()
                       if mod.act(r, x).coords in iam}
@@ -242,7 +248,7 @@ def test_spans_extension_examples():
     x = mod.group.element((1, 0))
     a = ann_in_whole(ring, mod, x)  # = (2), so A/a has order 2
     iam = scalar_extension(mod, a)
-    images = [mod.gen_action(i, x) for i in range(ring.group.rank)]
+    images = mod.images(x)
     assert iam.index() == 4
     assert not spans_extension(images, iam)
 

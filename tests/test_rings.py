@@ -58,7 +58,7 @@ def test_find_identity_examples():
 def test_find_identity_missing():
     r = z12()
     # g*g = 2g admits no identity in Z/12
-    bad_table = ((r.group.element((2,)),),)
+    bad_table = ((r.group.element((2,)).coords,),)
     with pytest.raises(NoIdentityError):
         find_identity(r.group, bad_table)
 
@@ -71,8 +71,8 @@ def test_ring_validate_ok():
 def test_ring_validate_commutativity_violation():
     r = idem_ring()
     g = r.group
-    table = [[g.element((1, 0)), g.element((1, 0))],
-             [g.element((0, 0)), g.element((0, 1))]]
+    table = [[g.element((1, 0)).coords, g.element((1, 0)).coords],
+             [g.element((0, 0)).coords, g.element((0, 1)).coords]]
     broken = FiniteRing(g, table, r.one)
     axioms = {d.axiom for d in ring_validate(broken)}
     assert "commutativity" in axioms
