@@ -221,13 +221,11 @@ class Subgroup:
 
 
 def _lattice_to_subgroup(g: CanonicalGroup, rows) -> Subgroup:
-    r = g.rank
-    all_rows = [list(row) for row in rows]
-    all_rows.extend([g.invariant_factors[i] if j == i else 0 for j in range(r)]
-                    for i in range(r))
-    h = hnf(IntMatrix(len(all_rows), r, all_rows), g.exponent).h
+    """The subgroup whose preimage the rows span; they must span a lattice
+    that contains diag(d)."""
+    h = hnf(IntMatrix(len(rows), g.rank, rows), g.exponent).h
     nonzero = [row for row in h.data if any(row)]
-    if len(nonzero) != r:
+    if len(nonzero) != g.rank:
         raise RuntimeError("subgroup lattice lost full rank")
     return Subgroup(g, h)
 
@@ -237,7 +235,20 @@ def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
     elems = list(elems)
     for e in elems:
         _check_group(g, e.group)
-    return _lattice_to_subgroup(g, [e.coords for e in elems])
+    r = g.rank
+    rows = [e.coords for e in elems]
+    rows.extend([g.invariant_factors[i] if j == i else 0 for j in range(r)]
+                for i in range(r))
+    return _lattice_to_subgroup(g, rows)
+
+
+def subgroup_join(s: Subgroup, elems) -> Subgroup:
+    """Smallest subgroup containing s and the given elements.  The basis of
+    s already spans diag(d), so it stands in for the relation rows."""
+    elems = list(elems)
+    for e in elems:
+        _check_group(s.ambient, e.group)
+    return _lattice_to_subgroup(s.ambient, [e.coords for e in elems] + list(s.basis.data))
 
 
 def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
@@ -255,13 +266,6 @@ def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
     if len(inter) != r:
         raise RuntimeError("subgroup intersection lost full rank")
     return Subgroup(g, IntMatrix(r, r, inter))
-
-
-def subgroup_join(s1: Subgroup, s2: Subgroup) -> Subgroup:
-    """Span of the union."""
-    _check_group(s1.ambient, s2.ambient)
-    rows = list(s1.basis.data) + list(s2.basis.data)
-    return _lattice_to_subgroup(s1.ambient, rows)
 
 
 def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
@@ -284,25 +288,34 @@ def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
     return q
 
 
-def hom_kernel(domain: CanonicalGroup, images, target: Subgroup) -> Subgroup:
-    """Kernel of the homomorphism from `domain` to target.ambient/target
-    that sends the i-th canonical generator to the class of images[i].
+def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
+    """Kernel of the homomorphism from `domain` to (target.ambient/target)^s,
+    s = len(blocks), that sends the i-th canonical generator to the classes
+    of (blocks[0][i], ..., blocks[s-1][i]); s = 0 gives all of `domain`.
 
-    The assignment must be well defined (d_i * images[i] lies in target),
-    otherwise NotHomomorphismError is raised.  One HNF modulo the exponent
-    of target.ambient of [images | I ; target.basis | 0 ; 0 | diag(d)]
-    gives the kernel lattice together with the relations diag(d) of the
-    domain, so its bottom rows are the subgroup's HNF basis.
+    The assignment must be well defined in every block (d_i * blocks[t][i]
+    lies in target), otherwise NotHomomorphismError is raised.  One HNF
+    modulo the exponent of target.ambient of
+    [images | I ; s diagonal copies of target.basis | 0 ; 0 | diag(d)],
+    where row i of images is the blocks' i-th images side by side, gives
+    the kernel lattice together with the relations diag(d) of the domain,
+    so its bottom rows are the subgroup's HNF basis.
     """
-    images = list(images)
-    if len(images) != domain.rank:
-        raise DimensionError("one image per canonical generator is required")
+    blocks = [list(images) for images in blocks]
     codomain = target.ambient
-    for i, (d, im) in enumerate(zip(domain.invariant_factors, images)):
-        if not target.contains(d * im):
-            raise NotHomomorphismError(f"d_{i} * image_{i} is outside the target; the map "
-                                       "is not well defined on the presented group")
-    a = IntMatrix(domain.rank, codomain.rank, [im.coords for im in images])
-    basis = kernel_mod_lattice(a, target.basis, IntMatrix.diagonal(domain.invariant_factors),
+    for images in blocks:
+        if len(images) != domain.rank:
+            raise DimensionError("one image per canonical generator is required")
+        for i, (d, im) in enumerate(zip(domain.invariant_factors, images)):
+            if not target.contains(d * im):
+                raise NotHomomorphismError(f"d_{i} * image_{i} is outside the target; the "
+                                           "map is not well defined on the presented group")
+    n, s = codomain.rank, len(blocks)
+    rows = [[c for images in blocks for c in images[i].coords] for i in range(domain.rank)]
+    copies = [(0,) * (n * t) + row + (0,) * (n * (s - 1 - t))
+              for t in range(s) for row in target.basis.data]
+    basis = kernel_mod_lattice(IntMatrix(domain.rank, n * s, rows),
+                               IntMatrix(n * s, n * s, copies),
+                               IntMatrix.diagonal(domain.invariant_factors),
                                codomain.exponent)
     return Subgroup(domain, basis)

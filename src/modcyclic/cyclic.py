@@ -169,7 +169,7 @@ def step(state: AlgState, *, check_invariants: bool = True):
         state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
         state.iteration = iteration
         # Unconditional, not gated by check_invariants.
-        if not cyclic_span_is_all(ring, module, state.y):
+        if not cyclic_span_is_all(module, state.y):
             raise InvariantViolationError(
                 "claimed generator fails the span re-verification", state.trace)
         return CyclicityResult(True, state.y, None, iteration, state.trace)

@@ -7,15 +7,15 @@ bases are matrix *rows*, and linear maps act by right multiplication
 
 Every lattice the rest of the package builds contains D*Z^n for a known D
 (the exponent of the ambient group, or of a codomain), so its HNF is taken
-modulo D and no entry exceeds D.  Only the exact paths, the Smith form
-of a presentation, inversion and congruence solving, let intermediate
-entries grow past any machine width.
+modulo D and no entry exceeds D; inverting the Smith transform is taken
+modulo the exponent too.  Only the exact paths, the Smith form of a
+presentation and congruence solving, let intermediate entries grow past
+any machine width.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -24,11 +24,7 @@ class DimensionError(ValueError):
 
 
 class NotUnimodularError(ValueError):
-    """A matrix expected to be invertible over the integers is not."""
-
-
-class InfiniteCodomainError(ValueError):
-    """A lattice expected to have full rank (finite quotient) does not."""
+    """A matrix expected to be invertible modulo a given modulus is not."""
 
 
 class IntMatrix:
@@ -37,7 +33,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
-        entries = tuple(tuple(int(x) for x in row) for row in data)
+        entries = tuple(map(tuple, data))
         if len(entries) != rows:
             raise DimensionError(f"expected {rows} rows, got {len(entries)}")
         for row in entries:
@@ -335,19 +331,16 @@ def _with_identity(m: IntMatrix) -> IntMatrix:
                                      for i, row in enumerate(m.data)])
 
 
-def invert_unimodular(m: IntMatrix, modulus: Optional[int] = None) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1.
-
-    With a modulus D, the inverse modulo D with entries in [0, D): m then
-    only has to be invertible modulo D, and the HNF of [m | I] runs mod D.
-    """
+def invert_unimodular(m: IntMatrix, modulus: int) -> IntMatrix:
+    """Inverse modulo D = `modulus` of a square matrix, with entries in
+    [0, D): m only has to be invertible modulo D, and the HNF of [m | I]
+    runs mod D."""
     if m.rows != m.cols:
         raise NotUnimodularError("not square")
     n = m.rows
     top = hnf(_with_identity(m), modulus).h.take_rows(range(n))
     if top.take_columns(range(n)) != IntMatrix.identity(n):
-        raise NotUnimodularError("matrix is not unimodular" if modulus is None
-                                 else f"matrix is not invertible modulo {modulus}")
+        raise NotUnimodularError(f"matrix is not invertible modulo {modulus}")
     return top.take_columns(range(n, 2 * n))
 
 
@@ -415,34 +408,25 @@ def solve_congruence(a: IntMatrix, l: IntMatrix, t: Sequence[int]):
     return x
 
 
-def kernel_mod_lattice(a: IntMatrix, l: IntMatrix, domain: Optional[IntMatrix] = None,
-                       modulus: Optional[int] = None) -> IntMatrix:
+def kernel_mod_lattice(a: IntMatrix, l: IntMatrix, domain: IntMatrix,
+                       modulus: int) -> IntMatrix:
     """HNF basis of {x in Z^k : x @ a lies in the row lattice of l}, plus
-    the row lattice of `domain` (k columns) when one is given.
+    the row lattice of `domain` (k columns).
 
-    l must span a full-rank sublattice of Z^n so that the codomain Z^n/l is
-    finite; then the result has full rank k and is k x k.  `modulus` is a
-    positive D with D*Z^n inside the lattice of l (D kills the codomain);
-    without one, D is the order of the codomain.  One HNF of
-    [a | I ; l | 0 ; 0 | domain] modulo D gives the basis as its bottom k
-    rows: the stacked lattice contains D*Z^(n+k), because D*(a_i | e_i)
-    minus D*a_i in l is D*e_i.
+    `modulus` is a positive D with D*Z^n inside the lattice of l (D kills
+    the codomain Z^n/l, which is then finite); the result has full rank k
+    and is k x k.  One HNF of [a | I ; l | 0 ; 0 | domain] modulo D gives
+    the basis as its bottom k rows: the stacked lattice contains
+    D*Z^(n+k), because D*(a_i | e_i) minus D*a_i in l is D*e_i.
     """
     if a.cols != l.cols:
         raise DimensionError("kernel_mod_lattice: column counts differ")
     n, k = a.cols, a.rows
-    if domain is not None and domain.cols != k:
+    if domain.cols != k:
         raise DimensionError("kernel_mod_lattice: domain lattice has the wrong width")
-    if modulus is None:
-        hl = hnf(l).h
-        pivots = _echelon_pivots(hl)
-        if len(pivots) < n:
-            raise InfiniteCodomainError("lattice does not have full rank; codomain is infinite")
-        modulus = prod(hl.data[i][j] for i, j in pivots)
     rows = list(_with_identity(a).data)
     rows.extend(tuple(row) + (0,) * k for row in l.data)
-    if domain is not None:
-        rows.extend((0,) * n + tuple(row) for row in domain.data)
+    rows.extend((0,) * n + tuple(row) for row in domain.data)
     h = hnf(IntMatrix(len(rows), n + k, rows), modulus).h
     ker = [row[n:] for row in h.data if not any(row[:n]) and any(row[n:])]
     if len(ker) != k:

@@ -19,6 +19,7 @@ from .abelian import (
     Subgroup,
     _check_group,
     hom_kernel,
+    subgroup_join,
     subgroup_span,
 )
 from .intlinalg import bilinear, lincomb
@@ -102,7 +103,7 @@ def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
             p = module.act(u, z)
             if not span.contains(p):
                 kept.append(p)
-                span = subgroup_span(module.group, [p] + span.basis_elements())
+                span = subgroup_join(span, [p])
     # Products of an ideal with a submodule are already action closed:
     # g*(u*z) = (g*u)*z and g*u stays inside the ideal.
     return tuple(kept)
@@ -112,23 +113,24 @@ def scalar_extension(module: FiniteModule, i_a: Subgroup) -> Subgroup:
     """Base change of M along R -> R/I_A, as the lattice I_A*M that
     M_A = M/(I_A M) is read from: one span of all products u*m, u in the
     basis of I_A, m a generator of M.  The quotient group is never built."""
+    gens = module.group.gens()
     return subgroup_span(module.group, {module.act(u, m) for u in i_a.basis_elements()
-                                        for m in module.group.gens()})
+                                        for m in gens})
 
 
 def ann_element(module: FiniteModule, images, iam: Subgroup) -> Subgroup:
     """Ann_A(1 (x) x) in A = R/I_A, with iam = I_A*M and images =
     module.images(x): the kernel of r -> r*x modulo iam."""
-    return hom_kernel(module.ring.group, images, iam)
+    return hom_kernel(module.ring.group, [images], iam)
 
 
 def spans_extension(elems, iam: Subgroup) -> bool:
     """Do the images of `elems` generate M_A = M/iam, i.e. do they span M
     together with iam?"""
-    return subgroup_span(iam.ambient, list(elems) + iam.basis_elements()).index() == 1
+    return subgroup_join(iam, elems).index() == 1
 
 
-def cyclic_span_is_all(ring: FiniteRing, module: FiniteModule, y: Element) -> bool:
+def cyclic_span_is_all(module: FiniteModule, y: Element) -> bool:
     """Does R*y equal M?  R*y is the subgroup generated by the g_i*y."""
     span = subgroup_span(module.group, module.images(y))
     return span.order() == module.order

@@ -40,6 +40,6 @@ def brute_force(ring: FiniteRing, module: FiniteModule,
     if size > bound:
         return OracleVerdict(TOO_LARGE, None, size, bound)
     for y in module.group.elements():
-        if cyclic_span_is_all(ring, module, y):
+        if cyclic_span_is_all(module, y):
             return OracleVerdict(CYCLIC, y, size, bound)
     return OracleVerdict(NOT_CYCLIC, None, size, bound)

@@ -21,10 +21,11 @@ from .abelian import (
     Element,
     Subgroup,
     _check_group,
+    hom_kernel,
+    subgroup_join,
     subgroup_meet,
-    subgroup_span,
 )
-from .intlinalg import IntMatrix, bilinear, kernel_mod_lattice, lincomb, solve_congruence
+from .intlinalg import IntMatrix, bilinear, lincomb, solve_congruence
 
 
 class NoIdentityError(ValueError):
@@ -196,32 +197,23 @@ def ring_validate(ring: FiniteRing) -> list:
 def ideal_span(ring: FiniteRing, i_a: Subgroup, elems) -> Subgroup:
     """Ideal of A = R/I_A generated by the given R-elements, as its
     preimage in R."""
-    gens = [g for s in elems for g in ring.images(s)]
-    gens.extend(i_a.basis_elements())
-    return subgroup_span(ring.group, gens)
+    return subgroup_join(i_a, [g for s in elems for g in ring.images(s)])
 
 
 def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
     """Ann_A(x) = {r : r*u in i_a for every u in x}.  A basis element u of
     x is kept only if it lies outside the ideal spanned by i_a and the ones
     kept before it; Ann_A(x) is then the kernel of the block map
-    r -> (r*u_1, ..., r*u_s) modulo s diagonal copies of i_a, one HNF
-    modulo e_R (s = 0 gives all of R)."""
+    r -> (r*u_1, ..., r*u_s) modulo s copies of i_a, one `hom_kernel`
+    (s = 0 gives all of R)."""
     products, span = [], i_a  # per kept u, the products g*u over the generators g
     us = x.basis_elements()
     for idx, u in enumerate(us):
         if not span.contains(u):
             products.append(ring.images(u))
             if idx + 1 < len(us):  # `ideal_span(ring, span, [u])`; the last is never read
-                span = subgroup_span(ring.group, products[-1] + span.basis_elements())
-    r, s = ring.group.rank, len(products)
-    rows = [[c for row in products for c in row[g].coords] for g in range(r)]
-    copies = [(0,) * (r * t) + row + (0,) * (r * (s - 1 - t))
-              for t in range(s) for row in i_a.basis.data]
-    basis = kernel_mod_lattice(IntMatrix(r, r * s, rows), IntMatrix(r * s, r * s, copies),
-                               IntMatrix.diagonal(ring.group.invariant_factors),
-                               ring.group.exponent)
-    return Subgroup(ring.group, basis)
+                span = subgroup_join(span, products[-1])
+    return hom_kernel(ring.group, products, i_a)
 
 
 def ideal_meet_is_zero(ring: FiniteRing, i_a: Subgroup, p: Subgroup, q: Subgroup):

@@ -131,7 +131,11 @@ def test_meet_join_examples():
     assert subgroup_meet(s1, s1) == s1
     full = subgroup_span(g, g.gens())
     assert subgroup_meet(s1, full) == s1
-    assert subgroup_join(s1, s2) == full
+    assert subgroup_join(s1, s2.basis_elements()) == full
+    assert subgroup_join(s1, []) == s1
+    assert subgroup_join(subgroup_span(g, []), [g.element((3,))]) == s2
+    with pytest.raises(GroupMismatchError):
+        subgroup_join(s1, [zn(3).element((1,))])
 
 
 def test_meet_join_vs_enumeration():
@@ -139,15 +143,17 @@ def test_meet_join_vs_enumeration():
     for _ in range(30):
         k, rows, _ = random_finite_presentation(rng, max_order=150)
         g = group_from_relations(rows, k)
-        def rand_sub():
-            gens = [g.element(tuple(rng.randrange(d) for d in g.invariant_factors))
+        def rand_gens():
+            return [g.element(tuple(rng.randrange(d) for d in g.invariant_factors))
                     for _ in range(rng.randint(0, 2))]
-            return subgroup_span(g, gens)
-        s1, s2 = rand_sub(), rand_sub()
+        gens2 = rand_gens()
+        s1, s2 = subgroup_span(g, rand_gens()), subgroup_span(g, gens2)
         c1, c2 = subgroup_coords(s1), subgroup_coords(s2)
         assert subgroup_coords(subgroup_meet(s1, s2)) == (c1 & c2)
-        assert subgroup_coords(subgroup_join(s1, s2)) == additive_closure(
+        assert subgroup_coords(subgroup_join(s1, s2.basis_elements())) == additive_closure(
             list(c1 | c2), g.invariant_factors)
+        assert subgroup_coords(subgroup_join(s1, gens2)) == additive_closure(
+            list(c1) + [e.coords for e in gens2], g.invariant_factors)
 
 
 def test_quotient_examples():
@@ -190,33 +196,49 @@ def test_quotient_order_property():
 def test_hom_kernel_examples():
     g = zn(12)
     zero = subgroup_span(g, [])
-    ker = hom_kernel(g, [g.element((4,))], zero)
+    ker = hom_kernel(g, [[g.element((4,))]], zero)
     assert subgroup_coords(ker) == {(0,), (3,), (6,), (9,)}
 
-    ker = hom_kernel(g, [g.zero()], zero)
+    ker = hom_kernel(g, [[g.zero()]], zero)
     assert ker.order() == 12
 
-    ker = hom_kernel(g, [g.element((1,))], zero)
+    ker = hom_kernel(g, [[g.element((1,))]], zero)
     assert ker.order() == 1
 
     # Z/12 -> Z/12 / <4> = Z/4, 1 -> 1: the kernel is <4>
-    ker = hom_kernel(g, [g.element((1,))], subgroup_span(g, [g.element((4,))]))
+    ker = hom_kernel(g, [[g.element((1,))]], subgroup_span(g, [g.element((4,))]))
     assert subgroup_coords(ker) == {(0,), (4,), (8,)}
     # Z/4 -> Z/8 / <4>, 1 -> 1 is well defined (4 lies in <4>) and injective
     z8 = zn(8)
-    ker = hom_kernel(zn(4), [z8.element((1,))], subgroup_span(z8, [z8.element((4,))]))
+    ker = hom_kernel(zn(4), [[z8.element((1,))]], subgroup_span(z8, [z8.element((4,))]))
     assert ker.order() == 1
+
+    # no blocks: the map into a product of no copies kills everything
+    g = group_from_relations([[2, 0], [0, 6]], 2)
+    for target in (subgroup_span(zn(5), []), subgroup_span(g, g.gens()[:1])):
+        assert hom_kernel(g, [], target) == subgroup_span(g, g.gens())
+    assert hom_kernel(zn(1), [], subgroup_span(zn(4), [])).order() == 1
 
 
 def test_hom_kernel_rejects_ill_defined():
     g2 = zn(2)
     g3 = zn(3)
     with pytest.raises(NotHomomorphismError):
-        hom_kernel(g2, [g3.element((1,))], subgroup_span(g3, []))
+        hom_kernel(g2, [[g3.element((1,))]], subgroup_span(g3, []))
     # Z/2 -> Z/8 / <4>, 1 -> 1: 2*1 = 2 lies outside <4>
     z8 = zn(8)
+    target = subgroup_span(z8, [z8.element((4,))])
     with pytest.raises(NotHomomorphismError):
-        hom_kernel(g2, [z8.element((1,))], subgroup_span(z8, [z8.element((4,))]))
+        hom_kernel(g2, [[z8.element((1,))]], target)
+    # every block is checked: 1 -> 2 is well defined (2*2 = 4), 1 -> 1 is not
+    good, bad = [z8.element((2,))], [z8.element((1,))]
+    assert hom_kernel(g2, [good, good], target).order() == 1
+    assert hom_kernel(g2, [[z8.element((4,))]] * 2, target).order() == 2
+    for blocks in ([good, bad], [bad, good]):
+        with pytest.raises(NotHomomorphismError):
+            hom_kernel(g2, blocks, target)
+    with pytest.raises(DimensionError):
+        hom_kernel(g2, [good, good + good], target)
 
 
 def test_hom_kernel_first_isomorphism():
@@ -232,7 +254,7 @@ def test_hom_kernel_first_isomorphism():
             coords = tuple(rng.randrange(gcd(dc, d)) * (dc // gcd(dc, d))
                            for dc in cod.invariant_factors)
             images.append(cod.element(coords))
-        ker = hom_kernel(dom, images, subgroup_span(cod, []))
+        ker = hom_kernel(dom, [images], subgroup_span(cod, []))
         image = subgroup_span(cod, images)
         assert ker.order() * image.order() == dom.order
 
@@ -259,7 +281,7 @@ def test_hom_kernel_nonzero_target_vs_enumeration():
             for b in target.basis_elements():
                 t = t + rng.randrange(cod.exponent) * b
             images.append(cod.element(coords) + t)
-        ker = hom_kernel(dom, images, target)
+        ker = hom_kernel(dom, [images], target)
         expect = set()
         for x in dom.elements():
             image = cod.zero()
@@ -268,6 +290,42 @@ def test_hom_kernel_nonzero_target_vs_enumeration():
             if target.contains(image):
                 expect.add(x.coords)
         assert subgroup_coords(ker) == expect
+
+
+def test_block_hom_kernel_vs_enumeration_and_meet():
+    rng = random.Random(67)
+    for _ in range(40):
+        k, rows, _ = random_finite_presentation(rng, max_order=120)
+        dom = group_from_relations(rows, k)
+        k2, rows2, _ = random_finite_presentation(rng, max_order=60)
+        cod = group_from_relations(rows2, k2)
+
+        def random_element():
+            return cod.element(tuple(rng.randrange(d) for d in cod.invariant_factors))
+
+        target = subgroup_span(cod, [random_element() for _ in range(rng.randint(0, 2))])
+        blocks = []
+        for _ in range(2):
+            images = []
+            for d in dom.invariant_factors:
+                # an element of order dividing d plus an element of the target
+                coords = tuple(rng.randrange(gcd(dc, d)) * (dc // gcd(dc, d))
+                               for dc in cod.invariant_factors)
+                t = cod.zero()
+                for b in target.basis_elements():
+                    t = t + rng.randrange(cod.exponent) * b
+                images.append(cod.element(coords) + t)
+            blocks.append(images)
+        ker = hom_kernel(dom, blocks, target)
+        expect = set()
+        for x in dom.elements():
+            if all(target.contains(sum((c * im for c, im in zip(x.coords, images)),
+                                       cod.zero()))
+                   for images in blocks):
+                expect.add(x.coords)
+        assert subgroup_coords(ker) == expect
+        assert ker == subgroup_meet(hom_kernel(dom, blocks[:1], target),
+                                    hom_kernel(dom, blocks[1:], target))
 
 
 def test_canonicalize_order_vs_enumeration():

@@ -119,7 +119,7 @@ def test_criterion_1_oracle_equivalence(corpus, tmp_path):
         if rc == 0:
             result = run(ring, module)
             assert result.cyclic
-            assert cyclic_span_is_all(ring, module, result.generator), \
+            assert cyclic_span_is_all(module, result.generator), \
                 f"{label} #{idx}: generator fails span check"
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"corpus compare took {elapsed:.1f}s"

@@ -12,6 +12,7 @@ from modcyclic import cyclic, instances
 from modcyclic.cli import main
 from modcyclic.instances import dumps, gen_randquot, gen_trunc, gen_zmod, load, parse_instance
 from modcyclic.modules import cyclic_span_is_all
+from modcyclic.rings import ideal_annihilator
 
 
 @pytest.fixture
@@ -147,7 +148,7 @@ def test_printed_generator_is_small_and_spans(tmp_path, capsys, n, seed, max_deg
     parsed = parse_instance(doc, validate=False)
     assert all(0 <= x < parsed.module.group.exponent for x in gen)
     y = parsed.module.group.from_user(gen)
-    assert cyclic_span_is_all(parsed.ring, parsed.module, y)
+    assert cyclic_span_is_all(parsed.module, y)
 
 
 def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys):
@@ -166,6 +167,33 @@ def test_failed_self_check_is_an_error_not_a_verdict(noncyclic_file, capsys, mon
     assert main(["check", noncyclic_file]) == 2
     assert "error: " in capsys.readouterr().err
     assert main(["compare", noncyclic_file]) == 2
+
+
+def test_ill_defined_ring_without_validation_is_an_error(tmp_path, capsys, monkeypatch):
+    # Z/4 x Z/2 with g1*g1 = g0, which 2*g1 = 0 does not kill.  Unvalidated,
+    # the first two steps pass; the third stops where Ann(a) is built.
+    doc = {"format": "modcyclic-instance", "version": 1,
+           "ring": {"num_gens": 2, "relations": [[4, 0], [0, 2]],
+                    "mul": [[[1, 3], [0, 0]], [[0, 0], [1, 2]]], "one": [1, 0]},
+           "module": {"num_gens": 1, "relations": [[2]], "action": [[[0]], [[0]]]}}
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert "invalid: well-definedness violated" in capsys.readouterr().err
+    stops = []
+
+    def recording(ring, i_a, x):
+        try:
+            return ideal_annihilator(ring, i_a, x)
+        except ValueError as exc:
+            stops.append(exc)
+            raise
+
+    monkeypatch.setattr(cyclic, "ideal_annihilator", recording)
+    assert main(["check", str(path), "--no-validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not well defined" in err
+    assert len(stops) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

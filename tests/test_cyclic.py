@@ -67,7 +67,7 @@ def test_transcript_z6():
     assert result.iterations == 2
     assert trace_summary(result) == [("v-yes", 6), ("yes", 1)]
     assert result.trace[0].chosen_x == (1,)
-    assert cyclic_span_is_all(ring, mod, result.generator)
+    assert cyclic_span_is_all(mod, result.generator)
     assert mod.group.to_user(result.generator) == [1, 1]
 
 
@@ -183,7 +183,7 @@ def test_agreement_with_brute_force():
         expect_cyclic, _ = brute_cyclic(ring, mod)
         assert result.cyclic == expect_cyclic, f"disagreement on {doc}"
         if result.cyclic:
-            assert cyclic_span_is_all(ring, mod, result.generator)
+            assert cyclic_span_is_all(mod, result.generator)
         else:
             assert result.witness.quotient_ring_order < result.witness.extension_order
         checked += 1

@@ -6,7 +6,6 @@ import pytest
 
 from modcyclic.intlinalg import (
     DimensionError,
-    InfiniteCodomainError,
     IntMatrix,
     NotUnimodularError,
     bilinear,
@@ -196,25 +195,31 @@ def test_solve_congruence_vs_enumeration():
             assert all((img[j] - t[j]) % diag[j] == 0 for j in range(n))
 
 
+def no_rows(k):
+    """A domain lattice with no rows: the kernel alone."""
+    return IntMatrix(0, k, [])
+
+
 def test_kernel_examples():
-    k = kernel_mod_lattice(IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[12]]))
+    k = kernel_mod_lattice(IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[12]]),
+                           no_rows(1), 12)
     assert k.to_lists() == [[3]]
 
-    k = kernel_mod_lattice(IntMatrix(3, 2, [[0, 0]] * 3), IntMatrix.diagonal([5, 5]))
+    k = kernel_mod_lattice(IntMatrix(3, 2, [[0, 0]] * 3), IntMatrix.diagonal([5, 5]),
+                           no_rows(3), 5)
     assert k == IntMatrix.identity(3)
 
-    k = kernel_mod_lattice(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[7]]))
+    k = kernel_mod_lattice(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[7]]),
+                           no_rows(1), 7)
     assert k.to_lists() == [[7]]
 
     # the domain lattice joins the kernel: 3Z + 2Z = Z, 3Z + 6Z = 3Z
     a, l = IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[12]])
-    assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[2]])).to_lists() == [[1]]
+    assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[2]]), 12).to_lists() == [[1]]
     assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[6]]), 12).to_lists() == [[3]]
 
-
-def test_kernel_requires_finite_codomain():
-    with pytest.raises(InfiniteCodomainError):
-        kernel_mod_lattice(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[2, 0]]))
+    with pytest.raises(DimensionError):
+        kernel_mod_lattice(a, l, no_rows(2), 12)
 
 
 def test_kernel_vs_enumeration():
@@ -225,7 +230,7 @@ def test_kernel_vs_enumeration():
         diag = [rng.randint(1, 6) for _ in range(n)]
         a = random_matrix(rng, k, n, -5, 5)
         l = IntMatrix.diagonal(diag)
-        basis = kernel_mod_lattice(a, l)
+        basis = kernel_mod_lattice(a, l, no_rows(k), lcm(*diag))
         box = [max(diag) * 2] * k
         for xs in product(*(range(b) for b in box)):
             img = vec_mat(list(xs), a)
@@ -235,6 +240,7 @@ def test_kernel_vs_enumeration():
 
 def test_invert_unimodular():
     rng = random.Random(17)
+    big = 10 ** 30
     for _ in range(50):
         n = rng.randint(1, 5)
         m = IntMatrix.identity(n).to_lists()
@@ -244,17 +250,34 @@ def test_invert_unimodular():
                 q = rng.randint(-3, 3)
                 m[i] = [a + q * b for a, b in zip(m[i], m[j])]
         mat = IntMatrix.from_rows(m, cols=n)
-        inv = invert_unimodular(mat)
+        # modulo a bound far past every entry, the symmetric lift is the
+        # exact inverse
+        inv_big = invert_unimodular(mat, big)
+        inv = IntMatrix(n, n, [[x - big if 2 * x > big else x for x in row]
+                               for row in inv_big.data])
         assert matmul(inv, mat) == IntMatrix.identity(n)
 
         inv_mod = invert_unimodular(mat, 10)
         assert inv_mod.to_lists() == [[x % 10 for x in row] for row in inv.data]
 
     with pytest.raises(NotUnimodularError):
-        invert_unimodular(IntMatrix.from_rows([[2]]))
-    with pytest.raises(NotUnimodularError):
         invert_unimodular(IntMatrix.from_rows([[2]]), 4)
+    with pytest.raises(NotUnimodularError):
+        invert_unimodular(IntMatrix.from_rows([[1, 0]]), 5)
     assert invert_unimodular(IntMatrix.from_rows([[2]]), 5).to_lists() == [[3]]
+
+
+def test_matrix_entries_from_lists_or_tuples():
+    rows = [[1, -2, 3], [0, 4, 5]]
+    from_lists = IntMatrix(2, 3, rows)
+    from_tuples = IntMatrix(2, 3, tuple(map(tuple, rows)))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.data == ((1, -2, 3), (0, 4, 5))
+    with pytest.raises(DimensionError):
+        IntMatrix(3, 3, rows)
+    with pytest.raises(DimensionError):
+        IntMatrix(2, 2, rows)
 
 
 def test_big_integer_exactness():

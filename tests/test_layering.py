@@ -1,0 +1,64 @@
+"""Which modules may know how a lattice is encoded.
+
+The normal forms and the lattice kernel live in `intlinalg`; `abelian` is
+the only module that builds lattices for them.  The ring, module and
+driver layers speak of subgroups, and take from `intlinalg` at most the
+product kernels.  Checked on the syntax trees of the package's sources.
+"""
+
+import ast
+from pathlib import Path
+
+import modcyclic
+
+PACKAGE = Path(modcyclic.__file__).resolve().parent
+LATTICE_NAMES = {"hnf", "snf", "kernel_mod_lattice"}
+LATTICE_MODULES = {"intlinalg.py", "abelian.py"}
+PRODUCT_KERNELS = {"lincomb", "bilinear"}
+
+
+def trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def named(tree):
+    """Every identifier the module binds, reads, imports or reaches by
+    attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def intlinalg_imports(tree):
+    """Names taken from `intlinalg`, with "*" for a whole-module import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rsplit(".", 1)[-1] == "intlinalg":
+                yield from (alias.name for alias in node.names)
+            elif any(alias.name == "intlinalg" for alias in node.names):
+                yield "*"
+        elif isinstance(node, ast.Import):
+            if any(alias.name.endswith(".intlinalg") for alias in node.names):
+                yield "*"
+
+
+def test_lattice_kernels_are_named_only_in_intlinalg_and_abelian():
+    found = {name: sorted(LATTICE_NAMES & set(named(tree))) for name, tree in trees()}
+    assert found["intlinalg.py"] and found["abelian.py"]
+    assert {name: hits for name, hits in found.items()
+            if hits and name not in LATTICE_MODULES} == {}
+
+
+def test_modules_and_driver_take_only_product_kernels_from_intlinalg():
+    imported = {name: set(intlinalg_imports(tree)) for name, tree in trees()
+                if name in ("modules.py", "cyclic.py")}
+    assert set(imported) == {"modules.py", "cyclic.py"}
+    assert {name: sorted(names - PRODUCT_KERNELS) for name, names in imported.items()
+            if names - PRODUCT_KERNELS} == {}
