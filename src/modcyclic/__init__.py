@@ -24,7 +24,7 @@ from .instances import (
     gen_zmod,
     parse_instance,
 )
-from .intlinalg import IntMatrix, solve_congruence
+from .intlinalg import IntMatrix
 from .modules import (
     FiniteModule,
     ann_element,

@@ -17,8 +17,8 @@ from operator import mod
 from .intlinalg import (
     DimensionError,
     IntMatrix,
-    _reduce_exact,
     hnf,
+    in_lattice,
     invert_unimodular,
     kernel_mod_lattice,
     snf,
@@ -200,7 +200,7 @@ class Subgroup:
 
     def contains(self, x: Element) -> bool:
         _check_group(self.ambient, x.group)
-        return _reduce_exact(self.basis, x.coords) is not None
+        return in_lattice(self.basis, x.coords)
 
     def basis_elements(self) -> list:
         """Nonzero reductions of the basis rows; a deterministic generator

@@ -1,21 +1,21 @@
-"""Exact integer linear algebra: Hermite/Smith normal forms, congruence
-solving and kernels modulo a lattice.
+"""Integer linear algebra: Hermite/Smith normal forms, congruence solving
+and kernels modulo a lattice.
 
 Conventions, fixed repo-wide: vectors are rows, relation systems and lattice
 bases are matrix *rows*, and linear maps act by right multiplication
 (``x -> x @ A``).  All arithmetic uses Python's unbounded integers.
 
-Every lattice the rest of the package builds contains D*Z^n for a known D
-(the exponent of the ambient group, or of a codomain), so its HNF is taken
-modulo D and no entry exceeds D; inverting the Smith transform is taken
-modulo the exponent too.  Only the exact paths, the Smith form of a
-presentation and congruence solving, let intermediate entries grow past
+Every lattice the package builds contains D*Z^n for a known D (the
+exponent of the ambient group, or of a codomain), so its HNF is taken
+modulo D and no entry exceeds D; inverting the Smith transform and
+solving congruences are taken modulo the exponent too.  Only the Smith
+form of a presentation is exact and lets intermediate entries grow past
 any machine width.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -238,30 +238,23 @@ class Hnf(NamedTuple):
     h: IntMatrix
 
 
-def hnf(m: IntMatrix, modulus: Optional[int] = None) -> Hnf:
-    """Row Hermite normal form: pivots positive, entries above each pivot
-    reduced into [0, pivot), zero rows at the bottom.
+def hnf(m: IntMatrix, modulus: int) -> Hnf:
+    """Row Hermite normal form modulo D = `modulus` > 0: pivots positive,
+    entries above each pivot reduced into [0, pivot).
 
-    Without a modulus the result is the HNF of the row lattice of m, with
-    the shape of m.  A caller that needs the transform t with t @ m = h
-    reads it from the HNF of [m | I]: its left block is h, its right one t.
-
-    With a modulus D > 0 the lattice is the row span of m plus D*Z^c, and
-    the result is its c x c basis, whose diagonal entries all divide D.
-    Every row operation is reduced modulo D and D*e_j is folded in at
-    column j (Domich, Kannan & Trotter 1987; Cohen, Alg. 2.4.8), so no
-    entry exceeds D.  When the rows of m already span D*Z^c this is
-    the exact HNF of m without its zero rows.
+    The lattice is the row span of m plus D*Z^c, and the result is its
+    c x c basis, whose diagonal entries all divide D.  Every row operation
+    is reduced modulo D and D*e_j is folded in at column j (Domich, Kannan
+    & Trotter 1987; Cohen, Alg. 2.4.8), so no entry exceeds D.  When the
+    rows of m already span D*Z^c this is the exact HNF of m without its
+    zero rows.  A caller that needs the transform t with t @ m = h reads
+    it from the HNF of [m | I]: its left block is h, its right one t.
     """
-    r, c = m.rows, m.cols
-    mod = modulus
-    if mod is not None and mod <= 0:
+    c, mod = m.cols, modulus
+    if mod <= 0:
         raise ValueError(f"hnf modulus must be positive, got {mod}")
-    if mod is None:
-        rows = [list(row) for row in m.data if any(row)]
-    else:
-        rows = [[x % mod for x in row] for row in m.data]
-        rows = [row for row in rows if any(row)]
+    rows = [[x % mod for x in row] for row in m.data]
+    rows = [row for row in rows if any(row)]
     out = []
     for j in range(c):
         # Every row left in `rows` is zero before column j.  Fold the ones
@@ -279,49 +272,34 @@ def hnf(m: IntMatrix, modulus: Optional[int] = None) -> Hnf:
             y = pivot[j]
             if x % y == 0:
                 q = x // y
-                row = [s - q * t for s, t in zip(row, pivot)]
+                row = [(s - q * t) % mod for s, t in zip(row, pivot)]
             else:
                 g, s, t = xgcd(y, x)
                 u, w = y // g, x // g
-                pivot, row = ([s * p + t * z for p, z in zip(pivot, row)],
-                              [u * z - w * p for p, z in zip(pivot, row)])
-                if mod is not None:
-                    pivot = [p % mod for p in pivot]
-            if mod is not None:
-                row = [z % mod for z in row]
+                pivot, row = ([(s * p + t * z) % mod for p, z in zip(pivot, row)],
+                              [(u * z - w * p) % mod for p, z in zip(pivot, row)])
             if any(row):
                 rest.append(row)
-        if mod is not None:
-            # The lattice holds mod*e_j: the pivot becomes gcd(pivot, mod),
-            # and (mod/g) times the old pivot row, which vanishes at j, stays
-            # behind for the later columns.
-            if pivot is None:
-                pivot = [0] * c
-                pivot[j] = mod
-            else:
-                g, s, _ = xgcd(pivot[j], mod)
-                extra = [(mod // g) * p % mod for p in pivot]
-                if any(extra):
-                    rest.append(extra)
-                pivot = [s * p % mod for p in pivot]
-        elif pivot is None:
-            rows = rest
-            continue
-        elif pivot[j] < 0:
-            pivot = [-p for p in pivot]
+        # The lattice holds mod*e_j: the pivot becomes gcd(pivot, mod), and
+        # (mod/g) times the old pivot row, which vanishes at j, stays behind
+        # for the later columns.
+        if pivot is None:
+            pivot = [0] * c
+            pivot[j] = mod
+        else:
+            g, s, _ = xgcd(pivot[j], mod)
+            extra = [(mod // g) * p % mod for p in pivot]
+            if any(extra):
+                rest.append(extra)
+            pivot = [s * p % mod for p in pivot]
         piv = pivot[j]
         for i, prev in enumerate(out):
             q = prev[j] // piv
             if q:
-                prev = [s - q * t for s, t in zip(prev, pivot)]
-                if mod is not None:
-                    prev = prev[:j + 1] + [s % mod for s in prev[j + 1:]]
-                out[i] = prev
+                out[i] = prev[:j] + [(s - q * t) % mod for s, t in zip(prev[j:], pivot[j:])]
         out.append(pivot)
         rows = rest
-    if mod is None:
-        out.extend([0] * c for _ in range(r - len(out)))
-    return Hnf(IntMatrix(len(out), c, out))
+    return Hnf(IntMatrix(c, c, out))
 
 
 def _with_identity(m: IntMatrix) -> IntMatrix:
@@ -344,68 +322,46 @@ def invert_unimodular(m: IntMatrix, modulus: int) -> IntMatrix:
     return top.take_columns(range(n, 2 * n))
 
 
-def _echelon_pivots(h: IntMatrix) -> list:
-    pivots = []
-    for i, row in enumerate(h.data):
-        j = next((k for k, x in enumerate(row) if x), None)
-        if j is not None:
-            pivots.append((i, j))
-    return pivots
-
-
-def _reduce_exact(h: IntMatrix, target: Sequence[int]):
-    """Solve v @ h = target exactly for h in row echelon form.
-
-    Returns the coefficient vector over the rows of h, or None when target
-    is outside the row span.
-    """
-    residual = list(target)
-    coeffs = [0] * h.rows
-    for p, j in _echelon_pivots(h):
-        q, rem = divmod(residual[j], h.data[p][j])
+def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
+    """Membership of a row vector in the row lattice of h, a basis in row
+    echelon form (an HNF, say): each row in turn clears v at its pivot."""
+    residual = list(v)
+    for row in h.data:
+        j = next(compress(count(), row), None)
+        if j is None:
+            continue
+        q, rem = divmod(residual[j], row[j])
         if rem:
-            return None
+            return False
         if q:
-            coeffs[p] = q
-            row = h.data[p]
-            for k in range(j, h.cols):
-                if row[k]:
-                    residual[k] -= q * row[k]
-    if any(residual):
-        return None
-    return coeffs
+            for k, x in compress(enumerate(row), row):
+                residual[k] -= q * x
+    return not any(residual)
 
 
-def in_lattice(basis: IntMatrix, v: Sequence[int]) -> bool:
-    """Membership of a row vector in the row lattice of `basis`."""
-    return _reduce_exact(hnf(basis).h, v) is not None
+def solve_congruence(a: IntMatrix, t: Sequence[int], moduli: Sequence[int],
+                     modulus: int):
+    """An integer row vector x with (x @ a)_j = t_j modulo moduli[j] for
+    every column j, or None when there is none.  Every modulus divides
+    D = `modulus`.
 
-
-def solve_congruence(a: IntMatrix, l: IntMatrix, t: Sequence[int]):
-    """Find an integer row vector x with x @ a = t modulo the row lattice of l.
-
-    `a` is k x n, `l` spans a sublattice of Z^n (possibly with zero rows),
-    and t has length n.  Returns x of length k, or None when no solution
-    exists.  Any returned solution is re-verified by substitution.
+    Scaled by D/moduli[j], column j of [-t ; a] is one congruence modulo D
+    on (lambda, x).  The HNF modulo D of those columns, taken as rows,
+    states the same congruences in k + 1 rows; the solutions of its
+    transpose modulo D form a lattice, and x is the x part of its first
+    HNF row when that row's lambda pivot is 1.
     """
-    if a.cols != l.cols or len(t) != a.cols:
-        raise DimensionError("solve_congruence: column counts differ")
     n, k = a.cols, a.rows
-    # HNF of [a | I ; l | 0]: the rows whose left part is nonzero form the
-    # HNF of the span of a and l, and their right parts say which
-    # combination of the rows of a each one is.
-    stacked = _with_identity(a).data + tuple(tuple(row) + (0,) * k for row in l.data)
-    h = hnf(IntMatrix(len(stacked), n + k, stacked)).h
-    top = [row for row in h.data if any(row[:n])]
-    coeffs = _reduce_exact(IntMatrix(len(top), n, [row[:n] for row in top]), t)
-    if coeffs is None:
-        return None
-    x = vec_mat(coeffs, IntMatrix(len(top), k, [row[n:] for row in top]))
-    check = vec_mat(x, a)
-    diff = [check[j] - t[j] for j in range(n)]
-    if not in_lattice(l, diff):
-        raise RuntimeError("solve_congruence produced an invalid solution")
-    return x
+    if len(t) != n or len(moduli) != n:
+        raise DimensionError("solve_congruence: column counts differ")
+    cols = [[-t[j] * (modulus // q)] + [row[j] * (modulus // q) for row in a.data]
+            for j, q in enumerate(moduli)]
+    h = hnf(IntMatrix(n, k + 1, cols), modulus).h
+    eqs = IntMatrix(k + 1, k + 1, zip(*h.data))
+    sols = kernel_mod_lattice(eqs, IntMatrix.diagonal([modulus] * (k + 1)),
+                              IntMatrix(0, k + 1, []), modulus)
+    first = sols.data[0]
+    return list(first[1:]) if first[0] == 1 else None
 
 
 def kernel_mod_lattice(a: IntMatrix, l: IntMatrix, domain: IntMatrix,

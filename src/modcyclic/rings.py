@@ -89,23 +89,28 @@ class FiniteRing:
 
 
 def find_identity(group: CanonicalGroup, mul_table) -> Element:
-    """Solve e * g_i = g_i for all canonical generators g_i.
+    """Solve e * g_j = g_j for all canonical generators g_j, as one system
+    of r^2 congruences modulo the exponent.
 
-    Works on any bilinear table; raises NoIdentityError when the linear
-    system has no solution (the table is not a unital ring table).
+    Works on any bilinear table; raises NoIdentityError when the system has
+    no solution (the table is not a unital ring table).  The candidate is
+    checked against every generator, and a failure raises RuntimeError:
+    the solve, not the table, is then wrong.
     """
     r = group.rank
     if r == 0:
         return group.zero()
     a_rows = [[c for vec in row for c in vec] for row in mul_table]
-    lattice = IntMatrix.diagonal(list(group.invariant_factors) * r)
-    target = []
-    for j in range(r):
-        target.extend(1 if t == j else 0 for t in range(r))
-    x = solve_congruence(IntMatrix(r, r * r, a_rows), lattice, target)
+    target = [1 if t == j else 0 for j in range(r) for t in range(r)]
+    x = solve_congruence(IntMatrix(r, r * r, a_rows), target,
+                         list(group.invariant_factors) * r, group.exponent)
     if x is None:
         raise NoIdentityError("no element acts as a multiplicative identity")
-    return group.element(x)
+    one = group.element(x)
+    for j, g in enumerate(group.gens()):
+        if group.element(lincomb(one.coords, [row[j] for row in mul_table], r)) != g:
+            raise RuntimeError(f"solved identity {one!r} does not fix generator {j}")
+    return one
 
 
 # -- packed operator rows ----------------------------------------------------

@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 from modcyclic.abelian import subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import DimensionError, IntMatrix, hnf, lincomb, snf
+from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, lincomb, snf, xgcd
 
 
 def matmul(a, b):
@@ -18,6 +18,49 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise DimensionError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     return IntMatrix(a.rows, b.cols, [lincomb(row, b.data, b.cols) for row in a.data])
+
+
+def exact_hnf(m):
+    """Exact row HNF of the row lattice of m, with the shape of m: pivots
+    positive, entries above each pivot in [0, pivot), zero rows at the
+    bottom.  The reference the modular `hnf` is checked against."""
+    r, c = m.rows, m.cols
+    rows = [list(row) for row in m.data if any(row)]
+    out = []
+    for j in range(c):
+        pivot = None
+        rest = []
+        for row in rows:
+            x = row[j]
+            if not x:
+                rest.append(row)
+                continue
+            if pivot is None:
+                pivot = row
+                continue
+            y = pivot[j]
+            if x % y == 0:
+                q = x // y
+                row = [s - q * t for s, t in zip(row, pivot)]
+            else:
+                g, s, t = xgcd(y, x)
+                u, w = y // g, x // g
+                pivot, row = ([s * p + t * z for p, z in zip(pivot, row)],
+                              [u * z - w * p for p, z in zip(pivot, row)])
+            if any(row):
+                rest.append(row)
+        rows = rest
+        if pivot is None:
+            continue
+        if pivot[j] < 0:
+            pivot = [-p for p in pivot]
+        for i, prev in enumerate(out):
+            q = prev[j] // pivot[j]
+            if q:
+                out[i] = [s - q * t for s, t in zip(prev, pivot)]
+        out.append(pivot)
+    out.extend([0] * c for _ in range(r - len(out)))
+    return Hnf(IntMatrix(r, c, out))
 
 
 def det(m):
@@ -53,7 +96,7 @@ def check_snf(m):
     """
     res = snf(m)
     assert abs(det(res.v)) == 1
-    assert hnf(matmul(m, res.v)).h == hnf(res.d).h
+    assert exact_hnf(matmul(m, res.v)).h == exact_hnf(res.d).h
     diag = res.d.diagonal_entries()
     for i, x in enumerate(diag):
         assert x >= 0
@@ -74,9 +117,9 @@ def check_hnf(m):
     The transform t is read from the HNF of [m | I], whose left block must
     be the HNF of m.
     """
-    h = hnf(m).h
+    h = exact_hnf(m).h
     r, c = m.rows, m.cols
-    full = hnf(IntMatrix(r, c + r, [list(row) + [1 if j == i else 0 for j in range(r)]
+    full = exact_hnf(IntMatrix(r, c + r, [list(row) + [1 if j == i else 0 for j in range(r)]
                                     for i, row in enumerate(m.data)])).h
     assert full.take_columns(range(c)) == h
     t = full.take_columns(range(c, c + r))
@@ -120,7 +163,7 @@ def hnf_reduce(rows, v):
 
 def group_order_by_enumeration(relation_rows, k):
     """|Z^k / L| by BFS over canonical coset representatives."""
-    h = hnf(IntMatrix.from_rows([list(r) for r in relation_rows], cols=k)).h
+    h = exact_hnf(IntMatrix.from_rows([list(r) for r in relation_rows], cols=k)).h
     rows = [list(r) for r in h.data if any(r)]
     assert len(rows) == k, "presentation is not finite"
     start = hnf_reduce(rows, [0] * k)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import modcyclic
-from modcyclic import cyclic, instances
+from modcyclic import cyclic, instances, rings
 from modcyclic.cli import main
 from modcyclic.instances import dumps, gen_randquot, gen_trunc, gen_zmod, load, parse_instance
 from modcyclic.modules import cyclic_span_is_all
@@ -167,6 +167,28 @@ def test_failed_self_check_is_an_error_not_a_verdict(noncyclic_file, capsys, mon
     assert main(["check", noncyclic_file]) == 2
     assert "error: " in capsys.readouterr().err
     assert main(["compare", noncyclic_file]) == 2
+
+
+def test_wrong_identity_solve_is_an_error_not_a_verdict(tmp_path, capsys, monkeypatch):
+    # find_identity checks the solved candidate on every generator, outside
+    # the solver: a wrong solution stops the run, validated or not.
+    doc = gen_zmod(6, [2, 3])
+    del doc["ring"]["one"]
+    path = tmp_path / "z6_no_one.json"
+    path.write_text(dumps(doc))
+    real = rings.solve_congruence
+
+    def off_by_one(*args):
+        x = real(*args)
+        return [x[0] + 1] + x[1:]
+
+    monkeypatch.setattr(rings, "solve_congruence", off_by_one)
+    with pytest.raises(RuntimeError, match="does not fix generator"):
+        parse_instance(doc, validate=False)
+    for flags in (["--no-validate"], []):
+        assert main(["check", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: RuntimeError") and "Traceback" not in err
 
 
 def test_ill_defined_ring_without_validation_is_an_error(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from modcyclic.intlinalg import (
     xgcd,
 )
 
-from helpers import check_hnf, check_snf, det, matmul, random_matrix
+from helpers import check_hnf, check_snf, det, exact_hnf, matmul, random_matrix
 
 
 def test_xgcd():
@@ -75,7 +75,7 @@ def test_hnf_examples():
     for row in m.data:
         assert in_lattice(h, row)
     for row in h.data:
-        assert in_lattice(m, row)
+        assert in_lattice(exact_hnf(m).h, row)
 
     h, _ = check_hnf(IntMatrix.identity(3))
     assert h == IntMatrix.identity(3)
@@ -100,7 +100,7 @@ def test_hnf_modulus_matches_exact():
         m = IntMatrix.from_rows(rows, cols=c)
         big = d[-1]
         h = hnf(m, modulus=big).h
-        exact = hnf(m).h
+        exact = exact_hnf(m).h
         assert h.to_lists() == [row for row in exact.to_lists() if any(row)]
         for i, row in enumerate(h.data):
             assert big % row[i] == 0
@@ -115,7 +115,7 @@ def test_hnf_modulus_adds_the_multiples():
         big = rng.randint(1, 60)
         m = random_matrix(rng, r, c, -30, 30)
         with_multiples = IntMatrix(r + c, c, list(m.data) + IntMatrix.diagonal([big] * c).to_lists())
-        exact = hnf(with_multiples).h
+        exact = exact_hnf(with_multiples).h
         assert hnf(m, modulus=big).h == exact.take_rows(range(c))
         assert not any(any(row) for row in exact.data[c:])
     with pytest.raises(ValueError):
@@ -150,18 +150,17 @@ def test_snf_square_nonsingular_det_product():
 
 def test_solve_congruence_examples():
     a = IntMatrix.from_rows([[4]])
-    l = IntMatrix.from_rows([[12]])
-    x = solve_congruence(a, l, [8])
+    x = solve_congruence(a, [8], [12], 12)
     assert x is not None and (4 * x[0] - 8) % 12 == 0
 
-    assert solve_congruence(a, l, [0]) == [0]
+    assert solve_congruence(a, [0], [12], 12) == [0]
 
-    assert solve_congruence(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4]]), [1]) is None
+    assert solve_congruence(IntMatrix.from_rows([[2]]), [1], [4], 4) is None
 
 
 def test_solve_congruence_dimension_error():
     with pytest.raises(DimensionError):
-        solve_congruence(IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[3]]), [1, 2])
+        solve_congruence(IntMatrix.from_rows([[1, 2]]), [1, 2], [3], 3)
 
 
 def test_solve_congruence_vs_enumeration():
@@ -171,7 +170,6 @@ def test_solve_congruence_vs_enumeration():
         n = rng.randint(1, 3)
         diag = [rng.randint(1, 8) for _ in range(n)]
         a = random_matrix(rng, k, n, -6, 6)
-        l = IntMatrix.diagonal(diag)
         t = [rng.randint(-6, 6) for _ in range(n)]
         # x_i only matters modulo the order of row i in the codomain
         bounds = []
@@ -188,11 +186,13 @@ def test_solve_congruence_vs_enumeration():
             if all((img[j] - t[j]) % diag[j] == 0 for j in range(n)):
                 found = xs
                 break
-        got = solve_congruence(a, l, t)
-        assert (got is not None) == (found is not None)
-        if got is not None:
-            img = vec_mat(got, a)
-            assert all((img[j] - t[j]) % diag[j] == 0 for j in range(n))
+        # any multiple of the moduli serves as the common modulus
+        for big in (lcm(*diag), 6 * lcm(*diag)):
+            got = solve_congruence(a, t, diag, big)
+            assert (got is not None) == (found is not None)
+            if got is not None:
+                img = vec_mat(got, a)
+                assert all((img[j] - t[j]) % diag[j] == 0 for j in range(n))
 
 
 def no_rows(k):
@@ -289,8 +289,7 @@ def test_big_integer_exactness():
         check_snf(m)
         check_hnf(m)
     n = 10 ** 40
-    x = solve_congruence(IntMatrix.from_rows([[7]]), IntMatrix.from_rows([[n]]),
-                         [3 * 7 % n])
+    x = solve_congruence(IntMatrix.from_rows([[7]]), [3 * 7 % n], [n], n)
     assert x is not None and (7 * x[0] - 21) % n == 0
 
 

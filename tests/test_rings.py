@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
+from modcyclic import intlinalg
+from modcyclic.instances import (
+    ValidationFailure,
+    dumps,
+    gen_prod,
+    gen_randquot,
+    gen_trunc,
+    gen_zmod,
+    parse_instance,
+)
 from modcyclic.rings import (
     FiniteRing,
     NoIdentityError,
@@ -61,6 +70,76 @@ def test_find_identity_missing():
     bad_table = ((r.group.element((2,)).coords,),)
     with pytest.raises(NoIdentityError):
         find_identity(r.group, bad_table)
+
+
+def without_one(doc):
+    """The document as JSON text, with `ring.one` left out."""
+    del doc["ring"]["one"]
+    return dumps(doc)
+
+
+def field_chain(copies):
+    """F_2 x ... x F_2: idempotent generators, so no one equation of the
+    identity solve pins the identity down."""
+    doc = gen_zmod(2, [2])
+    for _ in range(copies - 1):
+        doc = gen_prod(doc, gen_zmod(2, [2]))
+    return doc
+
+
+@pytest.mark.parametrize("make", [lambda: gen_trunc(2, 64), lambda: field_chain(12)],
+                         ids=["trunc-2-64", "F2^12"])
+def test_identity_solve_work_is_linear_in_the_rank(make, monkeypatch):
+    # A bound on the work, not the time: no HNF is wider than 2r + 2
+    # columns, where eliminating the r^2 equations as they stand takes
+    # r^2 + r.
+    expected = parse_instance(make(), validate=False).ring
+    widths = []
+    real = intlinalg.hnf
+
+    def recording(m, *args, **kwargs):
+        widths.append(m.cols)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "hnf", recording)
+    ring = parse_instance(without_one(make()), validate=False).ring
+    r = ring.group.rank
+    assert widths and max(widths) <= 2 * r + 2, (r, max(widths))
+    assert ring.one.coords == expected.one.coords
+
+
+def left_identity_doc(p, r, m):
+    """(Z/p^m)^r with g_i * g_j = g_j and no `one`: every generator is a
+    left identity, and for r > 1 the table is not commutative."""
+    unit = [[1 if t == j else 0 for t in range(r)] for j in range(r)]
+    return {"ring": {"num_gens": r, "relations": [[p ** m * x for x in row] for row in unit],
+                     "mul": [unit] * r},
+            "module": {"num_gens": 1, "relations": [[1]], "action": [[[0]]] * r}}
+
+
+PAIR_01 = "commutativity violated at g0*g1: Element(0, 1) != Element(1, 0)"
+TRIPLE = [
+    "commutativity violated at g0*g1: Element(0, 1, 0) != Element(1, 0, 0)",
+    "commutativity violated at g0*g2: Element(0, 0, 1) != Element(1, 0, 0)",
+    "commutativity violated at g1*g2: Element(0, 0, 1) != Element(0, 1, 0)",
+]
+
+
+@pytest.mark.parametrize("case, diagnostics", [
+    ((2, 2, 1), [PAIR_01]),
+    ((3, 2, 2), [PAIR_01]),
+    ((2, 3, 2), TRIPLE),
+    ((5, 3, 1), TRIPLE),
+])
+def test_find_identity_on_a_noncommutative_table(case, diagnostics):
+    # Only a non-commutative table can have several left identities; the
+    # solve returns one of them, and validation reports the table.
+    ring = parse_instance(left_identity_doc(*case), validate=False).ring
+    for one in (ring.one, find_identity(ring.group, ring.mul_table)):
+        assert all(ring.mul(one, g) == g for g in ring.gens())
+    with pytest.raises(ValidationFailure) as exc:
+        parse_instance(left_identity_doc(*case))
+    assert [str(d) for d in exc.value.diagnostics] == diagnostics
 
 
 def test_ring_validate_ok():

@@ -11,11 +11,16 @@ in-process on it, and writes the exit code and the full report per file to
 one JSON file.  For every corpus and swell file it also records the
 `parse_instance` outcome of two seeded single-entry mutants of the file
 (see `mutant` and `MUTATED`): "ok", the list of validator diagnostics, or
-the error type and message.  `--src` names the source tree to import modcyclic from
-(default: this checkout's `src`), so the same workload files can be run
-against another checkout.  The second form lists every file whose exit
-code, report (verdict, generator, iterations, witness, trace), standard
-error or mutant outcomes differ, and exits 1 if any does.
+the error type and message.  For every file it also runs the same check on
+a copy with `ring.one` deleted, so that the identity is solved for, and
+records that outcome too.  Dropping `one` is a metamorphic relation: the
+outcome must equal the file's own, and the first form lists every file
+where it does not and then exits 1.  `--src` names the source tree to
+import modcyclic from (default: this checkout's `src`), so the same
+workload files can be run against another checkout.  The second form
+lists every file whose exit code, report (verdict, generator, iterations,
+witness, trace), standard error, mutant outcomes or drop-`one` outcome
+differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("corpus", "swell", "wide")
 MUTANTS = 2
+# What one check run records, and what dropping `ring.one` must not change.
+OUTCOME = ("exit", "report", "stderr")
 # The tables a mutant may change one entry of, as (section, key), per
 # workload.  Swell files keep their relations: one changed module relation
 # can hold the exact Smith form of `canonicalize` past ten seconds there.
@@ -70,13 +77,24 @@ def outcome(instances, doc: dict):
     return "ok"
 
 
+def check(cli, path: Path) -> dict:
+    """Exit code, parsed report (on a verdict) and standard error of one
+    in-process `check --format json --trace` run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["check", str(path), "--format", "json", "--trace"])
+    return {"exit": code,
+            "report": json.loads(stdout.getvalue()) if code in (0, 1) else None,
+            "stderr": stderr.getvalue()}
+
+
 def record(src: Path, seeds, out: Path) -> int:
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
     from modcyclic import cli, instances
 
-    files = {}
+    files, dropped = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         for seed in seeds:
@@ -85,15 +103,12 @@ def record(src: Path, seeds, out: Path) -> int:
                     key = f"{name}-{seed}-{i:04d}"
                     doc = workloads.build(spec, instances)
                     path.write_text(instances.dumps(doc), encoding="utf-8")
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        code = cli.main(["check", str(path), "--format", "json", "--trace"])
-                    text = stdout.getvalue()
-                    files[key] = {
-                        "exit": code,
-                        "report": json.loads(text) if code in (0, 1) else None,
-                        "stderr": stderr.getvalue(),
-                    }
+                    files[key] = check(cli, path)
+                    ring = {k: v for k, v in doc["ring"].items() if k != "one"}
+                    path.write_text(instances.dumps(dict(doc, ring=ring)), encoding="utf-8")
+                    files[key]["drop_one"] = check(cli, path)
+                    if files[key]["drop_one"] != {f: files[key][f] for f in OUTCOME}:
+                        dropped.append(key)
                     if name in MUTATED:
                         rng = random.Random(f"mutant:{key}")
                         files[key]["mutants"] = [
@@ -102,7 +117,9 @@ def record(src: Path, seeds, out: Path) -> int:
     out.write_text(json.dumps({"src": str(src), "seeds": list(seeds), "files": files},
                               indent=1) + "\n", encoding="utf-8")
     print(f"{len(files)} files recorded to {out}")
-    return 0
+    for key in dropped:
+        print(f"{key}: the outcome changes when ring.one is dropped")
+    return 1 if dropped else 0
 
 
 def compare(a: Path, b: Path) -> int:
@@ -115,7 +132,7 @@ def compare(a: Path, b: Path) -> int:
             differ.append(f"{key}: only in {a if y is None else b}")
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
-        fields = [f for f in ("exit", "stderr", "mutants") if x.get(f) != y.get(f)]
+        fields = [f for f in ("exit", "stderr", "mutants", "drop_one") if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
             differ.append(f"{key}: {', '.join(fields)}")
