@@ -8,7 +8,6 @@ from .abelian import (
     Subgroup,
     canonicalize,
     hom_kernel,
-    quotient,
     subgroup_join,
     subgroup_meet,
     subgroup_span,
@@ -42,7 +41,6 @@ from .rings import (
     find_identity,
     ideal_annihilator,
     ideal_meet_is_zero,
-    ideal_span,
     ring_validate,
 )
 

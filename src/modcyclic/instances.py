@@ -36,7 +36,14 @@ from operator import mod
 from .abelian import CanonicalGroup, NotFiniteError, canonicalize
 from .intlinalg import IntMatrix, bilinear, lincomb, vec_mat
 from .modules import FiniteModule, module_validate
-from .rings import Diagnostic, FiniteRing, NoIdentityError, find_identity, ring_validate
+from .rings import (
+    Diagnostic,
+    FiniteRing,
+    NoIdentityError,
+    _well_defined_diagnostics,
+    find_identity,
+    ring_validate,
+)
 
 FORMAT_NAME = "modcyclic-instance"
 FORMAT_VERSION = 1
@@ -263,8 +270,10 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
 
     Canonicalizes both groups, converts the tables to canonical
     coordinates, solves for the identity when the file omits it, and runs
-    the validators unless `validate` is False.  Raises InstanceFormatError,
-    NotFiniteError, or ValidationFailure.
+    the validators unless `validate` is False.  Either way the canonical
+    tables are well defined on return, as the driver requires: unvalidated
+    parsing still runs the validators' well-definedness check on them.
+    Raises InstanceFormatError, NotFiniteError, or ValidationFailure.
     """
     if isinstance(source, str):
         doc = loads(source)
@@ -316,6 +325,12 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
                for ra in r_reps]
     act_can = [[mg.reduce(bilinear(act_img, ra, mb, mg.rank)) for mb in m_reps]
                for ra in r_reps]
+    if not validate:
+        # The one check that always runs: the driver's kernels need
+        # well-defined generator tables.
+        dr, dm = rg.invariant_factors, mg.invariant_factors
+        diags.extend(_well_defined_diagnostics(mul_can, dr, dr, "g", "product"))
+        diags.extend(_well_defined_diagnostics(act_can, dr, dm, "m", "action product"))
 
     one_el = None
     if doc["ring"].get("one") is not None:

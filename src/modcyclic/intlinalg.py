@@ -72,9 +72,6 @@ class IntMatrix:
     def take_rows(self, idxs: Sequence[int]) -> "IntMatrix":
         return IntMatrix(len(idxs), self.cols, [self.data[i] for i in idxs])
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)

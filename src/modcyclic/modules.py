@@ -10,9 +10,6 @@ rows of canonical coordinates, and every product r*m is one of the
 
 from __future__ import annotations
 
-from math import gcd
-from operator import mod as remainder
-
 from .abelian import (
     CanonicalGroup,
     Element,
@@ -23,7 +20,7 @@ from .abelian import (
     subgroup_span,
 )
 from .intlinalg import bilinear, lincomb
-from .rings import Diagnostic, FiniteRing, _assoc_diagnostics
+from .rings import Diagnostic, FiniteRing, _assoc_diagnostics, _well_defined_diagnostics
 
 
 class FiniteModule:
@@ -70,18 +67,10 @@ class FiniteModule:
 
 def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
     """Check the module axioms on generators; collects all diagnostics."""
-    diags = []
-    dr = ring.group.invariant_factors
     dm = mod.group.invariant_factors
     table = mod.action_table
-    for i in range(ring.group.rank):
-        for j in range(mod.group.rank):
-            # killed by d_i and by d_j exactly when killed by their gcd
-            if any(map(remainder, map(gcd(dr[i], dm[j]).__mul__, table[i][j]), dm)):
-                diags.append(Diagnostic(
-                    "well-definedness", f"g{i}*m{j}",
-                    f"action product does not vanish under the generator orders "
-                    f"({dr[i]}, {dm[j]})"))
+    diags = _well_defined_diagnostics(table, ring.group.invariant_factors, dm, "m",
+                                      "action product")
     diags.extend(_assoc_diagnostics(ring, table, dm, "act"))
     for j, gen in enumerate(mod.group.gens()):
         if mod.act(ring.one, gen) != gen:

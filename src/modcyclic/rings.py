@@ -165,25 +165,29 @@ def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -
             for i, k in sorted(failed)]
 
 
+def _well_defined_diagnostics(table, row_orders, col_orders, col: str, what: str) -> list:
+    """Entry (i, j) of a generator table, a vector in the coordinates of
+    the column group, must vanish under gcd(d_i, d'_j), the orders of row
+    generator g_i and column generator j: it is killed by d_i and by d'_j
+    exactly when it is killed by their gcd.  Shared by the ring and module
+    validators and by unvalidated parsing."""
+    return [Diagnostic("well-definedness", f"g{i}*{col}{j}",
+                       f"{what} does not vanish under the generator orders ({di}, {dj})")
+            for i, di in enumerate(row_orders) for j, dj in enumerate(col_orders)
+            if any(map(mod, map(gcd(di, dj).__mul__, table[i][j]), col_orders))]
+
+
 def ring_validate(ring: FiniteRing) -> list:
     """Check every ring axiom on the generator table.
 
     Returns the complete list of diagnostics (empty means valid); never
     stops at the first failure.
     """
-    diags = []
     g = ring.group
     d = g.invariant_factors
     r = g.rank
     table = ring.mul_table
-    for i in range(r):
-        for j in range(r):
-            # killed by d_i and by d_j exactly when killed by their gcd
-            if any(map(mod, map(gcd(d[i], d[j]).__mul__, table[i][j]), d)):
-                diags.append(Diagnostic(
-                    "well-definedness", f"g{i}*g{j}",
-                    f"product does not vanish under the generator orders "
-                    f"({d[i]}, {d[j]})"))
+    diags = _well_defined_diagnostics(table, d, d, "g", "product")
     for i in range(r):
         for j in range(i + 1, r):
             if table[i][j] != table[j][i]:

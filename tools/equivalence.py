@@ -13,14 +13,15 @@ one JSON file.  For every corpus and swell file it also records the
 (see `mutant` and `MUTATED`): "ok", the list of validator diagnostics, or
 the error type and message.  For every file it also runs the same check on
 a copy with `ring.one` deleted, so that the identity is solved for, and
-records that outcome too.  Dropping `one` is a metamorphic relation: the
-outcome must equal the file's own, and the first form lists every file
-where it does not and then exits 1.  `--src` names the source tree to
+records that outcome too, and the same for `check --no-validate` on the
+file itself.  Dropping `one` and skipping validation on a valid file are
+metamorphic relations: each outcome must equal the file's own, and the
+first form lists every file where one does not and then exits 1.  `--src` names the source tree to
 import modcyclic from (default: this checkout's `src`), so the same
 workload files can be run against another checkout.  The second form
 lists every file whose exit code, report (verdict, generator, iterations,
-witness, trace), standard error, mutant outcomes or drop-`one` outcome
-differ, and exits 1 if any does.
+witness, trace), standard error, mutant outcomes, drop-`one` outcome or
+`--no-validate` outcome differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("corpus", "swell", "wide")
 MUTANTS = 2
-# What one check run records, and what dropping `ring.one` must not change.
+# What one check run records, and what dropping `ring.one` or skipping
+# validation must not change.
 OUTCOME = ("exit", "report", "stderr")
+# The metamorphic relations, as (recorded field, what the run changed).
+RELATIONS = (("drop_one", "ring.one is dropped"), ("no_validate", "validation is skipped"))
 # The tables a mutant may change one entry of, as (section, key), per
 # workload.  Swell files keep their relations: one changed module relation
 # can hold the exact Smith form of `canonicalize` past ten seconds there.
@@ -77,12 +81,12 @@ def outcome(instances, doc: dict):
     return "ok"
 
 
-def check(cli, path: Path) -> dict:
+def check(cli, path: Path, *flags: str) -> dict:
     """Exit code, parsed report (on a verdict) and standard error of one
-    in-process `check --format json --trace` run."""
+    in-process `check --format json --trace` run with the extra flags."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(["check", str(path), "--format", "json", "--trace"])
+        code = cli.main(["check", str(path), "--format", "json", "--trace", *flags])
     return {"exit": code,
             "report": json.loads(stdout.getvalue()) if code in (0, 1) else None,
             "stderr": stderr.getvalue()}
@@ -94,7 +98,7 @@ def record(src: Path, seeds, out: Path) -> int:
     import workloads
     from modcyclic import cli, instances
 
-    files, dropped = {}, []
+    files, broken = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         for seed in seeds:
@@ -104,11 +108,13 @@ def record(src: Path, seeds, out: Path) -> int:
                     doc = workloads.build(spec, instances)
                     path.write_text(instances.dumps(doc), encoding="utf-8")
                     files[key] = check(cli, path)
+                    files[key]["no_validate"] = check(cli, path, "--no-validate")
                     ring = {k: v for k, v in doc["ring"].items() if k != "one"}
                     path.write_text(instances.dumps(dict(doc, ring=ring)), encoding="utf-8")
                     files[key]["drop_one"] = check(cli, path)
-                    if files[key]["drop_one"] != {f: files[key][f] for f in OUTCOME}:
-                        dropped.append(key)
+                    own = {f: files[key][f] for f in OUTCOME}
+                    broken += [(key, what) for field, what in RELATIONS
+                               if files[key][field] != own]
                     if name in MUTATED:
                         rng = random.Random(f"mutant:{key}")
                         files[key]["mutants"] = [
@@ -117,9 +123,9 @@ def record(src: Path, seeds, out: Path) -> int:
     out.write_text(json.dumps({"src": str(src), "seeds": list(seeds), "files": files},
                               indent=1) + "\n", encoding="utf-8")
     print(f"{len(files)} files recorded to {out}")
-    for key in dropped:
-        print(f"{key}: the outcome changes when ring.one is dropped")
-    return 1 if dropped else 0
+    for key, what in broken:
+        print(f"{key}: the outcome changes when {what}")
+    return 1 if broken else 0
 
 
 def compare(a: Path, b: Path) -> int:
@@ -132,7 +138,8 @@ def compare(a: Path, b: Path) -> int:
             differ.append(f"{key}: only in {a if y is None else b}")
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
-        fields = [f for f in ("exit", "stderr", "mutants", "drop_one") if x.get(f) != y.get(f)]
+        fields = [f for f in ("exit", "stderr", "mutants", "drop_one", "no_validate")
+                  if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
             differ.append(f"{key}: {', '.join(fields)}")
