@@ -13,6 +13,7 @@ from modcyclic.abelian import (
     subgroup_meet,
     subgroup_span,
 )
+from modcyclic.instances import ValidationFailure, parse_instance
 from modcyclic.intlinalg import DimensionError, IntMatrix
 
 from helpers import (
@@ -211,19 +212,52 @@ def test_hom_kernel_examples():
     z8 = zn(8)
     ker = hom_kernel(zn(4), [[z8.element((1,))]], subgroup_span(z8, [z8.element((4,))]))
     assert ker.order() == 1
-    # Z/2 -> (Z/8 / <4>)^2: 1 -> (2, 2) is injective, 1 -> (4, 4) is zero
-    z2, target = zn(2), subgroup_span(z8, [z8.element((4,))])
-    two = [z8.element((2,))]
-    assert hom_kernel(z2, [two, two], target).order() == 1
-    assert hom_kernel(z2, [[z8.element((4,))]] * 2, target).order() == 2
-    with pytest.raises(DimensionError):
-        hom_kernel(z2, [two, two + two], target)
 
     # no blocks: the map into a product of no copies kills everything
     g = group_from_relations([[2, 0], [0, 6]], 2)
     for target in (subgroup_span(zn(5), []), subgroup_span(g, g.gens()[:1])):
         assert hom_kernel(g, [], target) == subgroup_span(g, g.gens())
     assert hom_kernel(zn(1), [], subgroup_span(zn(4), [])).order() == 1
+
+
+def over_z2(module_relations, action):
+    """An instance over R = Z/2 whose action table g0*m_j is the map
+    1 -> image of m_j that `hom_kernel` is handed for Ann_R(M)."""
+    return {"format": "modcyclic-instance", "version": 1,
+            "ring": {"num_gens": 1, "relations": [[2]], "mul": [[[1]]], "one": [1]},
+            "module": {"num_gens": len(module_relations[0]),
+                       "relations": module_relations, "action": action}}
+
+
+def test_hom_kernel_rejects_ill_defined():
+    # hom_kernel requires a well-defined map; the tables that would hand it
+    # an ill-defined one are rejected once, by the parse, validated or not.
+    def diagnostics(relations, action):
+        try:
+            parse_instance(over_z2(relations, action), validate=False)
+        except ValidationFailure as exc:
+            return [(d.axiom, d.where) for d in exc.diagnostics]
+        return []
+
+    ill = [("well-definedness", "g0*m0")]
+    # Z/2 -> Z/3, 1 -> 1
+    assert diagnostics([[3]], [[[1]]]) == ill
+    # Z/2 -> Z/8 / <4>, 1 -> 1: 2*1 = 2 lies outside <4>
+    assert diagnostics([[8], [4]], [[[1]]]) == ill
+    # every block is checked: 1 -> 2 is well defined (2*2 = 4), 1 -> 1 is not
+    sq = [[8, 0], [0, 8], [4, 0], [0, 4]]
+    assert diagnostics(sq, [[[2, 0], [0, 2]]]) == []
+    assert diagnostics(sq, [[[2, 0], [0, 1]]]) == [("well-definedness", "g0*m1")]
+    assert diagnostics(sq, [[[1, 0], [0, 2]]]) == ill
+    # the well-defined maps: Z/2 -> (Z/8 / <4>)^2, 1 -> (2, 2) is injective,
+    # 1 -> (4, 4) is zero
+    g2, z8 = zn(2), zn(8)
+    target = subgroup_span(z8, [z8.element((4,))])
+    good = [z8.element((2,))]
+    assert hom_kernel(g2, [good, good], target).order() == 1
+    assert hom_kernel(g2, [[z8.element((4,))]] * 2, target).order() == 2
+    with pytest.raises(DimensionError):
+        hom_kernel(g2, [good, good + good], target)
 
 
 def test_hom_kernel_first_isomorphism():
