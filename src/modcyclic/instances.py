@@ -31,10 +31,11 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from operator import mod
+from itertools import chain
+from operator import itemgetter, mod
 
 from .abelian import CanonicalGroup, NotFiniteError, canonicalize
-from .intlinalg import IntMatrix, bilinear, lincomb, vec_mat
+from .intlinalg import IntMatrix, lincomb
 from .modules import FiniteModule, module_validate
 from .rings import (
     Diagnostic,
@@ -110,20 +111,42 @@ def _as_int(value, path: str) -> int:
     raise InstanceFormatError(f"{path}: expected an integer, got {type(value).__name__}")
 
 
+# bytes.translate table: ASCII digit -> its value, for one-digit entries
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _decoded(entries: list):
+    """The values of a flat list of entries in one C-level pass, as a new
+    list, or None when some entry needs the per-entry path.  The common
+    spelling, ASCII digits only, is read by one join; one-digit entries
+    through bytes.translate.  join() refuses a non-str entry, and int() an
+    empty one or one past its digit limit.  Entries that are already ints
+    (a document decoded before) are taken as they are."""
+    if entries and type(entries[0]) is int:
+        return list(entries) if set(map(type, entries)) == {int} else None
+    try:
+        digits = "".join(entries)
+    except TypeError:
+        return None
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    if len(digits) == len(entries) and "" not in entries:  # every entry one digit
+        return list(digits.encode().translate(_DIGIT_VALUES))
+    try:
+        return list(map(int, entries))
+    except ValueError:
+        return None
+
+
 def _as_vector(value, length: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != length:
         raise InstanceFormatError(f"{path}: expected a vector of length {length}")
-    # The common spelling, ASCII digits only, decodes in one C-level pass.
-    # join() refuses a non-str entry, and int() an empty one or one past its
-    # digit limit; those and every other spelling take the per-entry path,
-    # the only one that builds each entry's path for its error message.
-    try:
-        digits = "".join(value)
-        if digits.isdigit() and digits.isascii():
-            return list(map(int, value))
-    except (TypeError, ValueError):
-        pass
-    return [_as_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    # Every spelling the C-level pass leaves takes the per-entry path, the
+    # only one that builds each entry's path for its error message.
+    out = _decoded(value)
+    if out is None:
+        out = [_as_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return out
 
 
 def _as_table(value, rows: int, cols: int, veclen: int, path: str) -> list:
@@ -133,7 +156,15 @@ def _as_table(value, rows: int, cols: int, veclen: int, path: str) -> list:
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise InstanceFormatError(f"{path}[{i}]: expected {cols} entries")
-        out.append([_as_vector(v, veclen, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+        # A row of `cols` vectors of `veclen` entries decodes in one pass;
+        # any other row vector by vector, for the error messages.
+        flat = None
+        if set(map(type, row)) == {list} and set(map(len, row)) == {veclen}:
+            flat = _decoded(list(chain.from_iterable(row)))
+        if flat is None:
+            out.append([_as_vector(v, veclen, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+        else:
+            out.append([flat[t:t + veclen] for t in range(0, len(flat), veclen)])
     return out
 
 
@@ -191,77 +222,156 @@ def load(path) -> dict:
         return loads(fh.read())
 
 
+def _json_list(items, level: int) -> str:
+    """Already written JSON values as a list, the way json.dumps(indent=2)
+    writes one at nesting depth `level`."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _json_vector(vec, level: int) -> str:
+    """An integer vector as a list of decimal strings: one C-level map
+    and one join, with quotes and indent in the separator."""
+    if not vec:
+        return "[]"
+    try:
+        entries = list(map(str, map(int, vec)))
+    except ValueError:  # past str()'s digit limit
+        entries = [int_to_str(int(x)) for x in vec]
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + '"' + ('",' + pad + '"').join(entries) + '"\n' + "  " * level + "]"
+
+
 def dumps(doc: dict) -> str:
     """Canonical serialization: fixed key order, integers as decimal
     strings, two-space indent, trailing newline.  Deterministic, so equal
-    documents are byte-identical."""
-    def s(x):
-        return int_to_str(int(x))
+    documents are byte-identical.  The text is exactly what
+    json.dumps(indent=2) writes for the same document, built by joins
+    rather than by the standard library's pure-Python indenting encoder."""
+    def vectors(rows, level):
+        return _json_list([_json_vector(v, level + 1) for v in rows], level)
+
+    def obj(items, level):
+        pad = "\n" + "  " * (level + 1)
+        return ("{" + pad + ("," + pad).join(f'"{key}": {value}' for key, value in items)
+                + "\n" + "  " * level + "}")
 
     ring = doc["ring"]
     module = doc["module"]
-    out = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "ring": {
-            "num_gens": ring["num_gens"],
-            "relations": [[s(x) for x in row] for row in ring["relations"]],
-            "mul": [[[s(x) for x in vec] for vec in row] for row in ring["mul"]],
-        },
-        "module": {
-            "num_gens": module["num_gens"],
-            "relations": [[s(x) for x in row] for row in module["relations"]],
-            "action": [[[s(x) for x in vec] for vec in row] for row in module["action"]],
-        },
-    }
+    ring_items = [("num_gens", json.dumps(ring["num_gens"])),
+                  ("relations", vectors(ring["relations"], 2)),
+                  ("mul", _json_list([vectors(row, 3) for row in ring["mul"]], 2))]
     if "one" in ring and ring["one"] is not None:
-        out["ring"]["one"] = [s(x) for x in ring["one"]]
-    return json.dumps(out, indent=2) + "\n"
+        ring_items.append(("one", _json_vector(ring["one"], 2)))
+    module_items = [("num_gens", json.dumps(module["num_gens"])),
+                    ("relations", vectors(module["relations"], 2)),
+                    ("action", _json_list([vectors(row, 3) for row in module["action"]], 2))]
+    return obj([("format", json.dumps(FORMAT_NAME)), ("version", json.dumps(FORMAT_VERSION)),
+                ("ring", obj(ring_items, 1)), ("module", obj(module_items, 1))], 0) + "\n"
 
 
 # -- parsing into canonical objects ------------------------------------------
+#
+# A table of rows x cols vectors is held as its flat rows: row i is
+# T[i][0], ..., T[i][cols-1] concatenated.  Each pass is one `lincomb` per
+# table row, relation or generator over whole flat rows, never one per
+# table vector.  A pass that needs the table's columns builds the
+# transposed view (row j is T[0][j], ..., T[rows-1][j] concatenated) and
+# drops it when it ends.
 
-def _descent_diagnostics(doc: dict, mul_img, act_img, rg: CanonicalGroup,
-                         mg: CanonicalGroup) -> list:
+def _transposed(rows, cols: int, width: int) -> list:
+    """The transposed view of flat rows of `cols` vectors of `width`."""
+    return [list(chain.from_iterable(map(itemgetter(slice(j * width, (j + 1) * width)), rows)))
+            for j in range(cols)]
+
+
+def _to_canonical(section: dict, key: str, cols: int, group: CanonicalGroup):
+    """Replace the user table `section[key]` by its flat rows in canonical
+    coordinates, unreduced: one `lincomb` per canonical coordinate over
+    the columns of the table's vectors."""
+    table = section.pop(key)
+    rows, k, r = len(table), group.num_user_gens, group.rank
+    entries = list(chain.from_iterable(chain.from_iterable(table)))
+    del table
+    count = len(entries) // k if k else 0
+    columns = [entries[s::k] for s in range(k)]
+    del entries
+    out = [0] * (count * r)
+    for t, coeffs in enumerate(zip(*group.to_can.data)):
+        out[t::r] = lincomb(coeffs, columns, count)
+    del columns
+    width = cols * r
+    section[key] = [out[i * width:(i + 1) * width] for i in range(rows)]
+
+
+def _canonical_table(rows, cols: int, row_reps, col_reps, group: CanonicalGroup) -> list:
+    """The generator table [[T(a, b) for b] for a] of a table held as flat
+    rows in canonical coordinates, T(a, b) the product of the canonical
+    generators a and b, given in user coordinates by `row_reps` and
+    `col_reps`: one `lincomb` per row generator over the rows, then one per
+    column generator over the transposed partial products, then reduced.
+    The caller hands `rows` over, so that they are freed once read."""
+    c = group.rank
+    partial = [lincomb(ra, rows, cols * c) for ra in row_reps]
+    del rows
+    partial_t = _transposed(partial, cols, c)
+    del partial
+    moduli = group.invariant_factors * len(row_reps)
+    by_col = [tuple(map(mod, lincomb(cb, partial_t, len(moduli)), moduli)) for cb in col_reps]
+    del partial_t
+    return [[col[a * c:(a + 1) * c] for col in by_col] for a in range(len(row_reps))]
+
+
+def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> list:
     """User-level well-definedness: every stated relation must be killed by
     the bilinear tables, otherwise the table does not descend to the
-    presented groups.  `mul_img` and `act_img` are the tables' vectors in
-    canonical coordinates, unreduced; a relation combination of them is the
-    image of the same combination of the user vectors, since the change of
-    coordinates is linear."""
-    diags = []
-    k = doc["ring"]["num_gens"]
-    m = doc["module"]["num_gens"]
-    dr, dm = rg.invariant_factors, mg.invariant_factors
+    presented groups.  `ring.mul` and `module.action` are the tables' flat
+    rows in canonical coordinates, unreduced; a relation combination of
+    them is the image of the same combination of the user vectors, since
+    the change of coordinates is linear.
 
-    def killed(vec, factors):
-        return not any(map(mod, vec, factors))
+    One `lincomb` per relation and side covers every generator, and only a
+    relation that is not killed is split per generator, for its
+    diagnostics.  A relation is first reduced modulo the exponent of the
+    target group, which changes no combination modulo the target's orders:
+    one that vanishes there is killed outright, and a transposed view is
+    built only for a relation that does not."""
+    k, m = doc["ring"]["num_gens"], doc["module"]["num_gens"]
+    mul_rows, act_rows = doc["ring"]["mul"], doc["module"]["action"]
 
-    mul_cols = [[row[j] for row in mul_img] for j in range(k)]
-    act_cols = [[row[j] for row in act_img] for j in range(m)]
-    for ridx, rho in enumerate(doc["ring"]["relations"]):
-        for j in range(k):
-            left = lincomb(rho, mul_cols[j], rg.rank)
-            right = lincomb(rho, mul_img[j], rg.rank)
-            if not killed(left, dr) or not killed(right, dr):
-                diags.append(Diagnostic(
-                    "well-definedness", f"ring relation {ridx} x g{j}",
-                    "multiplication does not kill a stated ring relation"))
-    # ring relations must also die under the module action
-    for ridx, rho in enumerate(doc["ring"]["relations"]):
-        for j in range(m):
-            if not killed(lincomb(rho, act_cols[j], mg.rank), dm):
-                diags.append(Diagnostic(
-                    "well-definedness", f"ring relation {ridx} x m{j}",
-                    "module action does not kill a stated ring relation"))
-    # module relations must die under every ring generator
-    for sidx, sigma in enumerate(doc["module"]["relations"]):
-        for i in range(k):
-            if not killed(lincomb(sigma, act_img[i], mg.rank), dm):
-                diags.append(Diagnostic(
-                    "well-definedness", f"g{i} x module relation {sidx}",
-                    "module action does not kill a stated module relation"))
-    return diags
+    def unkilled(rels, group, sides, blocks, where, what):
+        """Diagnostics for the relations some side's combination does not
+        kill at block j; `sides` make the flat rows, on first need."""
+        e, factors, size = group.exponent, group.invariant_factors, group.rank
+        diags, views = [], None
+        for idx, rel in enumerate(rels):
+            coeffs = [c % e for c in rel]
+            if not any(coeffs):
+                continue
+            views = views or [side() for side in sides]
+            vecs = [lincomb(coeffs, rows, blocks * size) for rows in views]
+            if any(any(map(mod, vec, factors * blocks)) for vec in vecs):
+                diags.extend(Diagnostic("well-definedness", where(idx, j), what)
+                             for j in range(blocks)
+                             if any(any(map(mod, vec[j * size:(j + 1) * size], factors))
+                                    for vec in vecs))
+        return diags
+
+    # rho x g_j from the flat rows and g_j x rho from the transposed view,
+    # rho x m_j, and g_i x sigma, each for every generator at once
+    return (unkilled(doc["ring"]["relations"], rg,
+                     [lambda: mul_rows, lambda: _transposed(mul_rows, k, rg.rank)], k,
+                     lambda idx, j: f"ring relation {idx} x g{j}",
+                     "multiplication does not kill a stated ring relation")
+            + unkilled(doc["ring"]["relations"], mg, [lambda: act_rows], m,
+                       lambda idx, j: f"ring relation {idx} x m{j}",
+                       "module action does not kill a stated ring relation")
+            + unkilled(doc["module"]["relations"], mg,
+                       [lambda: _transposed(act_rows, m, mg.rank)], k,
+                       lambda idx, i: f"g{i} x module relation {idx}",
+                       "module action does not kill a stated module relation"))
 
 
 def parse_instance(source, validate: bool = True) -> ParsedInstance:
@@ -306,25 +416,21 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
             continue
         break
 
-    # Every table vector in canonical coordinates, unreduced, once.  The
-    # user vectors are not read again: each is replaced by its image in
-    # place, so the tables are held once, not twice.
-    mul_img, act_img = doc["ring"].pop("mul"), doc["module"].pop("action")
-    for table, group in ((mul_img, rg), (act_img, mg)):
-        for row in table:
-            row[:] = [vec_mat(vec, group.to_can) for vec in row]
+    # Both tables as flat rows in canonical coordinates, unreduced, once,
+    # in place of the user tables; each is popped when its generator table
+    # is built, and dropped.
+    m = doc["module"]["num_gens"]
+    _to_canonical(doc["ring"], "mul", k, rg)
+    _to_canonical(doc["module"], "action", m, mg)
 
     diags = []
     if validate:
-        diags.extend(_descent_diagnostics(doc, mul_img, act_img, rg, mg))
+        diags.extend(_descent_diagnostics(doc, rg, mg))
 
     # canonical generator representatives in user coordinates
     r_reps, m_reps = rg.from_can.data, mg.from_can.data
-
-    mul_can = [[rg.reduce(bilinear(mul_img, ra, rb, rg.rank)) for rb in r_reps]
-               for ra in r_reps]
-    act_can = [[mg.reduce(bilinear(act_img, ra, mb, mg.rank)) for mb in m_reps]
-               for ra in r_reps]
+    mul_can = _canonical_table(doc["ring"].pop("mul"), k, r_reps, r_reps, rg)
+    act_can = _canonical_table(doc["module"].pop("action"), m, r_reps, m_reps, mg)
     if not validate:
         # The one check that always runs: the driver's kernels need
         # well-defined generator tables.

@@ -10,6 +10,8 @@ rows of canonical coordinates, and every product r*m is one of the
 
 from __future__ import annotations
 
+from operator import mod
+
 from .abelian import (
     CanonicalGroup,
     Element,
@@ -20,7 +22,13 @@ from .abelian import (
     subgroup_span,
 )
 from .intlinalg import bilinear, lincomb
-from .rings import Diagnostic, FiniteRing, _assoc_diagnostics, _well_defined_diagnostics
+from .rings import (
+    FiniteRing,
+    _assoc_diagnostics,
+    _flat_products,
+    _identity_diagnostics,
+    _well_defined_diagnostics,
+)
 
 
 class FiniteModule:
@@ -72,24 +80,36 @@ def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
     diags = _well_defined_diagnostics(table, ring.group.invariant_factors, dm, "m",
                                       "action product")
     diags.extend(_assoc_diagnostics(ring, table, dm, "act"))
-    for j, gen in enumerate(mod.group.gens()):
-        if mod.act(ring.one, gen) != gen:
-            diags.append(Diagnostic(
-                "identity", f"1*m{j}",
-                f"ring identity does not fix module generator {j}"))
+    diags.extend(_identity_diagnostics(
+        ring.one, table, dm, "m",
+        lambda j: f"ring identity does not fix module generator {j}"))
     return diags
+
+
+def _generator_products(module: FiniteModule, u: Element) -> list:
+    """u*m_j for every generator m_j of M, as reduced coordinates, from one
+    row of products."""
+    g = module.group
+    n = g.rank
+    flat = tuple(map(mod, _flat_products(u.coords, module.action_table, n * n),
+                     g.invariant_factors * n))
+    return [flat[j * n:(j + 1) * n] for j in range(n)]
 
 
 def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
     """Generators of the submodule i*N: of the products u*z, u over the basis
     elements of the ideal i and z over the generators n of N, in that order,
     those outside the span of the ones kept before them.  They span a strict
-    subgroup chain in M, so there are at most log2|M| of them."""
+    subgroup chain in M, so there are at most log2|M| of them.  Each u*z
+    combines the products of u with the generators of M, as
+    `scalar_extension` takes them."""
     kept = []
-    span = subgroup_span(module.group, [])
+    g = module.group
+    span = subgroup_span(g, [])
     for u in i.basis_elements():
+        products = _generator_products(module, u)
         for z in n:
-            p = module.act(u, z)
+            p = g.element(lincomb(z.coords, products, g.rank))
             if not span.contains(p):
                 kept.append(p)
                 span = subgroup_join(span, [p])
@@ -101,10 +121,11 @@ def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
 def scalar_extension(module: FiniteModule, i_a: Subgroup) -> Subgroup:
     """Base change of M along R -> R/I_A, as the lattice I_A*M that
     M_A = M/(I_A M) is read from: one span of all products u*m, u in the
-    basis of I_A, m a generator of M.  The quotient group is never built."""
-    gens = module.group.gens()
-    return subgroup_span(module.group, {module.act(u, m) for u in i_a.basis_elements()
-                                        for m in gens})
+    basis of I_A, m a generator of M, each u's products from one `lincomb`.
+    The quotient group is never built."""
+    g = module.group
+    products = {p for u in i_a.basis_elements() for p in _generator_products(module, u)}
+    return subgroup_span(g, [Element(g, p) for p in products])
 
 
 def ann_element(module: FiniteModule, images, iam: Subgroup) -> Subgroup:

@@ -13,8 +13,9 @@ a single assignment of that subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from math import gcd
-from operator import lshift, mod, sub
+from operator import lshift, mod, mul, sub
 
 from .abelian import (
     CanonicalGroup,
@@ -150,16 +151,25 @@ def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -
     # slot width: no unreduced sum on either side reaches 2^w
     w = (max(r * ring.group.exponent, n * e_t) * e_t).bit_length() + 1
     shifts = range(0, w * n, w)
-    ops = [[sum(map(lshift, vec, shifts)) for vec in row] for row in act_table]
+    # Tables repeat their vectors, a commutative one at least in pairs, and
+    # each quantity below depends on one table vector: it is computed once
+    # per distinct vector.
+    vectors = set(chain.from_iterable(act_table))
+    packed = {vec: sum(map(lshift, vec, shifts)) for vec in vectors}
+    ops = [list(map(packed.__getitem__, row)) for row in act_table]
     op_cols = list(zip(*ops))  # op_cols[t][i]: g_i acting on generator t, packed
+    # rhs_of[v][i] = g_i * v and lhs_of[v][j] = v * x_j, packed
+    rhs_of = {vec: lincomb(vec, op_cols, r) for vec in vectors}
+    lhs_of = {vec: tuple(lincomb(vec, ops, n))
+              for vec in set(chain.from_iterable(ring.mul_table))}
     failed = []
-    for k in range(r):
-        # row j of L_k L_i for every i at once: sum_t act_table[k][j]_t * ops[i][t]
-        rhs = list(zip(*[lincomb(vec, op_cols, r) for vec in act_table[k]]))
-        for i in range(r):
-            lhs = tuple(lincomb(ring.mul_table[i][k], ops, n))
-            if lhs != rhs[i] and _rows_differ(lhs, rhs[i], w, act_factors):
-                failed.append((i, k))
+    for k, mul_col in enumerate(zip(*ring.mul_table)):
+        # row i: g_i (g_k x_j) and (g_i g_k) x_j over every j, packed
+        rhs = list(zip(*map(rhs_of.__getitem__, act_table[k])))
+        lhs = list(map(lhs_of.__getitem__, mul_col))
+        if lhs != rhs:
+            failed.extend((i, k) for i in range(r)
+                          if lhs[i] != rhs[i] and _rows_differ(lhs[i], rhs[i], w, act_factors))
     return [Diagnostic("associativity", f"{label}(g{i}, g{k}, *)",
                        "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator")
             for i, k in sorted(failed)]
@@ -169,12 +179,50 @@ def _well_defined_diagnostics(table, row_orders, col_orders, col: str, what: str
     """Entry (i, j) of a generator table, a vector in the coordinates of
     the column group, must vanish under gcd(d_i, d'_j), the orders of row
     generator g_i and column generator j: it is killed by d_i and by d'_j
-    exactly when it is killed by their gcd.  Shared by the ring and module
-    validators and by unvalidated parsing."""
-    return [Diagnostic("well-definedness", f"g{i}*{col}{j}",
-                       f"{what} does not vanish under the generator orders ({di}, {dj})")
-            for i, di in enumerate(row_orders) for j, dj in enumerate(col_orders)
-            if any(map(mod, map(gcd(di, dj).__mul__, table[i][j]), col_orders))]
+    exactly when it is killed by their gcd.  One C-level pass per table
+    row, with the gcds repeated per coordinate; entries are located only
+    in a row that fails.  A row whose gcds all vanish modulo the
+    coordinates' orders, as when every invariant factor is the same, is
+    well defined whatever its entries and is not read.  Shared by the ring
+    and module validators and by unvalidated parsing."""
+    n = len(col_orders)
+    moduli = col_orders * n
+    multipliers = {}  # by d_i: gcd(d_i, d'_j) once per coordinate of entry j, or None
+    diags = []
+    for i, (di, row) in enumerate(zip(row_orders, table)):
+        if di not in multipliers:
+            mults = list(chain.from_iterable(
+                map(repeat, map(gcd, repeat(di), col_orders), repeat(n))))
+            multipliers[di] = mults if any(map(mod, mults, moduli)) else None
+        mults = multipliers[di]
+        if mults and any(map(mod, map(mul, chain.from_iterable(row), mults), moduli)):
+            diags.extend(
+                Diagnostic("well-definedness", f"g{i}*{col}{j}",
+                           f"{what} does not vanish under the generator orders ({di}, {dj})")
+                for j, dj in enumerate(col_orders)
+                if any(map(mod, map(gcd(di, dj).__mul__, row[j]), col_orders)))
+    return diags
+
+
+def _flat_products(coeffs, table, width: int) -> list:
+    """sum_i coeffs_i * (row i of a generator table, its vectors
+    concatenated): an element's products with every column generator at
+    once, unreduced, as one `lincomb` over the rows it does not skip."""
+    return lincomb(list(filter(None, coeffs)),
+                   [list(chain.from_iterable(row)) for row in compress(table, coeffs)], width)
+
+
+def _identity_diagnostics(one: Element, table, factors, label: str, detail) -> list:
+    """one * x_j = x_j for every generator x_j of the target of a generator
+    table, from one row of products."""
+    n = len(factors)
+    got = list(map(mod, _flat_products(one.coords, table, n * n), factors * n))
+    unit = [0] * (n * n)
+    unit[::n + 1] = [1] * n
+    if got == unit:
+        return []
+    return [Diagnostic("identity", f"1*{label}{j}", detail(j))
+            for j in range(n) if got[j * n:(j + 1) * n] != unit[j * n:(j + 1) * n]]
 
 
 def ring_validate(ring: FiniteRing) -> list:
@@ -195,11 +243,9 @@ def ring_validate(ring: FiniteRing) -> list:
                     "commutativity", f"g{i}*g{j}",
                     f"Element{table[i][j]} != Element{table[j][i]}"))
     diags.extend(_assoc_diagnostics(ring, table, d, "mul"))
-    for i, gen in enumerate(g.gens()):
-        if ring.mul(ring.one, gen) != gen:
-            diags.append(Diagnostic(
-                "identity", f"1*g{i}",
-                f"identity candidate {ring.one!r} does not fix generator {i}"))
+    diags.extend(_identity_diagnostics(
+        ring.one, table, d, "g",
+        lambda i: f"identity candidate {ring.one!r} does not fix generator {i}"))
     return diags
 
 

@@ -2,15 +2,29 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 group orders come from coset BFS over HNF-reduced representatives, subgroup
-and span questions from additive closure over coordinate tuples.
+and span questions from additive closure over coordinate tuples, and the
+instance parser's whole-row passes from a parse one table vector at a time.
 """
 
+import json
 from itertools import product
 from math import gcd, lcm
 
-from modcyclic.abelian import subgroup_span
+from modcyclic import instances
+from modcyclic.abelian import NotFiniteError, canonicalize, subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, lincomb, snf, xgcd
+from modcyclic.intlinalg import (
+    DimensionError,
+    Hnf,
+    IntMatrix,
+    bilinear,
+    lincomb,
+    snf,
+    vec_mat,
+    xgcd,
+)
+from modcyclic.modules import FiniteModule
+from modcyclic.rings import Diagnostic, FiniteRing, NoIdentityError, find_identity
 
 
 def matmul(a, b):
@@ -340,3 +354,234 @@ def build(spec):
         return gen_prod(build(spec["left"]), build(spec["right"]))
     return gen_randquot(spec["n"], spec["seed"], max_deg=spec["max_deg"],
                         summands=spec["summands"])
+
+
+# -- the per-vector parse: reference for the whole-row passes ---------------
+#
+# The instance parser decodes, converts, checks and contracts whole table
+# rows at a time.  What follows computes the same results one table vector
+# (or one table entry) at a time, the way the parser did before; the tests
+# require both to agree exactly, in their tables and in their diagnostics
+# and their order.
+
+def reference_dumps(doc):
+    """`instances.dumps` through the standard library's indenting encoder."""
+    def s(x):
+        return instances.int_to_str(int(x))
+
+    ring, module = doc["ring"], doc["module"]
+    out = {
+        "format": instances.FORMAT_NAME,
+        "version": instances.FORMAT_VERSION,
+        "ring": {
+            "num_gens": ring["num_gens"],
+            "relations": [[s(x) for x in row] for row in ring["relations"]],
+            "mul": [[[s(x) for x in vec] for vec in row] for row in ring["mul"]],
+        },
+        "module": {
+            "num_gens": module["num_gens"],
+            "relations": [[s(x) for x in row] for row in module["relations"]],
+            "action": [[[s(x) for x in vec] for vec in row] for row in module["action"]],
+        },
+    }
+    if "one" in ring and ring["one"] is not None:
+        out["ring"]["one"] = [s(x) for x in ring["one"]]
+    return json.dumps(out, indent=2) + "\n"
+
+
+def _reference_vector(value, length, path):
+    if not isinstance(value, list) or len(value) != length:
+        raise instances.InstanceFormatError(f"{path}: expected a vector of length {length}")
+    return [instances._as_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _reference_table(value, rows, cols, veclen, path):
+    if not isinstance(value, list) or len(value) != rows:
+        raise instances.InstanceFormatError(f"{path}: expected {rows} rows")
+    out = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise instances.InstanceFormatError(f"{path}[{i}]: expected {cols} entries")
+        out.append([_reference_vector(v, veclen, f"{path}[{i}][{j}]")
+                    for j, v in enumerate(row)])
+    return out
+
+
+def reference_decode(obj):
+    """`instances.decode_document`, one vector and one entry at a time."""
+    error = instances.InstanceFormatError
+    if not isinstance(obj, dict):
+        raise error("top level must be an object")
+    for key in ("ring", "module"):
+        if key not in obj or not isinstance(obj[key], dict):
+            raise error(f"missing section: {key}")
+    rsec, msec = obj["ring"], obj["module"]
+    k = instances._as_int(rsec.get("num_gens"), "ring.num_gens")
+    if k < 0:
+        raise error("ring.num_gens must be nonnegative")
+    if not isinstance(rsec.get("relations"), list):
+        raise error("ring.relations must be a list of rows")
+    rrel = [_reference_vector(row, k, f"ring.relations[{i}]")
+            for i, row in enumerate(rsec["relations"])]
+    rmul = _reference_table(rsec.get("mul"), k, k, k, "ring.mul")
+    one = None
+    if rsec.get("one") is not None:
+        one = _reference_vector(rsec["one"], k, "ring.one")
+    m = instances._as_int(msec.get("num_gens"), "module.num_gens")
+    if m < 0:
+        raise error("module.num_gens must be nonnegative")
+    if not isinstance(msec.get("relations"), list):
+        raise error("module.relations must be a list of rows")
+    mrel = [_reference_vector(row, m, f"module.relations[{i}]")
+            for i, row in enumerate(msec["relations"])]
+    action = _reference_table(msec.get("action"), k, m, m, "module.action")
+    doc = {"ring": {"num_gens": k, "relations": rrel, "mul": rmul},
+           "module": {"num_gens": m, "relations": mrel, "action": action}}
+    if one is not None:
+        doc["ring"]["one"] = one
+    return doc
+
+
+def _killed(vec, factors):
+    return all(x % d == 0 for x, d in zip(vec, factors))
+
+
+def _reference_descent(doc, mul_img, act_img, rg, mg):
+    diags = []
+    k, m = doc["ring"]["num_gens"], doc["module"]["num_gens"]
+    dr, dm = rg.invariant_factors, mg.invariant_factors
+    for ridx, rho in enumerate(doc["ring"]["relations"]):
+        for j in range(k):
+            left = lincomb(rho, [mul_img[i][j] for i in range(k)], rg.rank)
+            right = lincomb(rho, mul_img[j], rg.rank)
+            if not _killed(left, dr) or not _killed(right, dr):
+                diags.append(Diagnostic("well-definedness", f"ring relation {ridx} x g{j}",
+                                        "multiplication does not kill a stated ring relation"))
+    for ridx, rho in enumerate(doc["ring"]["relations"]):
+        for j in range(m):
+            if not _killed(lincomb(rho, [act_img[i][j] for i in range(k)], mg.rank), dm):
+                diags.append(Diagnostic("well-definedness", f"ring relation {ridx} x m{j}",
+                                        "module action does not kill a stated ring relation"))
+    for sidx, sigma in enumerate(doc["module"]["relations"]):
+        for i in range(k):
+            if not _killed(lincomb(sigma, act_img[i], mg.rank), dm):
+                diags.append(Diagnostic("well-definedness", f"g{i} x module relation {sidx}",
+                                        "module action does not kill a stated module relation"))
+    return diags
+
+
+def _reference_well_defined(table, row_orders, col_orders, col, what):
+    return [Diagnostic("well-definedness", f"g{i}*{col}{j}",
+                       f"{what} does not vanish under the generator orders ({di}, {dj})")
+            for i, di in enumerate(row_orders) for j, dj in enumerate(col_orders)
+            if not _killed([gcd(di, dj) * x for x in table[i][j]], col_orders)]
+
+
+def _reference_assoc(ring, act_table, factors, label):
+    """(g_i g_k) x_j against g_i (g_k x_j), one generator triple at a time,
+    with no packing."""
+    r, n = ring.group.rank, len(factors)
+    failed = []
+    for i in range(r):
+        for k in range(r):
+            for j in range(n):
+                lhs = lincomb(ring.mul_table[i][k], [row[j] for row in act_table], n)
+                rhs = lincomb(act_table[k][j], act_table[i], n)
+                if not _killed([a - b for a, b in zip(lhs, rhs)], factors):
+                    failed.append((i, k))
+                    break
+    return [Diagnostic("associativity", f"{label}(g{i}, g{k}, *)",
+                       "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator")
+            for i, k in failed]
+
+
+def _reference_ring_validate(ring):
+    g = ring.group
+    d, r, table = g.invariant_factors, g.rank, ring.mul_table
+    diags = _reference_well_defined(table, d, d, "g", "product")
+    for i in range(r):
+        for j in range(i + 1, r):
+            if table[i][j] != table[j][i]:
+                diags.append(Diagnostic("commutativity", f"g{i}*g{j}",
+                                        f"Element{table[i][j]} != Element{table[j][i]}"))
+    diags.extend(_reference_assoc(ring, table, d, "mul"))
+    for i, gen in enumerate(g.gens()):
+        if ring.mul(ring.one, gen) != gen:
+            diags.append(Diagnostic(
+                "identity", f"1*g{i}",
+                f"identity candidate {ring.one!r} does not fix generator {i}"))
+    return diags
+
+
+def _reference_module_validate(ring, module):
+    dm, table = module.group.invariant_factors, module.action_table
+    diags = _reference_well_defined(table, ring.group.invariant_factors, dm, "m",
+                                    "action product")
+    diags.extend(_reference_assoc(ring, table, dm, "act"))
+    for j, gen in enumerate(module.group.gens()):
+        if module.act(ring.one, gen) != gen:
+            diags.append(Diagnostic("identity", f"1*m{j}",
+                                    f"ring identity does not fix module generator {j}"))
+    return diags
+
+
+def reference_parse(obj, validate=True):
+    """What `instances.parse_instance(obj, validate)` makes of a raw
+    document, computed one table vector at a time: ("ok", ring table,
+    action table, identity), ("invalid", diagnostics as strings), or the
+    error type and message."""
+    try:
+        doc = reference_decode(obj)
+        warnings = []
+        try:
+            rg = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"],
+                                                  cols=doc["ring"]["num_gens"]))
+        except NotFiniteError as exc:
+            raise NotFiniteError(f"ring: {exc}") from None
+        try:
+            mg = canonicalize(IntMatrix.from_rows(doc["module"]["relations"],
+                                                  cols=doc["module"]["num_gens"]))
+        except NotFiniteError as exc:
+            raise NotFiniteError(f"module: {exc}") from None
+        mul_img = [[vec_mat(vec, rg.to_can) for vec in row] for row in doc["ring"]["mul"]]
+        act_img = [[vec_mat(vec, mg.to_can) for vec in row] for row in doc["module"]["action"]]
+        diags = _reference_descent(doc, mul_img, act_img, rg, mg) if validate else []
+        r_reps, m_reps = rg.from_can.data, mg.from_can.data
+        mul_can = [[rg.reduce(bilinear(mul_img, ra, rb, rg.rank)) for rb in r_reps]
+                   for ra in r_reps]
+        act_can = [[mg.reduce(bilinear(act_img, ra, mb, mg.rank)) for mb in m_reps]
+                   for ra in r_reps]
+        dr, dm = rg.invariant_factors, mg.invariant_factors
+        if not validate:
+            diags.extend(_reference_well_defined(mul_can, dr, dr, "g", "product"))
+            diags.extend(_reference_well_defined(act_can, dr, dm, "m", "action product"))
+        if doc["ring"].get("one") is not None:
+            one = rg.from_user(doc["ring"]["one"])
+        else:
+            try:
+                one = find_identity(rg, mul_can)
+            except NoIdentityError:
+                diags.append(Diagnostic("identity", "ring", "no multiplicative identity exists"))
+                one = rg.zero()
+        ring = FiniteRing(rg, mul_can, one)
+        module = FiniteModule(ring, mg, act_can)
+        if validate:
+            diags.extend(_reference_ring_validate(ring))
+            diags.extend(_reference_module_validate(ring, module))
+    except Exception as exc:  # every error the parser raises is an outcome
+        return f"{type(exc).__name__}: {exc}"
+    if diags:
+        return ("invalid", [str(d) for d in diags])
+    return ("ok", ring.mul_table, module.action_table, one.coords)
+
+
+def parse_outcome(obj, validate=True):
+    """`instances.parse_instance(obj, validate)` in the form of
+    `reference_parse`."""
+    try:
+        parsed = instances.parse_instance(obj, validate=validate)
+    except instances.ValidationFailure as exc:
+        return ("invalid", [str(d) for d in exc.diagnostics])
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ("ok", parsed.ring.mul_table, parsed.module.action_table, parsed.ring.one.coords)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from helpers import reference_dumps
+from modcyclic import abelian, instances, intlinalg, modules, rings
 from modcyclic.abelian import NotFiniteError
 from modcyclic.instances import (
     InstanceFormatError,
@@ -119,6 +121,12 @@ def test_decoding_errors_name_the_entry():
         with pytest.raises(InstanceFormatError) as exc:
             decode(entry)
         assert str(exc.value) == f"{path}: expected an integer, got {kind}"
+    # an empty entry beside a two-digit one: as many digits as entries in
+    # the row, but not one digit each
+    raw["ring"]["mul"][0][1][0] = "12"
+    with pytest.raises(InstanceFormatError) as exc:
+        decode("")
+    assert str(exc.value) == f"{path}: not a decimal integer: ''"
 
 
 def test_negative_coordinates_accepted():
@@ -203,3 +211,63 @@ def test_validation_can_be_suppressed():
         parse_instance(bad, validate=True)
     parsed = parse_instance(bad, validate=False)  # parses, caller's risk
     assert parsed.module.order == 4
+
+
+def dumps_edge_cases():
+    """Documents at the edges of the layout: no generators, no relations,
+    no `one`, negative entries, an entry past the digit limit."""
+    big = 10 ** 5000 + 7
+    none = {"ring": {"num_gens": 0, "relations": [], "mul": []},
+            "module": {"num_gens": 0, "relations": [], "action": []}}
+    trivial_module = gen_zmod(3, [1])
+    trivial_module["module"] = {"num_gens": 0, "relations": [], "action": [[]]}
+    no_relations = gen_trunc(2, 2)
+    no_relations["ring"]["relations"] = []
+    no_relations["module"]["relations"] = []
+    no_one = gen_randquot(6, 11, max_deg=3)
+    del no_one["ring"]["one"]
+    negative = gen_trunc(3, 3, [3, 1])
+    negative["ring"]["mul"][1][2] = [-1, 0, -4]
+    negative["module"]["relations"][0][0] = -3
+    wide = gen_zmod(big, [1])
+    wide["ring"]["mul"] = [[[big]]]
+    wide["module"]["action"] = [[[-big]]]
+    return [none, trivial_module, no_relations, no_one, negative, wide]
+
+
+def test_dumps_writes_the_bytes_of_json_dumps():
+    docs = [doc for _, doc in family_docs()] + dumps_edge_cases()
+    docs.append(gen_prod(gen_trunc(2, 4, [4, 2]), gen_randquot(9, 3, max_deg=3)))
+    for doc in docs:
+        assert dumps(doc) == reference_dumps(doc)
+
+
+def count_lincomb(monkeypatch):
+    """Count `intlinalg.lincomb` calls, under every name it is bound to."""
+    calls = []
+    real = intlinalg.lincomb
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (intlinalg, abelian, rings, modules, instances):
+        if hasattr(module, "lincomb"):
+            monkeypatch.setattr(module, "lincomb", counting)
+    return calls
+
+
+@pytest.mark.parametrize("e", [16, 32])
+def test_parse_work_is_per_row(e, monkeypatch):
+    # A bound on the work, not the time: each table pass makes one kernel
+    # call per table row, relation or generator.  One call per table vector
+    # would make 6e^2 + 1 unvalidated and about 14e^2 validated.
+    doc = gen_trunc(2, e)
+    expected = parse_instance(doc)
+    calls = count_lincomb(monkeypatch)
+    parsed = parse_instance(doc, validate=False)
+    assert len(calls) <= 8 * e, len(calls)
+    calls.clear()
+    assert parse_instance(doc).ring.mul_table == expected.ring.mul_table
+    assert len(calls) <= 5 * e * e, len(calls)
+    assert parsed.module.action_table == expected.module.action_table

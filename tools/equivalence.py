@@ -14,20 +14,24 @@ one JSON file.  For every corpus and swell file it also records the
 the error type and message.  For every file it also runs the same check on
 a copy with `ring.one` deleted, so that the identity is solved for, and
 records that outcome too, and the same for `check --no-validate` on the
-file itself.  Dropping `one` and skipping validation on a valid file are
-metamorphic relations: each outcome must equal the file's own, and the
-first form lists every file where one does not and then exits 1.  `--src` names the source tree to
-import modcyclic from (default: this checkout's `src`), so the same
-workload files can be run against another checkout.  The second form
-lists every file whose exit code, report (verdict, generator, iterations,
-witness, trace), standard error, mutant outcomes, drop-`one` outcome or
-`--no-validate` outcome differ, and exits 1 if any does.
+file itself.  It records the sha256 of every file it writes, the file and
+its drop-`one` copy, so that a change to `dumps` shows as a difference.
+Dropping `one` and skipping validation on a valid file are metamorphic
+relations: each outcome must equal the file's own, and the first form
+lists every file where one does not and then exits 1.  `--src` names the
+source tree to import modcyclic from (default: this checkout's `src`), so
+the same workload files can be run against another checkout.  The second
+form lists every file whose bytes (either hash), exit code, report
+(verdict, generator, iterations, witness, trace), standard error, mutant
+outcomes, drop-`one` outcome or `--no-validate` outcome differ, and exits
+1 if any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -92,6 +96,13 @@ def check(cli, path: Path, *flags: str) -> dict:
             "stderr": stderr.getvalue()}
 
 
+def write(path: Path, text: str) -> str:
+    """Write `text` to `path` as UTF-8; returns the sha256 of the bytes."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
 def record(src: Path, seeds, out: Path) -> int:
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "bench"))
@@ -106,11 +117,12 @@ def record(src: Path, seeds, out: Path) -> int:
                 for i, spec in enumerate(workloads.WORKLOADS[name](seed)):
                     key = f"{name}-{seed}-{i:04d}"
                     doc = workloads.build(spec, instances)
-                    path.write_text(instances.dumps(doc), encoding="utf-8")
-                    files[key] = check(cli, path)
+                    files[key] = {"sha256": write(path, instances.dumps(doc))}
+                    files[key].update(check(cli, path))
                     files[key]["no_validate"] = check(cli, path, "--no-validate")
                     ring = {k: v for k, v in doc["ring"].items() if k != "one"}
-                    path.write_text(instances.dumps(dict(doc, ring=ring)), encoding="utf-8")
+                    files[key]["drop_one_sha256"] = write(
+                        path, instances.dumps(dict(doc, ring=ring)))
                     files[key]["drop_one"] = check(cli, path)
                     own = {f: files[key][f] for f in OUTCOME}
                     broken += [(key, what) for field, what in RELATIONS
@@ -138,7 +150,8 @@ def compare(a: Path, b: Path) -> int:
             differ.append(f"{key}: only in {a if y is None else b}")
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
-        fields = [f for f in ("exit", "stderr", "mutants", "drop_one", "no_validate")
+        fields = [f for f in ("sha256", "drop_one_sha256", "exit", "stderr", "mutants",
+                              "drop_one", "no_validate")
                   if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
