@@ -111,16 +111,12 @@ def _as_int(value, path: str) -> int:
     raise InstanceFormatError(f"{path}: expected an integer, got {type(value).__name__}")
 
 
-# bytes.translate table: ASCII digit -> its value, for one-digit entries
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
 def _decoded(entries: list):
     """The values of a flat list of entries in one C-level pass, as a new
     list, or None when some entry needs the per-entry path.  The common
-    spelling, ASCII digits only, is read by one join; one-digit entries
-    through bytes.translate.  join() refuses a non-str entry, and int() an
-    empty one or one past its digit limit.  Entries that are already ints
+    spelling, ASCII digits only, is checked by one join and read by one
+    map(int).  join() refuses a non-str entry, and int() an empty one or
+    one past its digit limit.  Entries that are already ints
     (a document decoded before) are taken as they are."""
     if entries and type(entries[0]) is int:
         return list(entries) if set(map(type, entries)) == {int} else None
@@ -130,8 +126,6 @@ def _decoded(entries: list):
         return None
     if not (digits.isdigit() and digits.isascii()):
         return None
-    if len(digits) == len(entries) and "" not in entries:  # every entry one digit
-        return list(digits.encode().translate(_DIGIT_VALUES))
     try:
         return list(map(int, entries))
     except ValueError:
@@ -335,22 +329,20 @@ def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> l
     One `lincomb` per relation and side covers every generator, and only a
     relation that is not killed is split per generator, for its
     diagnostics.  A relation is first reduced modulo the exponent of the
-    target group, which changes no combination modulo the target's orders:
-    one that vanishes there is killed outright, and a transposed view is
-    built only for a relation that does not."""
+    target group, which changes no combination modulo the target's orders,
+    so one that vanishes there is killed outright."""
     k, m = doc["ring"]["num_gens"], doc["module"]["num_gens"]
     mul_rows, act_rows = doc["ring"]["mul"], doc["module"]["action"]
 
-    def unkilled(rels, group, sides, blocks, where, what):
-        """Diagnostics for the relations some side's combination does not
-        kill at block j; `sides` make the flat rows, on first need."""
+    def unkilled(rels, group, views, blocks, where, what):
+        """Diagnostics for the relations whose combination of some view's
+        flat rows is not killed at block j."""
         e, factors, size = group.exponent, group.invariant_factors, group.rank
-        diags, views = [], None
+        diags = []
         for idx, rel in enumerate(rels):
             coeffs = [c % e for c in rel]
             if not any(coeffs):
                 continue
-            views = views or [side() for side in sides]
             vecs = [lincomb(coeffs, rows, blocks * size) for rows in views]
             if any(any(map(mod, vec, factors * blocks)) for vec in vecs):
                 diags.extend(Diagnostic("well-definedness", where(idx, j), what)
@@ -361,17 +353,17 @@ def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> l
 
     # rho x g_j from the flat rows and g_j x rho from the transposed view,
     # rho x m_j, and g_i x sigma, each for every generator at once
-    return (unkilled(doc["ring"]["relations"], rg,
-                     [lambda: mul_rows, lambda: _transposed(mul_rows, k, rg.rank)], k,
+    diags = unkilled(doc["ring"]["relations"], rg,
+                     [mul_rows, _transposed(mul_rows, k, rg.rank)], k,
                      lambda idx, j: f"ring relation {idx} x g{j}",
                      "multiplication does not kill a stated ring relation")
-            + unkilled(doc["ring"]["relations"], mg, [lambda: act_rows], m,
-                       lambda idx, j: f"ring relation {idx} x m{j}",
-                       "module action does not kill a stated ring relation")
-            + unkilled(doc["module"]["relations"], mg,
-                       [lambda: _transposed(act_rows, m, mg.rank)], k,
-                       lambda idx, i: f"g{i} x module relation {idx}",
-                       "module action does not kill a stated module relation"))
+    diags += unkilled(doc["ring"]["relations"], mg, [act_rows], m,
+                      lambda idx, j: f"ring relation {idx} x m{j}",
+                      "module action does not kill a stated ring relation")
+    diags += unkilled(doc["module"]["relations"], mg, [_transposed(act_rows, m, mg.rank)], k,
+                      lambda idx, i: f"g{i} x module relation {idx}",
+                      "module action does not kill a stated module relation")
+    return diags
 
 
 def parse_instance(source, validate: bool = True) -> ParsedInstance:

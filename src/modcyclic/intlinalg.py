@@ -15,8 +15,7 @@ any machine width.
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
-from operator import mod
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -177,16 +176,15 @@ def snf(m: IntMatrix) -> SnfResult:
 
     t = 0
     while t < r and t < c:
-        # smallest nonzero |entry| of the trailing block, first in row-major order
         best = None
         for i in range(t, r):
-            x = min(filter(None, map(abs, a[i][t:])), default=0)
-            if x and (best is None or x < best[0]):
-                best = (x, i)
+            for j in range(t, c):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
         if best is None:
             break
-        x, pi = best
-        pj = t + list(map(abs, a[pi][t:])).index(x)
+        _, pi, pj = best
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -220,7 +218,7 @@ def snf(m: IntMatrix) -> SnfResult:
         p = a[t][t]
         fix = None
         for i in range(t + 1, r):
-            if any(map(mod, a[i][t + 1:], repeat(p))):
+            if any(x % p for x in a[i][t + 1:]):
                 fix = i
                 break
         if fix is not None:

@@ -89,6 +89,7 @@ def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
 def _generator_products(module: FiniteModule, u: Element) -> list:
     """u*m_j for every generator m_j of M, as reduced coordinates, from one
     row of products."""
+    _check_group(module.ring.group, u.group)
     g = module.group
     n = g.rank
     flat = tuple(map(mod, _flat_products(u.coords, module.action_table, n * n),
@@ -109,6 +110,7 @@ def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
     for u in i.basis_elements():
         products = _generator_products(module, u)
         for z in n:
+            _check_group(g, z.group)
             p = g.element(lincomb(z.coords, products, g.rank))
             if not span.contains(p):
                 kept.append(p)

@@ -121,8 +121,8 @@ def test_decoding_errors_name_the_entry():
         with pytest.raises(InstanceFormatError) as exc:
             decode(entry)
         assert str(exc.value) == f"{path}: expected an integer, got {kind}"
-    # an empty entry beside a two-digit one: as many digits as entries in
-    # the row, but not one digit each
+    # an empty entry in a row whose other entries are all digits: the row's
+    # one-pass decode must fall back and name the entry
     raw["ring"]["mul"][0][1][0] = "12"
     with pytest.raises(InstanceFormatError) as exc:
         decode("")

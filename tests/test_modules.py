@@ -1,6 +1,8 @@
 import random
 
-from modcyclic.abelian import subgroup_span
+import pytest
+
+from modcyclic.abelian import GroupMismatchError, subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
 from modcyclic.modules import (
     FiniteModule,
@@ -187,6 +189,17 @@ def test_scalar_extension_examples():
 
     iam_zero = scalar_extension(mod, zero_ideal(ring))
     assert iam_zero.index() == mod.order
+
+
+def test_products_reject_elements_of_another_group():
+    ring, mod = parse(gen_zmod(4, [2, 2]))
+    other_ring, other_mod = parse(gen_zmod(6, [2, 3]))
+    with pytest.raises(GroupMismatchError):
+        scalar_extension(mod, unit_ideal(other_ring))
+    with pytest.raises(GroupMismatchError):
+        ideal_times_submodule(unit_ideal(other_ring), mod.group.gens(), mod)
+    with pytest.raises(GroupMismatchError):
+        ideal_times_submodule(unit_ideal(ring), other_mod.group.gens(), mod)
 
 
 def test_scalar_extension_order_divides():
