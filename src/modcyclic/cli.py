@@ -13,9 +13,8 @@ import sys
 from functools import cache
 
 from . import instances, oracle
-from .abelian import NotFiniteError
 from .cyclic import CyclicityResult, InvariantViolationError, run
-from .instances import InstanceFormatError, ValidationFailure, int_to_str
+from .instances import ValidationFailure, int_to_str
 
 EXIT_CYCLIC = 0
 EXIT_NOT_CYCLIC = 1
@@ -59,6 +58,20 @@ def _trace_lines(result: CyclicityResult) -> list:
     return lines
 
 
+def _json_entry(entry, keys) -> dict:
+    """The named fields of a trace entry for the JSON report: the iteration
+    as a number, every other int and tuple of ints as decimal strings."""
+    out = {}
+    for key in keys:
+        v = getattr(entry, key)
+        if isinstance(v, tuple):
+            v = [int_to_str(c) for c in v]
+        elif key != "iteration" and isinstance(v, int) and not isinstance(v, bool):
+            v = int_to_str(v)
+        out[key] = v
+    return out
+
+
 def cmd_check(args) -> int:
     parsed = _parse_file(args.file, validate=not args.no_validate)
     result = run(parsed.ring, parsed.module, check_invariants=not args.no_assert)
@@ -69,14 +82,11 @@ def cmd_check(args) -> int:
             "verdict": result.verdict,
             "generator": None if gen_user is None else [int_to_str(c) for c in gen_user],
             "iterations": result.iterations,
-            "witness": None if result.witness is None else {
-                "iteration": result.witness.iteration,
-                "order_A_mod_a": int_to_str(result.witness.quotient_ring_order),
-                "order_ext_mod_a": int_to_str(result.witness.extension_order),
-            },
+            "witness": None if result.witness is None else _json_entry(
+                result.witness, ("iteration", "order_A_mod_a", "order_ext_mod_a")),
         }
         if args.trace:
-            payload["trace"] = [e.to_json_dict() for e in result.trace]
+            payload["trace"] = [_json_entry(e, vars(e)) for e in result.trace]
         print(json.dumps(payload, indent=2))
     else:
         if result.cyclic:
@@ -85,8 +95,8 @@ def cmd_check(args) -> int:
         else:
             w = result.witness
             print("verdict: not cyclic")
-            print(f"witness: iteration {w.iteration}, |A/a| = {_text(w.quotient_ring_order)} "
-                  f"< |M_(A/a)| = {_text(w.extension_order)}")
+            print(f"witness: iteration {w.iteration}, |A/a| = {_text(w.order_A_mod_a)} "
+                  f"< |M_(A/a)| = {_text(w.order_ext_mod_a)}")
         print(f"iterations: {result.iterations}")
         if args.trace:
             for line in _trace_lines(result):
@@ -218,8 +228,6 @@ def main(argv=None) -> int:
         # the parser is built: a wrapper put in place of a cmd_ function in
         # this module (bench/tracing.py does so) must be the one called.
         return globals()["cmd_" + args.command](args)
-    except (InstanceFormatError, NotFiniteError) as exc:
-        return _err(str(exc))
     except ValidationFailure as exc:
         for d in exc.diagnostics:
             print(f"invalid: {d}", file=sys.stderr)

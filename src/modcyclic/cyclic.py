@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import Element, Subgroup, subgroup_span
-from .instances import int_to_str
 from .modules import (
     FiniteModule,
     ann_element,
@@ -54,40 +53,19 @@ class TraceEntry:
     order_A_mod_a: Optional[int] = None
     order_ext_mod_a: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, bool) or v is None:
-                return v
-            if isinstance(v, int):
-                return int_to_str(v)
-            if isinstance(v, tuple):
-                return [int_to_str(c) for c in v]
-            return v
-        return {
-            "iteration": self.iteration,
-            "order_A": enc(self.order_A),
-            "branch": self.branch,
-            "chosen_x": enc(self.chosen_x),
-            "order_a": enc(self.order_a),
-            "order_b": enc(self.order_b),
-            "meet_zero": self.meet_zero,
-            "order_A_mod_a": enc(self.order_A_mod_a),
-            "order_ext_mod_a": enc(self.order_ext_mod_a),
-        }
-
 
 @dataclass
 class AlgState:
     """Live state: A = R/I_A is implicit in i_a; y and the generators n of
     N live in M.  `iam` is I_A*M, the lattice that M_A = M/(I_A M) is
-    read from, built once when the state is."""
+    read from, built once when the state is.  The trace holds one entry
+    per executed step, so its length is the iteration count."""
 
     ring: FiniteRing
     module: FiniteModule
     i_a: Subgroup
     y: Element
     n: tuple
-    iteration: int = 0
     trace: list = field(default_factory=list)
     iam: Subgroup = field(init=False, repr=False)
 
@@ -95,27 +73,28 @@ class AlgState:
         self.iam = scalar_extension(self.module, self.i_a)
 
     @property
+    def iteration(self) -> int:
+        return len(self.trace)
+
+    @property
     def order_A(self) -> int:
-        return self.ring.order // self.i_a.order()
-
-
-@dataclass(frozen=True)
-class NotCyclicWitness:
-    """Size obstruction found at some iteration: |A/a| < |M_{A/a}| while a
-    copy of A/a must embed into M_{A/a}."""
-
-    iteration: int
-    quotient_ring_order: int
-    extension_order: int
+        return self.i_a.index()
 
 
 @dataclass
 class CyclicityResult:
+    """The verdict and the trace of a run.  A not-cyclic run's witness is
+    its last trace entry, the v-no step whose size obstruction
+    |A/a| < |M_{A/a}| decided it."""
+
     cyclic: bool
     generator: Optional[Element]
-    witness: Optional[NotCyclicWitness]
-    iterations: int
+    witness: Optional[TraceEntry]
     trace: list
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def verdict(self) -> str:
@@ -167,54 +146,45 @@ def step(state: AlgState, *, check_invariants: bool = True):
 
     if iam.index() == 1:
         state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
-        state.iteration = iteration
         # Unconditional, not gated by check_invariants.
         if not cyclic_span_is_all(module, state.y):
             raise InvariantViolationError(
                 "claimed generator fails the span re-verification", state.trace)
-        return CyclicityResult(True, state.y, None, iteration, state.trace)
+        return CyclicityResult(True, state.y, None, state.trace)
 
     x = pick_x(state)
     images = module.images(x)
     a = ann_element(module, images, iam)
     b = ideal_annihilator(ring, state.i_a, a)
     meet, meet_zero = ideal_meet_is_zero(ring, state.i_a, a, b)
-    i_a_order = state.i_a.order()
-    order_a = a.order() // i_a_order
-    order_b = b.order() // i_a_order
+    # |a/I_A| = |R : I_A| / |R : a|, and the same for b
+    index_a = a.index()
+    order_a, order_b = order_A // index_a, order_A // b.index()
 
     if not meet_zero:
         entry = TraceEntry(iteration, order_A, BRANCH_IV, x.coords,
                            order_a, order_b, meet_zero)
         new_state = AlgState(ring, module, meet, state.y, state.n,
-                             iteration, state.trace + [entry])
-        _after_continue(state, new_state, order_A, check_invariants)
+                             state.trace + [entry])
+        _after_continue(new_state, order_A, check_invariants)
         return new_state
 
     iam_a = scalar_extension(module, a)
-    order_A_mod_a = ring.order // a.order()
-    order_ext_mod_a = iam_a.index()
-    if not spans_extension(images, iam_a):
-        entry = TraceEntry(iteration, order_A, BRANCH_V_NO, x.coords,
-                           order_a, order_b, meet_zero,
-                           order_A_mod_a, order_ext_mod_a)
+    spans = spans_extension(images, iam_a)
+    entry = TraceEntry(iteration, order_A, BRANCH_V_YES if spans else BRANCH_V_NO,
+                       x.coords, order_a, order_b, meet_zero, index_a, iam_a.index())
+    if not spans:
         state.trace.append(entry)
-        state.iteration = iteration
-        return CyclicityResult(False, None,
-                               NotCyclicWitness(iteration, order_A_mod_a, order_ext_mod_a),
-                               iteration, state.trace)
+        return CyclicityResult(False, None, entry, state.trace)
 
-    entry = TraceEntry(iteration, order_A, BRANCH_V_YES, x.coords,
-                       order_a, order_b, meet_zero,
-                       order_A_mod_a, order_ext_mod_a)
     new_state = AlgState(ring, module, b, x + state.y,
                          ideal_times_submodule(a, state.n, module),
-                         iteration, state.trace + [entry])
-    _after_continue(state, new_state, order_A, check_invariants)
+                         state.trace + [entry])
+    _after_continue(new_state, order_A, check_invariants)
     return new_state
 
 
-def _after_continue(old: AlgState, new: AlgState, order_A: int, check: bool):
+def _after_continue(new: AlgState, order_A: int, check: bool):
     if not check:
         return
     if new.order_A * 2 > order_A:

@@ -171,35 +171,23 @@ def decode_document(obj) -> dict:
         if key not in obj or not isinstance(obj[key], dict):
             raise InstanceFormatError(f"missing section: {key}")
 
-    rsec = obj["ring"]
-    k = _as_int(rsec.get("num_gens"), "ring.num_gens")
-    if k < 0:
-        raise InstanceFormatError("ring.num_gens must be nonnegative")
-    rrel = rsec.get("relations")
-    if not isinstance(rrel, list):
-        raise InstanceFormatError("ring.relations must be a list of rows")
-    rrel = [_as_vector(row, k, f"ring.relations[{i}]") for i, row in enumerate(rrel)]
-    rmul = _as_table(rsec.get("mul"), k, k, k, "ring.mul")
-    one = None
-    if rsec.get("one") is not None:
-        one = _as_vector(rsec["one"], k, "ring.one")
-
-    msec = obj["module"]
-    m = _as_int(msec.get("num_gens"), "module.num_gens")
-    if m < 0:
-        raise InstanceFormatError("module.num_gens must be nonnegative")
-    mrel = msec.get("relations")
-    if not isinstance(mrel, list):
-        raise InstanceFormatError("module.relations must be a list of rows")
-    mrel = [_as_vector(row, m, f"module.relations[{i}]") for i, row in enumerate(mrel)]
-    action = _as_table(msec.get("action"), k, m, m, "module.action")
-
-    doc = {
-        "ring": {"num_gens": k, "relations": rrel, "mul": rmul},
-        "module": {"num_gens": m, "relations": mrel, "action": action},
-    }
-    if one is not None:
-        doc["ring"]["one"] = one
+    # Both tables have one row per ring generator, of vectors as long as
+    # their section's generator count.
+    doc = {}
+    for key, table in (("ring", "mul"), ("module", "action")):
+        sec = obj[key]
+        n = _as_int(sec.get("num_gens"), f"{key}.num_gens")
+        if n < 0:
+            raise InstanceFormatError(f"{key}.num_gens must be nonnegative")
+        rels = sec.get("relations")
+        if not isinstance(rels, list):
+            raise InstanceFormatError(f"{key}.relations must be a list of rows")
+        doc[key] = {"num_gens": n, "relations": [
+            _as_vector(row, n, f"{key}.relations[{i}]") for i, row in enumerate(rels)]}
+        doc[key][table] = _as_table(sec.get(table), doc["ring"]["num_gens"], n, n,
+                                    f"{key}.{table}")
+        if key == "ring" and sec.get("one") is not None:
+            doc[key]["one"] = _as_vector(sec["one"], n, "ring.one")
     return doc
 
 
@@ -382,31 +370,26 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
     else:
         doc = decode_document(source)
 
-    warnings = []
-    try:
-        rg = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"],
-                                              cols=doc["ring"]["num_gens"]))
-    except NotFiniteError as exc:
-        raise NotFiniteError(f"ring: {exc}") from None
-    try:
-        mg = canonicalize(IntMatrix.from_rows(doc["module"]["relations"],
-                                              cols=doc["module"]["num_gens"]))
-    except NotFiniteError as exc:
-        raise NotFiniteError(f"module: {exc}") from None
+    groups = []
+    for key in ("ring", "module"):
+        try:
+            groups.append(canonicalize(IntMatrix.from_rows(doc[key]["relations"],
+                                                           cols=doc[key]["num_gens"])))
+        except NotFiniteError as exc:
+            raise NotFiniteError(f"{key}: {exc}") from None
+    rg, mg = groups
 
+    warnings = []
     k = doc["ring"]["num_gens"]
     mul_doc = doc["ring"]["mul"]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mul_doc[i][j] != mul_doc[j][i]:
-                warnings.append(
-                    f"ring.mul[{i}][{j}] and ring.mul[{j}][{i}] differ as written; "
-                    "entries are normalized modulo the relations and commutativity "
-                    "is checked canonically")
-                break
-        else:
-            continue
-        break
+    asymmetric = next(((i, j) for i in range(k) for j in range(i + 1, k)
+                       if mul_doc[i][j] != mul_doc[j][i]), None)
+    if asymmetric is not None:
+        i, j = asymmetric
+        warnings.append(
+            f"ring.mul[{i}][{j}] and ring.mul[{j}][{i}] differ as written; "
+            "entries are normalized modulo the relations and commutativity "
+            "is checked canonically")
 
     # Both tables as flat rows in canonical coordinates, unreduced, once,
     # in place of the user tables; each is popped when its generator table
@@ -430,9 +413,11 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
         diags.extend(_well_defined_diagnostics(mul_can, dr, dr, "g", "product"))
         diags.extend(_well_defined_diagnostics(act_can, dr, dm, "m", "action product"))
 
-    one_el = None
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])
+    elif diags:
+        # The identity is solved for only on well-defined tables.
+        raise ValidationFailure(diags)
     else:
         try:
             one_el = find_identity(rg, mul_can)
@@ -531,24 +516,28 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
     """Componentwise product: R = R1 x R2 acting on M1 x M2."""
     a = decode_document(doc_a)
     b = decode_document(doc_b)
-    ka, kb = a["ring"]["num_gens"], b["ring"]["num_gens"]
-    ma, mb = a["module"]["num_gens"], b["module"]["num_gens"]
-    k, m = ka + kb, ma + mb
+    ka, ma = a["ring"]["num_gens"], a["module"]["num_gens"]
+    k, m = ka + b["ring"]["num_gens"], ma + b["module"]["num_gens"]
 
     def pad_left(vec, width, offset):
         out = [0] * width
         out[offset:offset + len(vec)] = vec
         return out
 
-    relations = [pad_left(row, k, 0) for row in a["ring"]["relations"]]
-    relations += [pad_left(row, k, ka) for row in b["ring"]["relations"]]
-    mul = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(ka):
-        for j in range(ka):
-            mul[i][j] = pad_left(a["ring"]["mul"][i][j], k, 0)
-    for i in range(kb):
-        for j in range(kb):
-            mul[ka + i][ka + j] = pad_left(b["ring"]["mul"][i][j], k, ka)
+    def stacked(rows_a, rows_b, width, offset):
+        """The rows of A, then those of B, each padded to `width` with B's
+        entries from `offset` on."""
+        return ([pad_left(v, width, 0) for v in rows_a]
+                + [pad_left(v, width, offset) for v in rows_b])
+
+    def block_diagonal(table_a, table_b, width, offset):
+        """A's table rows padded by zero vectors on the right, then B's padded
+        on the left, every vector padded as by `stacked`; each zero vector
+        is a fresh list."""
+        def zeros(count):
+            return [[0] * width for _ in range(count)]
+        return ([stacked(row, [], width, offset) + zeros(width - offset) for row in table_a]
+                + [zeros(offset) + stacked([], row, width, offset) for row in table_b])
 
     def one_of(doc):
         if doc["ring"].get("one") is not None:
@@ -556,23 +545,16 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
         parsed = parse_instance(doc, validate=False)
         return parsed.ring.group.to_user(parsed.ring.one)
 
-    one = pad_left(one_of(a), k, 0)
-    one_b = pad_left(one_of(b), k, ka)
-    one = [x + y for x, y in zip(one, one_b)]
-
-    mrel = [pad_left(row, m, 0) for row in a["module"]["relations"]]
-    mrel += [pad_left(row, m, ma) for row in b["module"]["relations"]]
-    action = [[[0] * m for _ in range(m)] for _ in range(k)]
-    for i in range(ka):
-        for j in range(ma):
-            action[i][j] = pad_left(a["module"]["action"][i][j], m, 0)
-    for i in range(kb):
-        for j in range(mb):
-            action[ka + i][ma + j] = pad_left(b["module"]["action"][i][j], m, ma)
-
     return {
-        "ring": {"num_gens": k, "relations": relations, "mul": mul, "one": one},
-        "module": {"num_gens": m, "relations": mrel, "action": action},
+        "ring": {"num_gens": k,
+                 "relations": stacked(a["ring"]["relations"], b["ring"]["relations"], k, ka),
+                 "mul": block_diagonal(a["ring"]["mul"], b["ring"]["mul"], k, ka),
+                 "one": [*one_of(a), *one_of(b)]},
+        "module": {"num_gens": m,
+                   "relations": stacked(a["module"]["relations"], b["module"]["relations"],
+                                        m, ma),
+                   "action": block_diagonal(a["module"]["action"], b["module"]["action"],
+                                            m, ma)},
     }
 
 

@@ -557,6 +557,8 @@ def reference_parse(obj, validate=True):
             diags.extend(_reference_well_defined(act_can, dr, dm, "m", "action product"))
         if doc["ring"].get("one") is not None:
             one = rg.from_user(doc["ring"]["one"])
+        elif diags:  # the identity is solved for only on well-defined tables
+            return ("invalid", [str(d) for d in diags])
         else:
             try:
                 one = find_identity(rg, mul_can)

@@ -135,7 +135,7 @@ def test_criterion_2_hand_transcripts():
     assert not res.cyclic
     assert [(e.branch, e.order_A) for e in res.trace] == [("iv", 4), ("v-no", 2)]
     assert [e.chosen_x for e in res.trace] == [(1, 0), (1, 0)]
-    assert (res.witness.quotient_ring_order, res.witness.extension_order) == (2, 4)
+    assert (res.witness.order_A_mod_a, res.witness.order_ext_mod_a) == (2, 4)
 
     # (b) R = Z/2 x Z/2, M = R: two v-yes branches, then yes with y = 1
     ring, mod = _parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))

@@ -215,6 +215,33 @@ def test_ill_defined_ring_without_validation_is_an_error(tmp_path, capsys, monke
     assert calls == []
 
 
+def test_ill_defined_ring_without_one_reports_diagnostics(tmp_path, capsys):
+    # Z/6 x Z/2 whose table 2*g1 = 0 does not kill, and no `one`: the
+    # identity is not solved for on ill-defined tables, so both modes report
+    # the diagnostics already found, and --no-validate reports exactly what
+    # it reports when `one` is given.
+    doc = {"ring": {"num_gens": 2, "relations": [["6", "0"], ["0", "2"]],
+                    "mul": [[["1", "3"], ["0", "2"]], [["1", "2"], ["2", "1"]]]},
+           "module": {"num_gens": 0, "relations": [], "action": [[], []]}}
+    path = tmp_path / "ill_no_one.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--no-validate"]):
+        assert main(["check", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("invalid: ") for line in lines)
+    assert captured.err == (
+        "invalid: well-definedness violated at g0*g0: product does not vanish under "
+        "the generator orders (2, 2)\n"
+        "invalid: well-definedness violated at g0*g1: product does not vanish under "
+        "the generator orders (2, 6)\n")
+    doc["ring"]["one"] = ["1", "0"]
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--no-validate"]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_check_integers_past_the_digit_limit(tmp_path, capsys, fmt):
     # 10^4400 has 4,401 digits, past the interpreter's 4,300-digit limit on

@@ -44,8 +44,8 @@ def test_transcript_z4_on_klein():
     assert result.trace[0].order_a == 2 and result.trace[0].order_b == 2
     assert result.trace[1].chosen_x == (1, 0)
     assert result.trace[1].order_a == 1 and result.trace[1].order_b == 2
-    assert result.witness.quotient_ring_order == 2
-    assert result.witness.extension_order == 4
+    assert result.witness.order_A_mod_a == 2
+    assert result.witness.order_ext_mod_a == 4
 
 
 def test_transcript_idempotent_pair():
@@ -185,7 +185,8 @@ def test_agreement_with_brute_force():
         if result.cyclic:
             assert cyclic_span_is_all(mod, result.generator)
         else:
-            assert result.witness.quotient_ring_order < result.witness.extension_order
+            assert result.witness.order_A_mod_a < result.witness.order_ext_mod_a
+            assert result.witness is result.trace[-1] and result.witness.branch == "v-no"
         checked += 1
     assert checked >= 30
 

@@ -3,7 +3,9 @@
 The normal forms and the lattice kernel live in `intlinalg`; `abelian` is
 the only module that builds lattices for them.  The ring, module and
 driver layers speak of subgroups, and take from `intlinalg` at most the
-product kernels.  Checked on the syntax trees of the package's sources.
+product kernels.  Only `cli` knows how a report is written, so the driver
+imports neither `instances` nor `cli`.  Checked on the syntax trees of the
+package's sources.
 """
 
 import ast
@@ -62,3 +64,14 @@ def test_modules_and_driver_take_only_product_kernels_from_intlinalg():
     assert set(imported) == {"modules.py", "cyclic.py"}
     assert {name: sorted(names - PRODUCT_KERNELS) for name, names in imported.items()
             if names - PRODUCT_KERNELS} == {}
+
+
+def test_driver_imports_nothing_from_instances_or_cli():
+    imported = set()
+    for node in ast.walk(dict(trees())["cyclic.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert imported & {"instances", "cli"} == set()

@@ -1,4 +1,4 @@
-"""Record and compare `check --format json --trace` reports over the
+"""Record and compare `check --trace` reports, JSON and text, over the
 benchmark's workloads.
 
     python3 tools/equivalence.py --seeds 0 1 --out reports.json [--src DIR]
@@ -8,7 +8,8 @@ The first form builds every file of the corpus, swell and wide workloads
 for each seed with `bench/workloads.py` (imported, never changed), runs
 `modcyclic.cli.main(["check", file, "--format", "json", "--trace"])`
 in-process on it, and writes the exit code and the full report per file to
-one JSON file.  For every corpus and swell file it also records the
+one JSON file, with the exit code and standard output of the text report,
+`check <file> --trace`.  For every corpus and swell file it also records the
 `parse_instance` outcome of two seeded single-entry mutants of the file
 (see `mutant` and `MUTATED`): "ok", the list of validator diagnostics, or
 the error type and message.  For every file it also runs the same check on
@@ -22,9 +23,9 @@ lists every file where one does not and then exits 1.  `--src` names the
 source tree to import modcyclic from (default: this checkout's `src`), so
 the same workload files can be run against another checkout.  The second
 form lists every file whose bytes (either hash), exit code, report
-(verdict, generator, iterations, witness, trace), standard error, mutant
-outcomes, drop-`one` outcome or `--no-validate` outcome differ, and exits
-1 if any does.
+(verdict, generator, iterations, witness, trace), text report, standard
+error, mutant outcomes, drop-`one` outcome or `--no-validate` outcome
+differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -85,15 +86,27 @@ def outcome(instances, doc: dict):
     return "ok"
 
 
+def run_cli(cli, *argv: str):
+    """Exit code, standard output and standard error of one in-process
+    command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 def check(cli, path: Path, *flags: str) -> dict:
     """Exit code, parsed report (on a verdict) and standard error of one
     in-process `check --format json --trace` run with the extra flags."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(["check", str(path), "--format", "json", "--trace", *flags])
-    return {"exit": code,
-            "report": json.loads(stdout.getvalue()) if code in (0, 1) else None,
-            "stderr": stderr.getvalue()}
+    code, out, err = run_cli(cli, "check", str(path), "--format", "json", "--trace", *flags)
+    return {"exit": code, "report": json.loads(out) if code in (0, 1) else None,
+            "stderr": err}
+
+
+def check_text(cli, path: Path) -> dict:
+    """Exit code and standard output of the text report, `check --trace`."""
+    code, out, _ = run_cli(cli, "check", str(path), "--trace")
+    return {"exit": code, "stdout": out}
 
 
 def write(path: Path, text: str) -> str:
@@ -119,6 +132,7 @@ def record(src: Path, seeds, out: Path) -> int:
                     doc = workloads.build(spec, instances)
                     files[key] = {"sha256": write(path, instances.dumps(doc))}
                     files[key].update(check(cli, path))
+                    files[key]["text"] = check_text(cli, path)
                     files[key]["no_validate"] = check(cli, path, "--no-validate")
                     ring = {k: v for k, v in doc["ring"].items() if k != "one"}
                     files[key]["drop_one_sha256"] = write(
@@ -150,8 +164,8 @@ def compare(a: Path, b: Path) -> int:
             differ.append(f"{key}: only in {a if y is None else b}")
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
-        fields = [f for f in ("sha256", "drop_one_sha256", "exit", "stderr", "mutants",
-                              "drop_one", "no_validate")
+        fields = [f for f in ("sha256", "drop_one_sha256", "exit", "text", "stderr",
+                              "mutants", "drop_one", "no_validate")
                   if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
