@@ -24,6 +24,7 @@ from .intlinalg import (
     snf,
     vec_mat,
 )
+from .intstr import int_text, int_to_str
 
 
 class NotFiniteError(ValueError):
@@ -106,7 +107,7 @@ class CanonicalGroup:
     def __repr__(self) -> str:
         if not self.invariant_factors:
             return "CanonicalGroup(trivial)"
-        return "CanonicalGroup(" + " x ".join(f"C{d}" for d in self.invariant_factors) + ")"
+        return f"CanonicalGroup({' x '.join('C' + int_to_str(d) for d in self.invariant_factors)})"
 
 
 def _same_group(g1: CanonicalGroup, g2: CanonicalGroup) -> bool:
@@ -134,17 +135,6 @@ class Element:
         _check_group(self.group, other.group)
         return self.group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Element":
-        return self.group.element(tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __mul__(self, n: int) -> "Element":
-        return self.group.element(tuple(n * a for a in self.coords))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Element) and _same_group(self.group, other.group)
                 and self.coords == other.coords)
@@ -153,7 +143,7 @@ class Element:
         return hash(self.coords)
 
     def __repr__(self) -> str:
-        return f"Element{self.coords}"
+        return f"Element{int_text(self.coords)}"
 
 
 def canonicalize(relations: IntMatrix) -> CanonicalGroup:
@@ -195,7 +185,7 @@ class Subgroup:
         return self.ambient.order // self.index()
 
     def index(self) -> int:
-        return prod(self.basis.diagonal_entries()) if self.ambient.rank else 1
+        return prod(self.basis.diagonal_entries())
 
     def contains(self, x: Element) -> bool:
         _check_group(self.ambient, x.group)
@@ -256,8 +246,6 @@ def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
     _check_group(s1.ambient, s2.ambient)
     g = s1.ambient
     r = g.rank
-    if r == 0:
-        return _lattice_to_subgroup(g, [])
     rows = [row + row for row in s1.basis.data]
     rows.extend(row + (0,) * r for row in s2.basis.data)
     h = hnf(IntMatrix(2 * r, 2 * r, rows), g.exponent).h

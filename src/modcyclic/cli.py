@@ -14,7 +14,8 @@ from functools import cache
 
 from . import instances, oracle
 from .cyclic import CyclicityResult, InvariantViolationError, run
-from .instances import ValidationFailure, int_to_str
+from .instances import ValidationFailure
+from .intstr import int_text as _text, int_to_str
 
 EXIT_CYCLIC = 0
 EXIT_NOT_CYCLIC = 1
@@ -34,14 +35,6 @@ def _parse_file(path: str, validate: bool):
     for w in parsed.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return parsed
-
-
-def _text(v) -> str:
-    """str(v) for an int, or a list or tuple of ints, of any number of digits."""
-    if isinstance(v, int):
-        return int_to_str(v)
-    inner = ", ".join(map(int_to_str, v)) + ("," if isinstance(v, tuple) and len(v) == 1 else "")
-    return f"[{inner}]" if isinstance(v, list) else f"({inner})"
 
 
 def _trace_lines(result: CyclicityResult) -> list:
@@ -74,7 +67,7 @@ def _json_entry(entry, keys) -> dict:
 
 def cmd_check(args) -> int:
     parsed = _parse_file(args.file, validate=not args.no_validate)
-    result = run(parsed.ring, parsed.module, check_invariants=not args.no_assert)
+    result = run(parsed.ring, parsed.module)
     gen_user = (parsed.module.group.to_user(result.generator)
                 if result.generator is not None else None)
     if args.format == "json":
@@ -190,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--no-validate", action="store_true",
                    help="skip ring/module axiom validation")
-    p.add_argument("--no-assert", action="store_true",
-                   help="skip per-step state invariant re-checking")
 
     p = sub.add_parser("oracle", help="brute-force enumeration of all candidates")
     p.add_argument("file")

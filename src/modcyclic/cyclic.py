@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import Element, Subgroup, subgroup_span
+from .intstr import int_to_str
 from .modules import (
     FiniteModule,
     ann_element,
@@ -135,10 +136,10 @@ def check_state_invariants(state: AlgState):
             f"|N| = {len(state.n)} exceeds floor(log2 |M|) = {bound}", state.trace)
 
 
-def step(state: AlgState, *, check_invariants: bool = True):
+def step(state: AlgState):
     """Execute one loop iteration; returns a new AlgState, or the
-    CyclicityResult at a verdict.  A yes-verdict generator is always
-    re-verified."""
+    CyclicityResult at a verdict.  Every continue re-checks the state
+    invariants, and a yes-verdict generator is re-verified."""
     ring, module = state.ring, state.module
     iteration = state.iteration + 1
     order_A = state.order_A
@@ -146,7 +147,6 @@ def step(state: AlgState, *, check_invariants: bool = True):
 
     if iam.index() == 1:
         state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
-        # Unconditional, not gated by check_invariants.
         if not cyclic_span_is_all(module, state.y):
             raise InvariantViolationError(
                 "claimed generator fails the span re-verification", state.trace)
@@ -166,7 +166,7 @@ def step(state: AlgState, *, check_invariants: bool = True):
                            order_a, order_b, meet_zero)
         new_state = AlgState(ring, module, meet, state.y, state.n,
                              state.trace + [entry])
-        _after_continue(new_state, order_A, check_invariants)
+        _after_continue(new_state, order_A)
         return new_state
 
     iam_a = scalar_extension(module, a)
@@ -180,16 +180,15 @@ def step(state: AlgState, *, check_invariants: bool = True):
     new_state = AlgState(ring, module, b, x + state.y,
                          ideal_times_submodule(a, state.n, module),
                          state.trace + [entry])
-    _after_continue(new_state, order_A, check_invariants)
+    _after_continue(new_state, order_A)
     return new_state
 
 
-def _after_continue(new: AlgState, order_A: int, check: bool):
-    if not check:
-        return
+def _after_continue(new: AlgState, order_A: int):
     if new.order_A * 2 > order_A:
         raise InvariantViolationError(
-            f"|A| did not halve: {order_A} -> {new.order_A}", new.trace)
+            f"|A| did not halve: {int_to_str(order_A)} -> {int_to_str(new.order_A)}",
+            new.trace)
     check_state_invariants(new)
 
 
@@ -198,15 +197,14 @@ def iteration_bound(ring: FiniteRing) -> int:
     return max(ring.order.bit_length() - 1, 0) + 1
 
 
-def run(ring: FiniteRing, module: FiniteModule, *,
-        check_invariants: bool = True) -> CyclicityResult:
+def run(ring: FiniteRing, module: FiniteModule) -> CyclicityResult:
     """Decide M = Ry; the yes-verdict generator is always re-verified."""
     state = init(ring, module)
     bound = iteration_bound(ring)
     while isinstance(state, AlgState):
         if state.iteration >= bound:
             raise InvariantViolationError(
-                f"iteration bound {bound} exceeded for |R| = {ring.order}",
+                f"iteration bound {bound} exceeded for |R| = {int_to_str(ring.order)}",
                 state.trace)
-        state = step(state, check_invariants=check_invariants)
+        state = step(state)
     return state

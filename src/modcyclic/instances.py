@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter, mod
 
 from .abelian import CanonicalGroup, NotFiniteError, canonicalize
 from .intlinalg import IntMatrix, lincomb
+from .intstr import int_from_str, int_to_str
 from .modules import FiniteModule, module_validate
 from .rings import (
     Diagnostic,
@@ -67,33 +67,6 @@ class ParsedInstance:
     ring: FiniteRing
     module: FiniteModule
     warnings: list = field(default_factory=list)
-
-
-# -- decimal integers --------------------------------------------------------
-# int(s) and str(n) refuse more than sys.get_int_max_str_digits() digits;
-# decimal, imported only past that limit, has none.
-_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
-
-
-def int_from_str(text: str) -> int:
-    """The value of an ASCII sign-and-digit string of any length; raises
-    ValueError on any other string, even one int() accepts."""
-    if not (text.isdigit() and text.isascii()) and not _SIGNED_DIGITS.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    try:
-        return int(text, 10)
-    except ValueError:
-        import decimal
-        return int(decimal.Decimal(text))
-
-
-def int_to_str(n: int) -> str:
-    """str(n), also for ints of any number of digits."""
-    try:
-        return str(n)
-    except ValueError:
-        import decimal
-        return str(decimal.Decimal(n))
 
 
 # -- decoding ----------------------------------------------------------------
@@ -134,7 +107,7 @@ def _decoded(entries: list):
 
 def _as_vector(value, length: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != length:
-        raise InstanceFormatError(f"{path}: expected a vector of length {length}")
+        raise InstanceFormatError(f"{path}: expected a vector of length {int_to_str(length)}")
     # Every spelling the C-level pass leaves takes the per-entry path, the
     # only one that builds each entry's path for its error message.
     out = _decoded(value)
@@ -145,11 +118,11 @@ def _as_vector(value, length: int, path: str) -> list:
 
 def _as_table(value, rows: int, cols: int, veclen: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != rows:
-        raise InstanceFormatError(f"{path}: expected {rows} rows")
+        raise InstanceFormatError(f"{path}: expected {int_to_str(rows)} rows")
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
-            raise InstanceFormatError(f"{path}[{i}]: expected {cols} entries")
+            raise InstanceFormatError(f"{path}[{i}]: expected {int_to_str(cols)} entries")
         # A row of `cols` vectors of `veclen` entries decodes in one pass;
         # any other row vector by vector, for the error messages.
         flat = None

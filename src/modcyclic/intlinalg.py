@@ -15,8 +15,10 @@ any machine width.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .intstr import int_to_str
 
 
 class DimensionError(ValueError):
@@ -84,10 +86,10 @@ class IntMatrix:
 
 
 def lincomb(coeffs: Sequence[int], rows, n: int) -> list:
-    """sum_i coeffs_i * rows_i for rows of length n, as a list.  One of the
-    two product kernels: every product of the package, user to canonical
+    """sum_i coeffs_i * rows_i for rows of length n, as a list.  The one
+    product kernel: every product of the package, user to canonical
     coordinates, r*m on generator tables and packed operator rows alike,
-    is this or `bilinear`.  Zero coefficients are skipped, the first term
+    is this.  Zero coefficients are skipped, the first term
     is copied, and every later term costs only its nonzero entries, which
     `compress` finds at C level."""
     terms = compress(zip(coeffs, rows), coeffs)
@@ -99,13 +101,6 @@ def lincomb(coeffs: Sequence[int], rows, n: int) -> list:
         for t, x in compress(enumerate(row), row):
             acc[t] += c * x
     return acc
-
-
-def bilinear(table, u: Sequence[int], w: Sequence[int], n: int) -> list:
-    """sum_{i,j} u_i * w_j * table[i][j], as a list of n entries, for a
-    table of length-n rows."""
-    return lincomb(list(filter(None, u)),
-                   [lincomb(w, row, n) for row in compress(table, u)], n)
 
 
 def vec_mat(v: Sequence[int], m: IntMatrix) -> list:
@@ -315,25 +310,22 @@ def invert_unimodular(m: IntMatrix, modulus: int) -> IntMatrix:
     n = m.rows
     top = hnf(_with_identity(m), modulus).h.take_rows(range(n))
     if top.take_columns(range(n)) != IntMatrix.identity(n):
-        raise NotUnimodularError(f"matrix is not invertible modulo {modulus}")
+        raise NotUnimodularError(f"matrix is not invertible modulo {int_to_str(modulus)}")
     return top.take_columns(range(n, 2 * n))
 
 
 def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
-    """Membership of a row vector in the row lattice of h, a basis in row
-    echelon form (an HNF, say): each row in turn clears v at its pivot."""
+    """Membership of a row vector in the row lattice of h, a square full-rank
+    HNF as every subgroup basis is: row j in turn clears v at column j."""
     residual = list(v)
-    for row in h.data:
-        j = next(compress(count(), row), None)
-        if j is None:
-            continue
+    for j, row in enumerate(h.data):
         q, rem = divmod(residual[j], row[j])
         if rem:
             return False
         if q:
             for k, x in compress(enumerate(row), row):
                 residual[k] -= q * x
-    return not any(residual)
+    return True
 
 
 def solve_congruence(a: IntMatrix, t: Sequence[int], moduli: Sequence[int],

@@ -5,8 +5,8 @@ A submodule is passed around as a tuple of generating elements; the
 driver's N keeps them in construction order, which fixes its choices.
 M_A is carried by the lattice I_A*M, a `Subgroup` of M: membership in it
 is a zero image in M_A, and its index is |M_A|.  The action is held as
-rows of canonical coordinates, and every product r*m is one of the
-`lincomb` and `bilinear` kernels of `intlinalg`."""
+rows of canonical coordinates, and every product r*m is the `lincomb`
+kernel of `intlinalg`."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .abelian import (
     subgroup_join,
     subgroup_span,
 )
-from .intlinalg import bilinear, lincomb
+from .intlinalg import lincomb
 from .rings import (
     FiniteRing,
     _assoc_diagnostics,
@@ -58,10 +58,10 @@ class FiniteModule:
         return self.group.zero()
 
     def act(self, r: Element, m: Element) -> Element:
+        """r*m, the combination of the images g_i*m with r's coordinates."""
         _check_group(self.ring.group, r.group)
-        _check_group(self.group, m.group)
-        return self.group.element(bilinear(self.action_table, r.coords, m.coords,
-                                           self.group.rank))
+        return self.group.element(lincomb(r.coords, [x.coords for x in self.images(m)],
+                                          self.group.rank))
 
     def images(self, m: Element) -> list:
         """g_i * m for every ring generator g_i, in order."""

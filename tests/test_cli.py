@@ -1,12 +1,16 @@
 import argparse
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import modcyclic
 from modcyclic import cyclic, instances, rings
@@ -69,8 +73,13 @@ def test_check_json_witness(noncyclic_file, capsys):
         "iteration": 2, "order_A_mod_a": "2", "order_ext_mod_a": "4"}
 
 
-def test_check_flags(noncyclic_file):
-    assert main(["check", noncyclic_file, "--no-validate", "--no-assert"]) == 1
+def test_check_flags(noncyclic_file, capsys):
+    assert main(["check", noncyclic_file, "--no-validate"]) == 1
+    # the state invariants are always re-checked: there is no switch to skip them
+    with pytest.raises(SystemExit) as exc:
+        main(["check", noncyclic_file, "--no-assert"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-assert" in capsys.readouterr().err
 
 
 def test_oracle_exit_codes(cyclic_file, noncyclic_file, capsys):
@@ -263,6 +272,82 @@ def test_check_integers_past_the_digit_limit(tmp_path, capsys, fmt):
             assert f"iter 1: |A|={digits} branch=" in out
             if code:
                 assert f"|A/a| = {orders[0]} < |M_(A/a)| = {orders[1]}" in out
+
+
+# "1" followed by 200,000 zeros: int/str conversion refuses it past the
+# interpreter's 4,300-digit limit, and every message must print it anyway.
+HUGE = "1" + "0" * 200000
+
+
+def test_generator_orders_past_the_digit_limit_in_diagnostics(tmp_path, capsys):
+    # Z/2 x Z/HUGE with an ill-defined table: the well-definedness lines
+    # name the order HUGE, as they would with no digit limit.
+    doc = {"ring": {"num_gens": 2, "relations": [["2", "0"], ["0", HUGE]],
+                    "mul": [[["0", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]],
+                    "one": ["1", "0"]},
+           "module": {"num_gens": 0, "relations": [], "action": [[], []]}}
+    path = tmp_path / "huge_orders.json"
+    path.write_text(json.dumps(doc))
+    well_defined = [
+        "invalid: well-definedness violated at g0*g1: product does not vanish under "
+        f"the generator orders (2, {HUGE})",
+        "invalid: well-definedness violated at g1*g0: product does not vanish under "
+        f"the generator orders ({HUGE}, 2)"]
+    associativity = "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator"
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid: well-definedness violated at ring relation 0 x g1: multiplication "
+        "does not kill a stated ring relation",
+        *well_defined,
+        f"invalid: associativity violated at mul(g0, g0, *): {associativity}",
+        f"invalid: associativity violated at mul(g1, g0, *): {associativity}",
+        "invalid: identity violated at 1*g0: identity candidate Element(1, 0) does not "
+        "fix generator 0"]
+    assert main(["check", str(path), "--no-validate"]) == 2
+    assert capsys.readouterr().err.splitlines() == well_defined
+
+
+def test_identity_candidate_past_the_digit_limit_in_diagnostics(tmp_path, capsys):
+    # Z/HUGE whose stated `one`, HUGE - 1, fixes nothing: its diagnostic
+    # prints the candidate.  Unvalidated, the table alone is well defined.
+    nines = "9" * 200000
+    doc = {"ring": {"num_gens": 1, "relations": [[HUGE]], "mul": [[["1"]]], "one": [nines]},
+           "module": {"num_gens": 0, "relations": [], "action": [[]]}}
+    path = tmp_path / "huge_one.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"invalid: identity violated at 1*g0: identity candidate "
+                            f"Element({nines},) does not fix generator 0\n")
+    assert main(["check", str(path), "--no-validate"]) == 0
+    assert capsys.readouterr().out == "verdict: cyclic\ngenerator: []\niterations: 1\n"
+
+
+SMALL_FAMILIES = [gen_zmod(4, [2, 2]), gen_zmod(6, [2, 3]), gen_trunc(2, 2, [2, 1]),
+                  gen_randquot(3, 1, max_deg=2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_integer_past_the_digit_limit_in_any_slot(tmp_path, capsys, data):
+    # One integer of 5,000 digits in place of any integer of a small family
+    # file: whatever it makes of the file, no message hits the digit limit.
+    text = dumps(data.draw(st.sampled_from(SMALL_FAMILIES)))
+    slots = list(re.finditer(r"-?[0-9]+", text))
+    slot = slots[data.draw(st.integers(0, len(slots) - 1))]
+    # drawn from a seed: hypothesis itself cannot print an int this long
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    value = (data.draw(st.sampled_from(("", "-"))) + rnd.choice("123456789")
+             + "".join(rnd.choices("0123456789", k=4999)))
+    path = tmp_path / "slot.json"
+    path.write_text(text[:slot.start()] + value + text[slot.end():])
+    flags = data.draw(st.sampled_from(([], ["--no-validate"], ["--format", "json", "--trace"])))
+    assert main(["check", str(path), *flags]) in (0, 1, 2)
+    assert "Exceeds the limit" not in capsys.readouterr().err
 
 
 def test_not_finite_is_an_error(tmp_path, capsys):

@@ -8,7 +8,6 @@ from modcyclic.intlinalg import (
     DimensionError,
     IntMatrix,
     NotUnimodularError,
-    bilinear,
     hnf,
     in_lattice,
     invert_unimodular,
@@ -20,7 +19,16 @@ from modcyclic.intlinalg import (
     xgcd,
 )
 
-from helpers import check_hnf, check_snf, det, exact_hnf, matmul, random_matrix
+from helpers import (
+    bilinear,
+    check_hnf,
+    check_snf,
+    det,
+    echelon_contains,
+    exact_hnf,
+    matmul,
+    random_matrix,
+)
 
 
 def test_xgcd():
@@ -69,13 +77,18 @@ def test_snf_examples():
 
 
 def test_hnf_examples():
-    m = IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]])
-    h, t = check_hnf(m)
-    # same row span: each generator of one lattice lies in the other
-    for row in m.data:
-        assert in_lattice(h, row)
-    for row in h.data:
-        assert in_lattice(exact_hnf(m).h, row)
+    for m in (IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]]),
+              IntMatrix.from_rows([[4, 2], [0, 6], [2, 4]])):
+        h, t = check_hnf(m)
+        # same row span: each generator of one lattice lies in the other
+        for row in m.data:
+            assert echelon_contains(h, row)
+        for row in h.data:
+            assert echelon_contains(exact_hnf(m).h, row)
+        # `in_lattice` reads the square full-rank part, pivots on the diagonal
+        square = h.take_rows(range(2))
+        for v in product(range(-7, 8), repeat=2):
+            assert in_lattice(square, v) == echelon_contains(h, v)
 
     h, _ = check_hnf(IntMatrix.identity(3))
     assert h == IntMatrix.identity(3)

@@ -3,7 +3,7 @@
 The normal forms and the lattice kernel live in `intlinalg`; `abelian` is
 the only module that builds lattices for them.  The ring, module and
 driver layers speak of subgroups, and take from `intlinalg` at most the
-product kernels.  Only `cli` knows how a report is written, so the driver
+product kernel.  Only `cli` knows how a report is written, so the driver
 imports neither `instances` nor `cli`.  Checked on the syntax trees of the
 package's sources.
 """
@@ -16,7 +16,7 @@ import modcyclic
 PACKAGE = Path(modcyclic.__file__).resolve().parent
 LATTICE_NAMES = {"hnf", "snf", "kernel_mod_lattice"}
 LATTICE_MODULES = {"intlinalg.py", "abelian.py"}
-PRODUCT_KERNELS = {"lincomb", "bilinear"}
+PRODUCT_KERNELS = {"lincomb"}
 
 
 def trees():

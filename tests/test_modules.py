@@ -17,7 +17,9 @@ from modcyclic.rings import FiniteRing, ideal_span, ring_validate
 
 from helpers import (
     additive_closure,
+    bilinear,
     is_action_closed,
+    ring_mul,
     span_coords,
     subgroup_coords,
     submodule_span,
@@ -60,13 +62,36 @@ def test_act_examples():
             m = mod.group.element(tuple(rng.randrange(d)
                                         for d in mod.group.invariant_factors))
             assert mod.act(ring.one, m) == m
-            assert mod.act(ring.zero(), m).is_zero()
+            assert mod.act(ring.group.zero(), m).is_zero()
+
+
+def test_act_matches_the_bilinear_reference():
+    # `act` combines the images g_i*m with r's coordinates; the reference
+    # sums r_i * m_j * (g_i*m_j) over the whole action table.
+    rng = random.Random(9)
+    for ring, mod in small_instances():
+        for _ in range(8):
+            r = ring.group.element(tuple(rng.randrange(d)
+                                         for d in ring.group.invariant_factors))
+            m = mod.group.element(tuple(rng.randrange(d)
+                                        for d in mod.group.invariant_factors))
+            assert mod.act(r, m) == mod.group.element(
+                bilinear(mod.action_table, r.coords, m.coords, mod.group.rank))
+
+
+def test_act_rejects_elements_of_other_groups():
+    ring, mod = parse(gen_zmod(6, [6]))
+    other_ring, other_mod = parse(gen_zmod(4, [2, 2]))
+    with pytest.raises(GroupMismatchError):
+        mod.act(other_ring.one, mod.group.gens()[0])
+    with pytest.raises(GroupMismatchError):
+        mod.act(ring.one, other_mod.group.gens()[0])
 
 
 def test_images_match_mul_and_act():
     rng = random.Random(8)
     for ring, mod in small_instances():
-        gens = ring.gens()
+        gens = ring.group.gens()
         for _ in range(5):
             x = ring.group.element(tuple(rng.randrange(d)
                                          for d in ring.group.invariant_factors))
@@ -75,7 +100,7 @@ def test_images_match_mul_and_act():
             ring_images, mod_images = ring.images(x), mod.images(m)
             assert len(ring_images) == len(mod_images) == len(gens)
             for i, g in enumerate(gens):
-                assert ring_images[i] == ring.mul(g, x)
+                assert ring_images[i] == ring_mul(ring, g, x)
                 assert mod_images[i] == mod.act(g, m)
 
 
@@ -121,19 +146,20 @@ def test_associativity_matches_the_elementwise_law():
         return [d.where for d in diags if d.axiom == "associativity"]
 
     for ring, mod in (parse(doc) for doc in docs):
-        gens, xs = ring.gens(), mod.group.gens()
+        gens, xs = ring.group.gens(), mod.group.gens()
         for _ in range(12):
             bad = FiniteRing(ring.group, corrupt(ring.mul_table, ring.group), ring.one)
             expected = [f"mul(g{i}, g{k}, *)" for i, a in enumerate(gens)
                         for k, b in enumerate(gens)
-                        if any(bad.mul(bad.mul(a, b), x) != bad.mul(a, bad.mul(b, x))
+                        if any(ring_mul(bad, ring_mul(bad, a, b), x)
+                               != ring_mul(bad, a, ring_mul(bad, b, x))
                                for x in gens)]
             assert failures(ring_validate(bad)) == expected
 
             bad = FiniteModule(ring, mod.group, corrupt(mod.action_table, mod.group))
             expected = [f"act(g{i}, g{k}, *)" for i, a in enumerate(gens)
                         for k, b in enumerate(gens)
-                        if any(bad.act(ring.mul(a, b), x) != bad.act(a, bad.act(b, x))
+                        if any(bad.act(ring_mul(ring, a, b), x) != bad.act(a, bad.act(b, x))
                                for x in xs)]
             assert failures(module_validate(ring, bad)) == expected
 

@@ -16,9 +16,9 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_outcome, reference_parse
+from helpers import bilinear, parse_outcome, reference_parse
 from modcyclic.instances import dumps, gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import bilinear, lincomb
+from modcyclic.intlinalg import lincomb
 
 
 def unimodular(rnd, n):
