@@ -283,8 +283,9 @@ def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
     Precondition, not checked here: the assignment is well defined in
     every block, d_i * blocks[t][i] lying in target.  The driver's blocks
     are products g_i * u of the ring generators with one element u, and
-    d_i * (g_i * u) = 0 because `parse_instance` returns only well-defined
-    generator tables.  One HNF modulo the exponent of target.ambient of
+    d_i * (g_i * u) = 0 because every `parse_instance` runs `ring_validate`
+    and `module_validate`, whose well-definedness check rejects any other
+    generator table.  One HNF modulo the exponent of target.ambient of
     [images | I ; s diagonal copies of target.basis | 0 ; 0 | diag(d)],
     where row i of images is the blocks' i-th images side by side, gives
     the kernel lattice together with the relations diag(d) of the domain,

@@ -41,7 +41,6 @@ from .rings import (
     Diagnostic,
     FiniteRing,
     NoIdentityError,
-    _well_defined_diagnostics,
     find_identity,
     ring_validate,
 )
@@ -327,16 +326,17 @@ def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> l
     return diags
 
 
-def parse_instance(source, validate: bool = True) -> ParsedInstance:
+def parse_instance(source) -> ParsedInstance:
     """Build the canonical ring and module from a document (dict or JSON
     text).
 
     Canonicalizes both groups, converts the tables to canonical
-    coordinates, solves for the identity when the file omits it, and runs
-    the validators unless `validate` is False.  Either way the canonical
-    tables are well defined on return, as the driver requires: unvalidated
-    parsing still runs the validators' well-definedness check on them.
-    Raises InstanceFormatError, NotFiniteError, or ValidationFailure.
+    coordinates, checks that they descend to the presented groups, solves
+    for the identity when the file omits it, and runs the ring and module
+    validators.  Every parse runs every check, so a returned instance is a
+    commutative ring and a module over it, with the well-defined tables
+    `run` requires.  Raises InstanceFormatError, NotFiniteError, or
+    ValidationFailure.
     """
     if isinstance(source, str):
         doc = loads(source)
@@ -371,20 +371,12 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
     _to_canonical(doc["ring"], "mul", k, rg)
     _to_canonical(doc["module"], "action", m, mg)
 
-    diags = []
-    if validate:
-        diags.extend(_descent_diagnostics(doc, rg, mg))
+    diags = _descent_diagnostics(doc, rg, mg)
 
     # canonical generator representatives in user coordinates
     r_reps, m_reps = rg.from_can.data, mg.from_can.data
     mul_can = _canonical_table(doc["ring"].pop("mul"), k, r_reps, r_reps, rg)
     act_can = _canonical_table(doc["module"].pop("action"), m, r_reps, m_reps, mg)
-    if not validate:
-        # The one check that always runs: the driver's kernels need
-        # well-defined generator tables.
-        dr, dm = rg.invariant_factors, mg.invariant_factors
-        diags.extend(_well_defined_diagnostics(mul_can, dr, dr, "g", "product"))
-        diags.extend(_well_defined_diagnostics(act_can, dr, dm, "m", "action product"))
 
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])
@@ -402,9 +394,8 @@ def parse_instance(source, validate: bool = True) -> ParsedInstance:
     ring = FiniteRing(rg, mul_can, one_el)
     module = FiniteModule(ring, mg, act_can)
 
-    if validate:
-        diags.extend(ring_validate(ring))
-        diags.extend(module_validate(ring, module))
+    diags.extend(ring_validate(ring))
+    diags.extend(module_validate(ring, module))
     if diags:
         raise ValidationFailure(diags)
     return ParsedInstance(ring, module, warnings)
@@ -420,10 +411,11 @@ def gen_zmod(n: int, ds) -> dict:
     """R = Z/n acting on a direct sum of Z/d_i with every d_i | n."""
     ds = [int(d) for d in ds]
     if n < 1:
-        raise ValueError(f"zmod: n must be positive, got {n}")
+        raise ValueError(f"zmod: n must be positive, got {int_to_str(n)}")
     for d in ds:
         if d < 1 or n % d:
-            raise ValueError(f"zmod: summand order {d} does not divide n = {n}")
+            raise ValueError(f"zmod: summand order {int_to_str(d)} does not divide "
+                             f"n = {int_to_str(n)}")
     return {
         "ring": {
             "num_gens": 1,
@@ -447,11 +439,12 @@ def gen_trunc(p: int, e: int, mdegs=None) -> dict:
     `mdegs` (default a single copy of R, i.e. t = e).
     """
     if p < 2 or e < 1:
-        raise ValueError(f"trunc: need p >= 2 and e >= 1, got p={p}, e={e}")
+        raise ValueError(f"trunc: need p >= 2 and e >= 1, got p={int_to_str(p)}, "
+                         f"e={int_to_str(e)}")
     mdegs = [int(t) for t in (mdegs if mdegs is not None else [e])]
     for t in mdegs:
         if t < 1 or t > e:
-            raise ValueError(f"trunc: summand degree {t} not in 1..{e}")
+            raise ValueError(f"trunc: summand degree {int_to_str(t)} not in 1..{int_to_str(e)}")
     mul = [[(_unit(i + j, e) if i + j < e else [0] * e) for j in range(e)]
            for i in range(e)]
     total = sum(mdegs)
@@ -515,7 +508,7 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
     def one_of(doc):
         if doc["ring"].get("one") is not None:
             return doc["ring"]["one"]
-        parsed = parse_instance(doc, validate=False)
+        parsed = parse_instance(doc)
         return parsed.ring.group.to_user(parsed.ring.one)
 
     return {
@@ -547,6 +540,8 @@ def gen_randquot(n: int, seed, max_deg: int = 4, summands=None) -> dict:
         raise ValueError(f"randquot: n must be at least 2, got {n}")
     if max_deg < 1:
         raise ValueError(f"randquot: max_deg must be at least 1, got {max_deg}")
+    if summands is not None and summands < 0:
+        raise ValueError(f"randquot: summands must be nonnegative, got {summands}")
     rng = random.Random(f"randquot:{n}:{max_deg}:{summands}:{seed}")
     deg = rng.randint(1, max_deg)
     f_low = [rng.randrange(n) for _ in range(deg)]

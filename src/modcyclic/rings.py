@@ -173,7 +173,7 @@ def _well_defined_diagnostics(table, row_orders, col_orders, col: str, what: str
     in a row that fails.  A row whose gcds all vanish modulo the
     coordinates' orders, as when every invariant factor is the same, is
     well defined whatever its entries and is not read.  Shared by the ring
-    and module validators and by unvalidated parsing."""
+    and module validators."""
     n = len(col_orders)
     moduli = col_orders * n
     multipliers = {}  # by d_i: gcd(d_i, d'_j) once per coordinate of entry j, or None

@@ -554,14 +554,13 @@ def _reference_module_validate(ring, module):
     return diags
 
 
-def reference_parse(obj, validate=True):
-    """What `instances.parse_instance(obj, validate)` makes of a raw
-    document, computed one table vector at a time: ("ok", ring table,
-    action table, identity), ("invalid", diagnostics as strings), or the
-    error type and message."""
+def reference_parse(obj):
+    """What `instances.parse_instance(obj)` makes of a raw document,
+    computed one table vector at a time: ("ok", ring table, action table,
+    identity), ("invalid", diagnostics as strings), or the error type and
+    message."""
     try:
         doc = reference_decode(obj)
-        warnings = []
         try:
             rg = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"],
                                                   cols=doc["ring"]["num_gens"]))
@@ -574,16 +573,12 @@ def reference_parse(obj, validate=True):
             raise NotFiniteError(f"module: {exc}") from None
         mul_img = [[vec_mat(vec, rg.to_can) for vec in row] for row in doc["ring"]["mul"]]
         act_img = [[vec_mat(vec, mg.to_can) for vec in row] for row in doc["module"]["action"]]
-        diags = _reference_descent(doc, mul_img, act_img, rg, mg) if validate else []
+        diags = _reference_descent(doc, mul_img, act_img, rg, mg)
         r_reps, m_reps = rg.from_can.data, mg.from_can.data
         mul_can = [[rg.reduce(bilinear(mul_img, ra, rb, rg.rank)) for rb in r_reps]
                    for ra in r_reps]
         act_can = [[mg.reduce(bilinear(act_img, ra, mb, mg.rank)) for mb in m_reps]
                    for ra in r_reps]
-        dr, dm = rg.invariant_factors, mg.invariant_factors
-        if not validate:
-            diags.extend(_reference_well_defined(mul_can, dr, dr, "g", "product"))
-            diags.extend(_reference_well_defined(act_can, dr, dm, "m", "action product"))
         if doc["ring"].get("one") is not None:
             one = rg.from_user(doc["ring"]["one"])
         elif diags:  # the identity is solved for only on well-defined tables
@@ -596,9 +591,8 @@ def reference_parse(obj, validate=True):
                 one = rg.zero()
         ring = FiniteRing(rg, mul_can, one)
         module = FiniteModule(ring, mg, act_can)
-        if validate:
-            diags.extend(_reference_ring_validate(ring))
-            diags.extend(_reference_module_validate(ring, module))
+        diags.extend(_reference_ring_validate(ring))
+        diags.extend(_reference_module_validate(ring, module))
     except Exception as exc:  # every error the parser raises is an outcome
         return f"{type(exc).__name__}: {exc}"
     if diags:
@@ -606,11 +600,10 @@ def reference_parse(obj, validate=True):
     return ("ok", ring.mul_table, module.action_table, one.coords)
 
 
-def parse_outcome(obj, validate=True):
-    """`instances.parse_instance(obj, validate)` in the form of
-    `reference_parse`."""
+def parse_outcome(obj):
+    """`instances.parse_instance(obj)` in the form of `reference_parse`."""
     try:
-        parsed = instances.parse_instance(obj, validate=validate)
+        parsed = instances.parse_instance(obj)
     except instances.ValidationFailure as exc:
         return ("invalid", [str(d) for d in exc.diagnostics])
     except Exception as exc:

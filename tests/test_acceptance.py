@@ -224,7 +224,7 @@ def test_criterion_5_large_representation(tmp_path, capsys):
     assert t_not < 10.0, f"non-cyclic check took {t_not:.1f}s"
 
     # independent certificate: a cyclic module Ry has at most |R| elements
-    parsed = parse_instance(gen_trunc(2, 64, [64, 32]), validate=False)
+    parsed = parse_instance(gen_trunc(2, 64, [64, 32]))
     assert parsed.ring.order == 2 ** 64
     assert parsed.module.order == 2 ** 96 > parsed.ring.order
     with capsys.disabled():

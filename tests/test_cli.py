@@ -74,12 +74,13 @@ def test_check_json_witness(noncyclic_file, capsys):
 
 
 def test_check_flags(noncyclic_file, capsys):
-    assert main(["check", noncyclic_file, "--no-validate"]) == 1
-    # the state invariants are always re-checked: there is no switch to skip them
-    with pytest.raises(SystemExit) as exc:
-        main(["check", noncyclic_file, "--no-assert"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --no-assert" in capsys.readouterr().err
+    # every check validates the instance and re-checks the state
+    # invariants: there is no switch to skip either
+    for flag in ("--no-validate", "--no-assert"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", noncyclic_file, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_oracle_exit_codes(cyclic_file, noncyclic_file, capsys):
@@ -155,7 +156,7 @@ def test_printed_generator_is_small_and_spans(tmp_path, capsys, n, seed, max_deg
     assert main(["check", str(path), "--format", "json"]) == 0
     gen = [int(x) for x in json.loads(capsys.readouterr().out)["generator"]]
     assert max(len(str(x)) for x in gen) <= width
-    parsed = parse_instance(doc, validate=False)
+    parsed = parse_instance(doc)
     assert all(0 <= x < parsed.module.group.exponent for x in gen)
     y = parsed.module.group.from_user(gen)
     assert cyclic_span_is_all(parsed.module, y)
@@ -181,7 +182,7 @@ def test_failed_self_check_is_an_error_not_a_verdict(noncyclic_file, capsys, mon
 
 def test_wrong_identity_solve_is_an_error_not_a_verdict(tmp_path, capsys, monkeypatch):
     # find_identity checks the solved candidate on every generator, outside
-    # the solver: a wrong solution stops the run, validated or not.
+    # the solver: a wrong solution stops the run.
     doc = gen_zmod(6, [2, 3])
     del doc["ring"]["one"]
     path = tmp_path / "z6_no_one.json"
@@ -194,24 +195,21 @@ def test_wrong_identity_solve_is_an_error_not_a_verdict(tmp_path, capsys, monkey
 
     monkeypatch.setattr(rings, "solve_congruence", off_by_one)
     with pytest.raises(RuntimeError, match="does not fix generator"):
-        parse_instance(doc, validate=False)
-    for flags in (["--no-validate"], []):
-        assert main(["check", str(path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: RuntimeError") and "Traceback" not in err
+        parse_instance(doc)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuntimeError") and "Traceback" not in err
 
 
-def test_ill_defined_ring_without_validation_is_an_error(tmp_path, capsys, monkeypatch):
-    # Z/4 x Z/2 with g1*g1 = g0, which 2*g1 = 0 does not kill.  Unvalidated
-    # parsing still checks the canonical tables, so the driver never starts.
+def test_ill_defined_ring_never_starts_the_run(tmp_path, capsys, monkeypatch):
+    # Z/4 x Z/2 with g1*g1 = g0, which 2*g1 = 0 does not kill.  The parse
+    # checks the canonical tables, so the run never starts.
     doc = {"format": "modcyclic-instance", "version": 1,
            "ring": {"num_gens": 2, "relations": [[4, 0], [0, 2]],
                     "mul": [[[1, 3], [0, 0]], [[0, 0], [1, 2]]], "one": [1, 0]},
            "module": {"num_gens": 1, "relations": [[2]], "action": [[[0]], [[0]]]}}
     path = tmp_path / "ill.json"
     path.write_text(json.dumps(doc))
-    assert main(["check", str(path)]) == 2
-    assert "invalid: well-definedness violated" in capsys.readouterr().err
     calls = []
 
     def recording(ring, i_a, x):
@@ -219,36 +217,47 @@ def test_ill_defined_ring_without_validation_is_an_error(tmp_path, capsys, monke
         return ideal_annihilator(ring, i_a, x)
 
     monkeypatch.setattr(cyclic, "ideal_annihilator", recording)
-    assert main(["check", str(path), "--no-validate"]) == 2
-    assert capsys.readouterr().err.startswith("invalid: well-definedness violated at g0*g0")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert all(line.startswith("invalid: ") for line in lines)
+    assert ("invalid: well-definedness violated at g0*g0: product does not vanish under "
+            "the generator orders (2, 2)") in lines
     assert calls == []
 
 
 def test_ill_defined_ring_without_one_reports_diagnostics(tmp_path, capsys):
     # Z/6 x Z/2 whose table 2*g1 = 0 does not kill, and no `one`: the
-    # identity is not solved for on ill-defined tables, so both modes report
-    # the diagnostics already found, and --no-validate reports exactly what
-    # it reports when `one` is given.
+    # identity is not solved for on ill-defined tables, so the check reports
+    # the diagnostics already found, the same lines that lead the report
+    # when `one` is given.
     doc = {"ring": {"num_gens": 2, "relations": [["6", "0"], ["0", "2"]],
                     "mul": [[["1", "3"], ["0", "2"]], [["1", "2"], ["2", "1"]]]},
            "module": {"num_gens": 0, "relations": [], "action": [[], []]}}
     path = tmp_path / "ill_no_one.json"
     path.write_text(json.dumps(doc))
-    for flags in ([], ["--no-validate"]):
-        assert main(["check", str(path), *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert lines and all(line.startswith("invalid: ") for line in lines)
-    assert captured.err == (
-        "invalid: well-definedness violated at g0*g0: product does not vanish under "
-        "the generator orders (2, 2)\n"
-        "invalid: well-definedness violated at g0*g1: product does not vanish under "
-        "the generator orders (2, 6)\n")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    descent = [
+        "invalid: well-definedness violated at ring relation 1 x g0: multiplication "
+        "does not kill a stated ring relation",
+        "invalid: well-definedness violated at ring relation 1 x g1: multiplication "
+        "does not kill a stated ring relation"]
+    assert captured.err.splitlines() == descent
     doc["ring"]["one"] = ["1", "0"]
     path.write_text(json.dumps(doc))
-    assert main(["check", str(path), "--no-validate"]) == 2
-    assert capsys.readouterr().err == captured.err
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[:2] == descent and all(line.startswith("invalid: ") for line in lines)
+    assert lines[2:4] == [
+        "invalid: well-definedness violated at g0*g0: product does not vanish under "
+        "the generator orders (2, 2)",
+        "invalid: well-definedness violated at g0*g1: product does not vanish under "
+        "the generator orders (2, 6)"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -288,11 +297,6 @@ def test_generator_orders_past_the_digit_limit_in_diagnostics(tmp_path, capsys):
            "module": {"num_gens": 0, "relations": [], "action": [[], []]}}
     path = tmp_path / "huge_orders.json"
     path.write_text(json.dumps(doc))
-    well_defined = [
-        "invalid: well-definedness violated at g0*g1: product does not vanish under "
-        f"the generator orders (2, {HUGE})",
-        "invalid: well-definedness violated at g1*g0: product does not vanish under "
-        f"the generator orders ({HUGE}, 2)"]
     associativity = "(g_i*g_k)*x differs from g_i*(g_k*x) on a generator"
     assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
@@ -300,18 +304,19 @@ def test_generator_orders_past_the_digit_limit_in_diagnostics(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "invalid: well-definedness violated at ring relation 0 x g1: multiplication "
         "does not kill a stated ring relation",
-        *well_defined,
+        "invalid: well-definedness violated at g0*g1: product does not vanish under "
+        f"the generator orders (2, {HUGE})",
+        "invalid: well-definedness violated at g1*g0: product does not vanish under "
+        f"the generator orders ({HUGE}, 2)",
         f"invalid: associativity violated at mul(g0, g0, *): {associativity}",
         f"invalid: associativity violated at mul(g1, g0, *): {associativity}",
         "invalid: identity violated at 1*g0: identity candidate Element(1, 0) does not "
         "fix generator 0"]
-    assert main(["check", str(path), "--no-validate"]) == 2
-    assert capsys.readouterr().err.splitlines() == well_defined
 
 
 def test_identity_candidate_past_the_digit_limit_in_diagnostics(tmp_path, capsys):
     # Z/HUGE whose stated `one`, HUGE - 1, fixes nothing: its diagnostic
-    # prints the candidate.  Unvalidated, the table alone is well defined.
+    # prints the candidate.
     nines = "9" * 200000
     doc = {"ring": {"num_gens": 1, "relations": [[HUGE]], "mul": [[["1"]]], "one": [nines]},
            "module": {"num_gens": 0, "relations": [], "action": [[]]}}
@@ -322,8 +327,6 @@ def test_identity_candidate_past_the_digit_limit_in_diagnostics(tmp_path, capsys
     assert captured.out == ""
     assert captured.err == (f"invalid: identity violated at 1*g0: identity candidate "
                             f"Element({nines},) does not fix generator 0\n")
-    assert main(["check", str(path), "--no-validate"]) == 0
-    assert capsys.readouterr().out == "verdict: cyclic\ngenerator: []\niterations: 1\n"
 
 
 SMALL_FAMILIES = [gen_zmod(4, [2, 2]), gen_zmod(6, [2, 3]), gen_trunc(2, 2, [2, 1]),
@@ -345,7 +348,7 @@ def test_an_integer_past_the_digit_limit_in_any_slot(tmp_path, capsys, data):
              + "".join(rnd.choices("0123456789", k=4999)))
     path = tmp_path / "slot.json"
     path.write_text(text[:slot.start()] + value + text[slot.end():])
-    flags = data.draw(st.sampled_from(([], ["--no-validate"], ["--format", "json", "--trace"])))
+    flags = data.draw(st.sampled_from(([], ["--format", "json", "--trace"])))
     assert main(["check", str(path), *flags]) in (0, 1, 2)
     assert "Exceeds the limit" not in capsys.readouterr().err
 
@@ -405,6 +408,18 @@ def test_gen_stdout_and_param_errors(tmp_path, capsys):
     assert main(["gen", "--family", "zmod"]) == 2
     assert main(["gen", "--family", "trunc", "--p", "1", "--e", "2"]) == 2
     assert main(["gen", "--family", "prod", "--left", "x"]) == 2
+    capsys.readouterr()
+    # an error, not a file: a negative summand count, and integer lists
+    # spelled other than in ASCII digits (int() reads 12 and 3 here) or of
+    # 5,000 digits
+    for argv in (["--family", "randquot", "--n", "4", "--summands", "-1"],
+                 ["--family", "zmod", "--n", "12", "--d", "1_2,\u0663"],
+                 ["--family", "zmod", "--n", "6", "--d", "2," + "1" * 5000],
+                 ["--family", "trunc", "--p", "2", "--e", "3", "--mdeg", "9" * 5000]):
+        assert main(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Exceeds the limit" not in captured.err
 
 
 def test_warning_goes_to_stderr(tmp_path, capsys):

@@ -198,19 +198,17 @@ def test_literal_asymmetry_warns_but_canonical_equality_passes():
     assert parsed.warnings and "differ as written" in parsed.warnings[0]
 
 
-def test_validation_can_be_suppressed():
+def test_validation_accepts_a_true_identity_and_rejects_a_bad_action():
     doc = gen_zmod(4, [2, 2])
     doc["ring"]["mul"] = [[[3]]]  # g*g = 3g: no identity is declared wrong...
     doc["ring"]["one"] = [3]      # ...but 3 is the identity for x*y = 3xy
-    parsed = parse_instance(doc, validate=True)
+    parsed = parse_instance(doc)
     assert parsed.ring.one == parsed.ring.group.element((3,))
 
     bad = gen_zmod(4, [2, 2])
     bad["module"]["action"] = [[[0, 1], [0, 1]]]
     with pytest.raises(ValidationFailure):
-        parse_instance(bad, validate=True)
-    parsed = parse_instance(bad, validate=False)  # parses, caller's risk
-    assert parsed.module.order == 4
+        parse_instance(bad)
 
 
 def dumps_edge_cases():
@@ -261,13 +259,18 @@ def count_lincomb(monkeypatch):
 def test_parse_work_is_per_row(e, monkeypatch):
     # A bound on the work, not the time: each table pass makes one kernel
     # call per table row, relation or generator.  One call per table vector
-    # would make 6e^2 + 1 unvalidated and about 14e^2 validated.
+    # would make 6e^2 + 1 outside the checks and about 14e^2 in all.
     doc = gen_trunc(2, e)
-    expected = parse_instance(doc)
     calls = count_lincomb(monkeypatch)
-    parsed = parse_instance(doc, validate=False)
-    assert len(calls) <= 8 * e, len(calls)
-    calls.clear()
-    assert parse_instance(doc).ring.mul_table == expected.ring.mul_table
+    in_checks = []
+    for name in ("_descent_diagnostics", "ring_validate", "module_validate"):
+        def counted(*args, _check=getattr(instances, name)):
+            start = len(calls)
+            out = _check(*args)
+            in_checks.append(len(calls) - start)
+            return out
+        monkeypatch.setattr(instances, name, counted)
+    parse_instance(doc)
+    assert len(in_checks) == 3
+    assert len(calls) - sum(in_checks) <= 8 * e, (len(calls), in_checks)
     assert len(calls) <= 5 * e * e, len(calls)
-    assert parsed.module.action_table == expected.module.action_table

@@ -1,10 +1,10 @@
 """Which functions of the package the command line never enters.
 
 A fixed, small traffic runs under `sys.setprofile`: `gen` for every
-family; `check` in text and JSON, with `--trace` and `--no-validate`, on a
-cyclic and a not-cyclic file; an ill-defined file and one without
-`ring.one`; `oracle`, `compare` and `validate`.  Every function and method
-defined in the package's sources that none of it enters must be named in
+family; `check --trace` in text and JSON on a cyclic and a not-cyclic
+file; `check` on an ill-defined file and one without `ring.one`;
+`oracle`, `compare` and `validate`.  Every function and method defined
+in the package's sources that none of it enters must be named in
 UNREACHED with its reason: the benchmark's tracer or checker pins it, it
 runs only on an error, or it is a data-model method that only tests or
 printing call.  A public function that only the tests reach is neither, so
@@ -112,10 +112,8 @@ def cli_traffic(tmp: Path) -> list:
     Path(path("no_one.json")).write_text(dumps(no_one))
     for name in ("cyclic", "not_cyclic", "trunc", "prod", "randquot"):
         runs += [["check", path(f"{name}.json"), "--trace"],
-                 ["check", path(f"{name}.json"), "--format", "json", "--trace"],
-                 ["check", path(f"{name}.json"), "--no-validate"]]
-    runs += [["check", path("ill.json")], ["check", path("ill.json"), "--no-validate"],
-             ["check", path("no_one.json")]]
+                 ["check", path(f"{name}.json"), "--format", "json", "--trace"]]
+    runs += [["check", path("ill.json")], ["check", path("no_one.json")]]
     for command in ("oracle", "compare", "validate"):
         runs += [[command, path("cyclic.json")], [command, path("not_cyclic.json")]]
     return runs
@@ -127,8 +125,8 @@ def test_the_cli_enters_every_function_but_the_pinned_ones(tmp_path, capsys):
     missed = unreached(lambda: codes.extend(main(argv) for argv in cli_traffic(tmp_path)))
     capsys.readouterr()
     # gen; check on cyclic, not_cyclic, trunc, prod, randquot; ill-defined
-    # (both modes) and without `one`; oracle, compare, validate
-    assert codes == ([0] * 5 + [0] * 3 + [1] * 9 + [0] * 3 + [2, 2, 0]
+    # and without `one`; oracle, compare, validate
+    assert codes == ([0] * 5 + [0] * 2 + [1] * 6 + [0] * 2 + [2, 0]
                      + [0, 1, 0, 1, 0, 0])
     assert sorted(missed) == sorted(UNREACHED)
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from modcyclic import intlinalg
+from modcyclic.abelian import canonicalize
 from modcyclic.instances import (
     ValidationFailure,
     dumps,
@@ -12,6 +13,7 @@ from modcyclic.instances import (
     gen_zmod,
     parse_instance,
 )
+from modcyclic.intlinalg import IntMatrix
 from modcyclic.rings import (
     FiniteRing,
     NoIdentityError,
@@ -93,7 +95,7 @@ def test_identity_solve_work_is_linear_in_the_rank(make, monkeypatch):
     # A bound on the work, not the time: no HNF is wider than 2r + 2
     # columns, where eliminating the r^2 equations as they stand takes
     # r^2 + r.
-    expected = parse_instance(make(), validate=False).ring
+    expected = parse_instance(make()).ring
     widths = []
     real = intlinalg.hnf
 
@@ -102,7 +104,7 @@ def test_identity_solve_work_is_linear_in_the_rank(make, monkeypatch):
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(intlinalg, "hnf", recording)
-    ring = parse_instance(without_one(make()), validate=False).ring
+    ring = parse_instance(without_one(make())).ring
     r = ring.group.rank
     assert widths and max(widths) <= 2 * r + 2, (r, max(widths))
     assert ring.one.coords == expected.one.coords
@@ -133,10 +135,18 @@ TRIPLE = [
 ])
 def test_find_identity_on_a_noncommutative_table(case, diagnostics):
     # Only a non-commutative table can have several left identities; the
-    # solve returns one of them, and validation reports the table.
-    ring = parse_instance(left_identity_doc(*case), validate=False).ring
-    for one in (ring.one, find_identity(ring.group, ring.mul_table)):
-        assert all(ring_mul(ring, one, g) == g for g in ring.group.gens())
+    # solve returns one of them, and validation reports the table.  The
+    # ring is built without the parse, which rejects it: canonicalizing the
+    # diagonal relations leaves the generators in place, so the document's
+    # table is already in canonical coordinates.
+    doc = left_identity_doc(*case)
+    r = doc["ring"]["num_gens"]
+    group = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"], cols=r))
+    assert group.to_can == group.from_can == IntMatrix.identity(r)
+    table = [[tuple(vec) for vec in row] for row in doc["ring"]["mul"]]
+    one = find_identity(group, table)
+    ring = FiniteRing(group, table, one)
+    assert all(ring_mul(ring, one, g) == g for g in ring.group.gens())
     with pytest.raises(ValidationFailure) as exc:
         parse_instance(left_identity_doc(*case))
     assert [str(d) for d in exc.value.diagnostics] == diagnostics

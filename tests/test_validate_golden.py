@@ -10,10 +10,12 @@ with 156 diagnostics of all four axioms.  Any change to the validators
 must leave every list byte-identical: same checks, same findings, same
 order.
 
-Unvalidated parsing still checks that the generator tables are well
-defined, so it must raise exactly the golden entries of that check, the
-ones located at a table entry g{i}*g{j} or g{i}*m{j}, and `check
---no-validate` must then exit 2 rather than give a verdict.
+Every parse validates, so `check` gives no verdict on an invalid mutant:
+it exits 2 and prints the golden diagnostics.  Among them, the parse
+reports those of the generator-table check, located at a table entry
+g{i}*g{j} or g{i}*m{j}, that keeps ill-defined tables from `run`.
+`test_unvalidated_parse_checks_the_tables` keeps the name it had when
+parsing could skip validation and still ran that one check.
 """
 
 import json
@@ -25,7 +27,7 @@ import pytest
 from modcyclic.cli import main
 from modcyclic.instances import ValidationFailure, dumps, parse_instance
 
-from helpers import build
+from helpers import build, parse_outcome, reference_parse
 
 CASES = json.loads((Path(__file__).parent / "validate_golden.json").read_text())
 IDS = [f"{i:02d}-{'.'.join(c['table'])}" for i, c in enumerate(CASES)]
@@ -60,21 +62,22 @@ def test_diagnostics_match_golden(case):
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_unvalidated_parse_checks_the_tables(case):
-    expected = table_entries(case)
-    try:
-        parse_instance(dumps(mutant(case)), validate=False)
-    except ValidationFailure as exc:
-        assert [str(d) for d in exc.diagnostics] == expected != []
-    else:
-        assert expected == []
+    # The parse and its per-vector reference find exactly the golden
+    # table-entry diagnostics.
+    text = dumps(mutant(case))
+    for outcome in (parse_outcome(text), reference_parse(json.loads(text))):
+        assert isinstance(outcome, tuple), outcome
+        found = [] if outcome[0] == "ok" else [d for d in outcome[1] if TABLE_ENTRY.match(d)]
+        assert found == table_entries(case)
 
 
-def test_unvalidated_check_rejects_ill_defined_tables(tmp_path, capsys):
-    ill = [case for case in CASES if table_entries(case)]
-    assert len(ill) == 13
+def test_check_gives_no_verdict_on_an_invalid_mutant(tmp_path, capsys):
+    invalid = [case for case in CASES if case["outcome"] != "ok"]
+    assert len(invalid) == 42 and sum(1 for case in invalid if table_entries(case)) == 13
     path = tmp_path / "mutant.json"
-    for case in ill:
+    for case in invalid:
         path.write_text(dumps(mutant(case)))
-        assert main(["check", str(path), "--no-validate"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"invalid: {d}" for d in table_entries(case)]
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"invalid: {d}" for d in case["outcome"]]

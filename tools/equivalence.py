@@ -14,18 +14,16 @@ one JSON file, with the exit code and standard output of the text report,
 (see `mutant` and `MUTATED`): "ok", the list of validator diagnostics, or
 the error type and message.  For every file it also runs the same check on
 a copy with `ring.one` deleted, so that the identity is solved for, and
-records that outcome too, and the same for `check --no-validate` on the
-file itself.  It records the sha256 of every file it writes, the file and
-its drop-`one` copy, so that a change to `dumps` shows as a difference.
-Dropping `one` and skipping validation on a valid file are metamorphic
-relations: each outcome must equal the file's own, and the first form
-lists every file where one does not and then exits 1.  `--src` names the
-source tree to import modcyclic from (default: this checkout's `src`), so
-the same workload files can be run against another checkout.  The second
-form lists every file whose bytes (either hash), exit code, report
-(verdict, generator, iterations, witness, trace), text report, standard
-error, mutant outcomes, drop-`one` outcome or `--no-validate` outcome
-differ, and exits 1 if any does.
+records that outcome too.  It records the sha256 of every file it writes,
+the file and its drop-`one` copy, so that a change to `dumps` shows as a
+difference.  Dropping `one` from a valid file is a metamorphic relation:
+the outcome must equal the file's own, and the first form lists every file
+where it does not and then exits 1.  `--src` names the source tree to
+import modcyclic from (default: this checkout's `src`), so the same
+workload files can be run against another checkout.  The second form lists
+every file whose bytes (either hash), exit code, report (verdict,
+generator, iterations, witness, trace), text report, standard error,
+mutant outcomes or drop-`one` outcome differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -43,11 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("corpus", "swell", "wide")
 MUTANTS = 2
-# What one check run records, and what dropping `ring.one` or skipping
-# validation must not change.
+# What one check run records, and what dropping `ring.one` must not change.
 OUTCOME = ("exit", "report", "stderr")
-# The metamorphic relations, as (recorded field, what the run changed).
-RELATIONS = (("drop_one", "ring.one is dropped"), ("no_validate", "validation is skipped"))
 # The tables a mutant may change one entry of, as (section, key), per
 # workload.  Swell files keep their relations: one changed module relation
 # can hold the exact Smith form of `canonicalize` past ten seconds there.
@@ -95,10 +90,10 @@ def run_cli(cli, *argv: str):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def check(cli, path: Path, *flags: str) -> dict:
+def check(cli, path: Path) -> dict:
     """Exit code, parsed report (on a verdict) and standard error of one
-    in-process `check --format json --trace` run with the extra flags."""
-    code, out, err = run_cli(cli, "check", str(path), "--format", "json", "--trace", *flags)
+    in-process `check --format json --trace` run."""
+    code, out, err = run_cli(cli, "check", str(path), "--format", "json", "--trace")
     return {"exit": code, "report": json.loads(out) if code in (0, 1) else None,
             "stderr": err}
 
@@ -133,14 +128,12 @@ def record(src: Path, seeds, out: Path) -> int:
                     files[key] = {"sha256": write(path, instances.dumps(doc))}
                     files[key].update(check(cli, path))
                     files[key]["text"] = check_text(cli, path)
-                    files[key]["no_validate"] = check(cli, path, "--no-validate")
                     ring = {k: v for k, v in doc["ring"].items() if k != "one"}
                     files[key]["drop_one_sha256"] = write(
                         path, instances.dumps(dict(doc, ring=ring)))
                     files[key]["drop_one"] = check(cli, path)
-                    own = {f: files[key][f] for f in OUTCOME}
-                    broken += [(key, what) for field, what in RELATIONS
-                               if files[key][field] != own]
+                    if files[key]["drop_one"] != {f: files[key][f] for f in OUTCOME}:
+                        broken.append(key)
                     if name in MUTATED:
                         rng = random.Random(f"mutant:{key}")
                         files[key]["mutants"] = [
@@ -149,8 +142,8 @@ def record(src: Path, seeds, out: Path) -> int:
     out.write_text(json.dumps({"src": str(src), "seeds": list(seeds), "files": files},
                               indent=1) + "\n", encoding="utf-8")
     print(f"{len(files)} files recorded to {out}")
-    for key, what in broken:
-        print(f"{key}: the outcome changes when {what}")
+    for key in broken:
+        print(f"{key}: the outcome changes when ring.one is dropped")
     return 1 if broken else 0
 
 
@@ -165,7 +158,7 @@ def compare(a: Path, b: Path) -> int:
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
         fields = [f for f in ("sha256", "drop_one_sha256", "exit", "text", "stderr",
-                              "mutants", "drop_one", "no_validate")
+                              "mutants", "drop_one")
                   if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
