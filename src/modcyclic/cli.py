@@ -134,6 +134,14 @@ def cmd_validate(args) -> int:
     return EXIT_CYCLIC
 
 
+def _int_arg(text: str) -> int:
+    """An integer option, spelled in ASCII digits with an optional sign."""
+    try:
+        return int_from_str(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _csv_ints(text: str) -> list:
     return [int_from_str(x.strip()) for x in text.split(",") if x.strip() != ""]
 
@@ -182,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force enumeration of all candidates")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_int_arg, default=oracle.DEFAULT_BOUND)
 
     p = sub.add_parser("compare", help="run both the algorithm and the oracle")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=oracle.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_int_arg, default=oracle.DEFAULT_BOUND)
 
     p = sub.add_parser("validate", help="parse and validate an instance file")
     p.add_argument("file")
@@ -196,15 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("zmod", "trunc", "prod", "randquot"))
     p.add_argument("--seed", default="0")
     p.add_argument("-o", "--output")
-    p.add_argument("--n", type=int, help="zmod/randquot: base modulus")
+    p.add_argument("--n", type=_int_arg, help="zmod/randquot: base modulus")
     p.add_argument("--d", help="zmod: comma-separated summand orders")
-    p.add_argument("--p", type=int, help="trunc: characteristic")
-    p.add_argument("--e", type=int, help="trunc: truncation exponent")
+    p.add_argument("--p", type=_int_arg, help="trunc: characteristic")
+    p.add_argument("--e", type=_int_arg, help="trunc: truncation exponent")
     p.add_argument("--mdeg", help="trunc: comma-separated module truncation degrees")
     p.add_argument("--left", help="prod: first factor instance file")
     p.add_argument("--right", help="prod: second factor instance file")
-    p.add_argument("--max-deg", type=int, default=4, help="randquot: max degree of f")
-    p.add_argument("--summands", type=int, help="randquot: number of module summands")
+    p.add_argument("--max-deg", type=_int_arg, default=4, help="randquot: max degree of f")
+    p.add_argument("--summands", type=_int_arg, help="randquot: number of module summands")
     return parser
 
 

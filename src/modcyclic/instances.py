@@ -83,15 +83,28 @@ def _as_int(value, path: str) -> int:
     raise InstanceFormatError(f"{path}: expected an integer, got {type(value).__name__}")
 
 
+# The canonical spelling of every small entry, and its value.  Small, so
+# that it costs no memory to speak of; wide tables spell their entries in
+# one digit.
+_SMALL = {str(i): i for i in range(256)}
+
+
 def _decoded(entries: list):
     """The values of a flat list of entries in one C-level pass, as a new
     list, or None when some entry needs the per-entry path.  The common
-    spelling, ASCII digits only, is checked by one join and read by one
-    map(int).  join() refuses a non-str entry, and int() an empty one or
-    one past its digit limit.  Entries that are already ints
+    spelling is read by one map over `_SMALL`: a hit proves the entry
+    canonical (ASCII digits, no sign, no leading zero), so its value is
+    int() of it.  On any miss, an unhashable entry, an int, a bool or any
+    other string, the ASCII-digit spellings are checked by one join and
+    read by one map(int).  join() refuses a non-str entry, and int() an
+    empty one or one past its digit limit.  Entries that are already ints
     (a document decoded before) are taken as they are."""
     if entries and type(entries[0]) is int:
         return list(entries) if set(map(type, entries)) == {int} else None
+    try:
+        return list(map(_SMALL.__getitem__, entries))
+    except (KeyError, TypeError):
+        pass
     try:
         digits = "".join(entries)
     except TypeError:

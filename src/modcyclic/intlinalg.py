@@ -15,7 +15,8 @@ any machine width.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import mod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .intstr import int_to_str
@@ -142,8 +143,11 @@ def snf(m: IntMatrix) -> SnfResult:
 
     Pivoting is deterministic (smallest absolute nonzero entry, row-major
     tie break) so repeated runs of anything built on top produce identical
-    transforms.  Row operations act on the working matrix only: no caller
-    reads the left transform, so it is never accumulated.
+    transforms.  The pivot search and the test that the pivot divides the
+    trailing block are each one C-level pass (min or any over map and
+    filter) over the block's rows, not one Python step per entry.  Row
+    operations act on the working matrix only: no caller reads the left
+    transform, so it is never accumulated.
     """
     r, c = m.rows, m.cols
     a = m.to_lists()
@@ -171,15 +175,17 @@ def snf(m: IntMatrix) -> SnfResult:
 
     t = 0
     while t < r and t < c:
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+        # Rows t.. are zero left of column t, so the trailing block holds
+        # every nonzero entry of those whole rows.  Its least |entry| is
+        # one C-level pass over them, and its row-major first occurrence
+        # is the first row holding it, at that row's first column holding it.
+        best = min(filter(None, map(abs, chain.from_iterable(a[t:]))), default=0)
+        if not best:
             break
-        _, pi, pj = best
+        for pi in range(t, r):
+            if best in a[pi] or -best in a[pi]:
+                break
+        pj = list(map(abs, a[pi])).index(best)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -209,14 +215,13 @@ def snf(m: IntMatrix) -> SnfResult:
             a[t] = [-x for x in a[t]]
 
         # The pivot must divide every entry of the trailing block, or the
-        # diagonal would not be a divisibility chain.
+        # diagonal would not be a divisibility chain.  The rows below t are
+        # zero up to column t by now, so whole rows are tested: one pass
+        # over the block, and a search for the first failing row only when
+        # it fails, which is rare.
         p = a[t][t]
-        fix = None
-        for i in range(t + 1, r):
-            if any(x % p for x in a[i][t + 1:]):
-                fix = i
-                break
-        if fix is not None:
+        if p != 1 and any(map(mod, filter(None, chain.from_iterable(a[t + 1:])), repeat(p))):
+            fix = next(i for i in range(t + 1, r) if any(map(mod, filter(None, a[i]), repeat(p))))
             row_addmul(t, fix, 1)
             continue
         t += 1

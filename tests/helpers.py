@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 group orders come from coset BFS over HNF-reduced representatives, subgroup
-and span questions from additive closure over coordinate tuples, and the
-instance parser's whole-row passes from a parse one table vector at a time.
+and span questions from additive closure over coordinate tuples, the
+instance parser's whole-row passes from a parse one table vector at a time,
+and the Smith form's pivots from a scan one entry at a time.
 """
 
 import json
@@ -49,6 +50,88 @@ def echelon_contains(h, v):
             for k, x in compress(enumerate(row), row):
                 residual[k] -= q * x
     return not any(residual)
+
+
+def reference_snf(m):
+    """`intlinalg.snf` with its pivot search and divisibility test one entry
+    at a time: the smallest |entry| of the trailing block, the row-major
+    first on ties, and the first row of the block with an entry the pivot
+    does not divide.  Returns (d, v) as IntMatrix."""
+    r, c = m.rows, m.cols
+    a = m.to_lists()
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def row_addmul(i, k, q):
+        ai, ak = a[i], a[k]
+        for j in range(c):
+            ai[j] += q * ak[j]
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+
+    def col_addmul(j, k, q):
+        for row in a:
+            row[j] += q * row[k]
+        for row in v:
+            row[j] += q * row[k]
+
+    def col_swap(j, k):
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        for row in v:
+            row[j], row[k] = row[k], row[j]
+
+    t = 0
+    while t < r and t < c:
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+
+        while True:
+            dirty = False
+            for i in range(t + 1, r):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_addmul(i, t, -q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, c):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_addmul(j, t, -q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+
+        p = a[t][t]
+        fix = None
+        for i in range(t + 1, r):
+            if any(x % p for x in a[i][t + 1:]):
+                fix = i
+                break
+        if fix is not None:
+            row_addmul(t, fix, 1)
+            continue
+        t += 1
+
+    return IntMatrix(r, c, a), IntMatrix(c, c, v)
 
 
 def matmul(a, b):

@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import os
 import random
@@ -16,6 +17,7 @@ import modcyclic
 from modcyclic import cyclic, instances, rings
 from modcyclic.cli import main
 from modcyclic.instances import dumps, gen_randquot, gen_trunc, gen_zmod, load, parse_instance
+from modcyclic.intstr import int_from_str
 from modcyclic.modules import cyclic_span_is_all
 from modcyclic.rings import ideal_annihilator
 
@@ -420,6 +422,49 @@ def test_gen_stdout_and_param_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Exceeds the limit" not in captured.err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--n", ["gen", "--family", "zmod", "--d", "3"]),
+    ("--n", ["gen", "--family", "randquot"]),
+    ("--p", ["gen", "--family", "trunc", "--e", "2"]),
+    ("--e", ["gen", "--family", "trunc", "--p", "3"]),
+    ("--max-deg", ["gen", "--family", "randquot", "--n", "4"]),
+    ("--summands", ["gen", "--family", "randquot", "--n", "4"]),
+])
+@pytest.mark.parametrize("spelling", ["1_2", "\u0663", " 3", "3 ", "0x3", "3.0"])
+def test_integer_options_take_only_ascii_digits(tmp_path, capsys, option, argv, spelling):
+    # int() reads "1_2" as 12, "\u0663" as 3 and " 3" as 3; each is an
+    # error, not a file
+    out = tmp_path / "gen.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, spelling, "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: not a decimal integer: {spelling!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_bound_takes_only_ascii_digits(cyclic_file, capsys, command):
+    for spelling in ("1_0", "\u0663", " 3"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, cyclic_file, "--bound", spelling])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    # a sign and leading zeros are decimal spellings
+    assert main([command, cyclic_file, "--bound", "+0003"]) == 3
+
+
+def test_int_from_str_past_the_digit_limit():
+    # read by halves past the 4,300-digit limit: the value decimal gives
+    rnd = random.Random(4300)
+    for length in (4300, 4301, 10007, 200001):
+        digits = "00" + "".join(rnd.choice("0123456789") for _ in range(length - 2))
+        for sign in ("-", "+", "") if length < 200001 else ("-",):
+            text = sign + digits
+            assert int_from_str(text) == int(decimal.Decimal(text)), (sign, length)
 
 
 def test_warning_goes_to_stderr(tmp_path, capsys):

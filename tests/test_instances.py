@@ -255,6 +255,30 @@ def count_lincomb(monkeypatch):
     return calls
 
 
+def test_parse_reads_small_entries_without_int(monkeypatch):
+    # A bound on the work, not the time: every entry of a trunc file is a
+    # small canonical spelling, read from the decoder's table, so no entry
+    # is converted by int().  The module global shadows the builtin; it
+    # still answers isinstance() as int does.
+    text = dumps(gen_trunc(3, 12, [12, 6]))
+    calls = []
+
+    class IntCheck(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, int)
+
+    class counting(metaclass=IntCheck):
+        def __new__(cls, *args):
+            calls.append(args)
+            return int(*args)
+
+    monkeypatch.setattr(instances, "int", counting, raising=False)
+    parse_instance(text)
+    assert calls == []
+    assert instances._decoded(["1", "007"]) == [1, 7]  # a miss: the fallback's int()
+    assert calls
+
+
 @pytest.mark.parametrize("e", [16, 32])
 def test_parse_work_is_per_row(e, monkeypatch):
     # A bound on the work, not the time: each table pass makes one kernel

@@ -28,6 +28,7 @@ from helpers import (
     exact_hnf,
     matmul,
     random_matrix,
+    reference_snf,
 )
 
 
@@ -142,6 +143,36 @@ def test_snf_hnf_randomized():
         m = random_matrix(rng, r, c, -30, 30)
         check_snf(m)
         check_hnf(m)
+
+
+def pivot_cases(rng):
+    """Matrices whose Smith pivots are decided by ties: entries from a few
+    small absolute values of both signs, some rows and columns zeroed, up
+    to 2c + 1 rows for c columns, and diagonal matrices."""
+    for _ in range(1500):
+        r, c = rng.randint(0, 7), rng.randint(0, 7)
+        if rng.random() < 0.3:
+            r = rng.randint(c, 2 * c + 1)
+        rows = [[rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(c)] for _ in range(r)]
+        for i in rng.sample(range(r), rng.randint(0, r // 2)):
+            rows[i] = [0] * c
+        for j in rng.sample(range(c), rng.randint(0, c // 2)):
+            for row in rows:
+                row[j] = 0
+        yield IntMatrix(r, c, rows)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        entries = [rng.choice((-6, -4, -3, -2, 0, 2, 3, 4, 6, 9)) for _ in range(n)]
+        yield IntMatrix.diagonal(entries)
+        yield IntMatrix.diagonal([entries[0]] * n)
+
+
+def test_snf_pivots_match_the_reference():
+    # The same pivots give the same row and column operations, so d and v
+    # are those of the entry-by-entry scan, not just some Smith form.
+    for m in pivot_cases(random.Random(1818)):
+        res = snf(m)
+        assert (res.d, res.v) == reference_snf(m), m
 
 
 def test_snf_square_nonsingular_det_product():

@@ -115,7 +115,12 @@ def random_doc(rnd):
                                                 for _ in range(k)]}}
 
 
-BAD_SPELLINGS = (" 7", "+3", "-0", "007", "1_0", "x", "", "٣", True, 7.5, None, ["1"])
+# Entries spelled other than in the common one-digit way.  The last four
+# are the edge of the decoder's table of small spellings: 255, its largest
+# key, which it reads, and 256 and both with a leading zero, which it
+# leaves to the fallback.
+BAD_SPELLINGS = (" 7", "+3", "-0", "007", "1_0", "x", "", "٣", True, 7.5, None, ["1"],
+                 "255", "256", "0255", "0256")
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 A fixed, small traffic runs under `sys.setprofile`: `gen` for every
 family; `check --trace` in text and JSON on a cyclic and a not-cyclic
-file; `check` on an ill-defined file and one without `ring.one`;
+file; `check` on an ill-defined file, one without `ring.one` and one whose
+modulus is past the interpreter's 4,300-digit limit on int();
 `oracle`, `compare` and `validate`.  Every function and method defined
 in the package's sources that none of it enters must be named in
 UNREACHED with its reason: the benchmark's tracer or checker pins it, it
@@ -22,6 +23,7 @@ from pathlib import Path
 import modcyclic
 from modcyclic.cli import build_parser, main
 from modcyclic.instances import dumps, gen_prod, gen_zmod
+from modcyclic.intstr import _power_of_ten
 
 PACKAGE = Path(modcyclic.__file__).resolve().parent
 
@@ -102,6 +104,8 @@ def cli_traffic(tmp: Path) -> list:
          "--right", path("not_cyclic.json"), "-o", path("prod.json")],
         ["gen", "--family", "randquot", "--n", "3", "--seed", "3", "--max-deg", "3",
          "-o", path("randquot.json")],
+        ["gen", "--family", "zmod", "--n", "1" + "0" * 4400, "--d", "1",
+         "-o", path("huge.json")],
     ]
     # Z/6 x Z/2 with g0*g1 = g0, which 2 does not kill
     ill = gen_prod(gen_zmod(6, [6]), gen_zmod(2, [2]))
@@ -113,20 +117,23 @@ def cli_traffic(tmp: Path) -> list:
     for name in ("cyclic", "not_cyclic", "trunc", "prod", "randquot"):
         runs += [["check", path(f"{name}.json"), "--trace"],
                  ["check", path(f"{name}.json"), "--format", "json", "--trace"]]
-    runs += [["check", path("ill.json")], ["check", path("no_one.json")]]
+    runs += [["check", path("ill.json")], ["check", path("no_one.json")],
+             ["check", path("huge.json")]]
     for command in ("oracle", "compare", "validate"):
         runs += [[command, path("cyclic.json")], [command, path("not_cyclic.json")]]
     return runs
 
 
 def test_the_cli_enters_every_function_but_the_pinned_ones(tmp_path, capsys):
-    build_parser.cache_clear()  # an earlier test may have built it
+    # an earlier test may have built the parser or a power of ten
+    build_parser.cache_clear()
+    _power_of_ten.cache_clear()
     codes = []
     missed = unreached(lambda: codes.extend(main(argv) for argv in cli_traffic(tmp_path)))
     capsys.readouterr()
-    # gen; check on cyclic, not_cyclic, trunc, prod, randquot; ill-defined
-    # and without `one`; oracle, compare, validate
-    assert codes == ([0] * 5 + [0] * 2 + [1] * 6 + [0] * 2 + [2, 0]
+    # gen; check on cyclic, not_cyclic, trunc, prod, randquot; ill-defined,
+    # without `one` and past the digit limit; oracle, compare, validate
+    assert codes == ([0] * 6 + [0] * 2 + [1] * 6 + [0] * 2 + [2, 0, 0]
                      + [0, 1, 0, 1, 0, 0])
     assert sorted(missed) == sorted(UNREACHED)
 
