@@ -39,16 +39,14 @@ class CanonicalGroup:
     """A finite abelian group in invariant-factor coordinates.
 
     `to_can` (k x r) and `from_can` (r x k) translate between user
-    coordinates (length k, the presentation's generators) and canonical
-    coordinates (length r, one per invariant factor).
+    coordinates (length k = `to_can.rows`, the presentation's generators)
+    and canonical coordinates (length r, one per invariant factor).
     """
 
-    __slots__ = ("invariant_factors", "num_user_gens", "to_can", "from_can")
+    __slots__ = ("invariant_factors", "to_can", "from_can")
 
-    def __init__(self, invariant_factors, num_user_gens: int,
-                 to_can: IntMatrix, from_can: IntMatrix):
+    def __init__(self, invariant_factors, to_can: IntMatrix, from_can: IntMatrix):
         self.invariant_factors = tuple(int(d) for d in invariant_factors)
-        self.num_user_gens = num_user_gens
         self.to_can = to_can
         self.from_can = from_can
 
@@ -97,12 +95,11 @@ class CanonicalGroup:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CanonicalGroup)
                 and self.invariant_factors == other.invariant_factors
-                and self.num_user_gens == other.num_user_gens
                 and self.to_can == other.to_can
                 and self.from_can == other.from_can)
 
     def __hash__(self):
-        return hash((self.invariant_factors, self.num_user_gens))
+        return hash(self.invariant_factors)
 
     def __repr__(self) -> str:
         if not self.invariant_factors:
@@ -164,7 +161,7 @@ def canonicalize(relations: IntMatrix) -> CanonicalGroup:
     kept = [i for i, di in enumerate(diag) if di > 1]
     factors = [diag[i] for i in kept]
     vinv = invert_unimodular(res.v, factors[-1] if factors else 1)
-    return CanonicalGroup(factors, k, res.v.take_columns(kept), vinv.take_rows(kept))
+    return CanonicalGroup(factors, res.v.take_columns(kept), vinv.take_rows(kept))
 
 
 class Subgroup:
@@ -212,7 +209,7 @@ class Subgroup:
 def _lattice_to_subgroup(g: CanonicalGroup, rows) -> Subgroup:
     """The subgroup whose preimage the rows span; they must span a lattice
     that contains diag(d)."""
-    h = hnf(IntMatrix(len(rows), g.rank, rows), g.exponent).h
+    h = hnf(IntMatrix(rows, g.rank), g.exponent).h
     nonzero = [row for row in h.data if any(row)]
     if len(nonzero) != g.rank:
         raise RuntimeError("subgroup lattice lost full rank")
@@ -248,11 +245,11 @@ def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
     r = g.rank
     rows = [row + row for row in s1.basis.data]
     rows.extend(row + (0,) * r for row in s2.basis.data)
-    h = hnf(IntMatrix(2 * r, 2 * r, rows), g.exponent).h
+    h = hnf(IntMatrix(rows, 2 * r), g.exponent).h
     inter = [row[r:] for row in h.data if not any(row[:r]) and any(row[r:])]
     if len(inter) != r:
         raise RuntimeError("subgroup intersection lost full rank")
-    return Subgroup(g, IntMatrix(r, r, inter))
+    return Subgroup(g, IntMatrix(inter, r))
 
 
 def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
@@ -299,8 +296,8 @@ def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
     rows = [[c for images in blocks for c in images[i].coords] for i in range(domain.rank)]
     copies = [(0,) * (n * t) + row + (0,) * (n * (s - 1 - t))
               for t in range(s) for row in target.basis.data]
-    basis = kernel_mod_lattice(IntMatrix(domain.rank, n * s, rows),
-                               IntMatrix(n * s, n * s, copies),
+    basis = kernel_mod_lattice(IntMatrix(rows, n * s),
+                               IntMatrix(copies, n * s),
                                IntMatrix.diagonal(domain.invariant_factors),
                                codomain.exponent)
     return Subgroup(domain, basis)

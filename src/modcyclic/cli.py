@@ -67,7 +67,7 @@ def _json_entry(entry, keys) -> dict:
 
 def cmd_check(args) -> int:
     parsed = _parse_file(args.file)
-    result = run(parsed.ring, parsed.module)
+    result = run(parsed.module)
     gen_user = (parsed.module.group.to_user(result.generator)
                 if result.generator is not None else None)
     if args.format == "json":
@@ -114,7 +114,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_compare(args) -> int:
     parsed = _parse_file(args.file)
-    result = run(parsed.ring, parsed.module)
+    result = run(parsed.module)
     verdict = oracle.brute_force(parsed.ring, parsed.module, bound=args.bound)
     if verdict.kind == oracle.TOO_LARGE:
         print(f"oracle too large (|M| = {_text(verdict.module_order)} > bound {verdict.bound}); "

@@ -62,7 +62,6 @@ class AlgState:
     read from, built once when the state is.  The trace holds one entry
     per executed step, so its length is the iteration count."""
 
-    ring: FiniteRing
     module: FiniteModule
     i_a: Subgroup
     y: Element
@@ -84,14 +83,21 @@ class AlgState:
 
 @dataclass
 class CyclicityResult:
-    """The verdict and the trace of a run.  A not-cyclic run's witness is
-    its last trace entry, the v-no step whose size obstruction
-    |A/a| < |M_{A/a}| decided it."""
+    """The generator of a cyclic run (None when there is none) and the
+    trace, which the verdict, the witness and the iteration count are read
+    from.  A not-cyclic run's witness is its last trace entry, the v-no
+    step whose size obstruction |A/a| < |M_{A/a}| decided it."""
 
-    cyclic: bool
     generator: Optional[Element]
-    witness: Optional[TraceEntry]
     trace: list
+
+    @property
+    def cyclic(self) -> bool:
+        return self.generator is not None
+
+    @property
+    def witness(self) -> Optional[TraceEntry]:
+        return None if self.cyclic else self.trace[-1]
 
     @property
     def iterations(self) -> int:
@@ -102,9 +108,9 @@ class CyclicityResult:
         return "cyclic" if self.cyclic else "not_cyclic"
 
 
-def init(ring: FiniteRing, module: FiniteModule) -> AlgState:
+def init(module: FiniteModule) -> AlgState:
     """Starting state: A = R (zero ideal), y = 0, N = M."""
-    return AlgState(ring, module, subgroup_span(ring.group, []), module.zero(),
+    return AlgState(module, subgroup_span(module.ring.group, []), module.zero(),
                     tuple(module.group.gens()))
 
 
@@ -140,7 +146,7 @@ def step(state: AlgState):
     """Execute one loop iteration; returns a new AlgState, or the
     CyclicityResult at a verdict.  Every continue re-checks the state
     invariants, and a yes-verdict generator is re-verified."""
-    ring, module = state.ring, state.module
+    module = state.module
     iteration = state.iteration + 1
     order_A = state.order_A
     iam = state.iam
@@ -150,13 +156,13 @@ def step(state: AlgState):
         if not cyclic_span_is_all(module, state.y):
             raise InvariantViolationError(
                 "claimed generator fails the span re-verification", state.trace)
-        return CyclicityResult(True, state.y, None, state.trace)
+        return CyclicityResult(state.y, state.trace)
 
     x = pick_x(state)
     images = module.images(x)
     a = ann_element(module, images, iam)
-    b = ideal_annihilator(ring, state.i_a, a)
-    meet, meet_zero = ideal_meet_is_zero(ring, state.i_a, a, b)
+    b = ideal_annihilator(module.ring, state.i_a, a)
+    meet, meet_zero = ideal_meet_is_zero(state.i_a, a, b)
     # |a/I_A| = |R : I_A| / |R : a|, and the same for b
     index_a = a.index()
     order_a, order_b = order_A // index_a, order_A // b.index()
@@ -164,7 +170,7 @@ def step(state: AlgState):
     if not meet_zero:
         entry = TraceEntry(iteration, order_A, BRANCH_IV, x.coords,
                            order_a, order_b, meet_zero)
-        new_state = AlgState(ring, module, meet, state.y, state.n,
+        new_state = AlgState(module, meet, state.y, state.n,
                              state.trace + [entry])
         _after_continue(new_state, order_A)
         return new_state
@@ -175,9 +181,9 @@ def step(state: AlgState):
                        x.coords, order_a, order_b, meet_zero, index_a, iam_a.index())
     if not spans:
         state.trace.append(entry)
-        return CyclicityResult(False, None, entry, state.trace)
+        return CyclicityResult(None, state.trace)
 
-    new_state = AlgState(ring, module, b, x + state.y,
+    new_state = AlgState(module, b, x + state.y,
                          ideal_times_submodule(a, state.n, module),
                          state.trace + [entry])
     _after_continue(new_state, order_A)
@@ -197,14 +203,14 @@ def iteration_bound(ring: FiniteRing) -> int:
     return max(ring.order.bit_length() - 1, 0) + 1
 
 
-def run(ring: FiniteRing, module: FiniteModule) -> CyclicityResult:
-    """Decide M = Ry; the yes-verdict generator is always re-verified."""
-    state = init(ring, module)
-    bound = iteration_bound(ring)
+def run(module: FiniteModule) -> CyclicityResult:
+    """Decide M = Ry over M's ring; the yes-verdict generator is always re-verified."""
+    state = init(module)
+    bound = iteration_bound(module.ring)
     while isinstance(state, AlgState):
         if state.iteration >= bound:
             raise InvariantViolationError(
-                f"iteration bound {bound} exceeded for |R| = {int_to_str(ring.order)}",
+                f"iteration bound {bound} exceeded for |R| = {int_to_str(module.ring.order)}",
                 state.trace)
         state = step(state)
     return state

@@ -63,9 +63,12 @@ class ValidationFailure(ValueError):
 
 @dataclass
 class ParsedInstance:
-    ring: FiniteRing
     module: FiniteModule
     warnings: list = field(default_factory=list)
+
+    @property
+    def ring(self) -> FiniteRing:
+        return self.module.ring
 
 
 # -- decoding ----------------------------------------------------------------
@@ -259,7 +262,7 @@ def _to_canonical(section: dict, key: str, cols: int, group: CanonicalGroup):
     coordinates, unreduced: one `lincomb` per canonical coordinate over
     the columns of the table's vectors."""
     table = section.pop(key)
-    rows, k, r = len(table), group.num_user_gens, group.rank
+    rows, k, r = len(table), group.to_can.rows, group.rank
     entries = list(chain.from_iterable(chain.from_iterable(table)))
     del table
     count = len(entries) // k if k else 0
@@ -359,8 +362,8 @@ def parse_instance(source) -> ParsedInstance:
     groups = []
     for key in ("ring", "module"):
         try:
-            groups.append(canonicalize(IntMatrix.from_rows(doc[key]["relations"],
-                                                           cols=doc[key]["num_gens"])))
+            groups.append(canonicalize(IntMatrix(doc[key]["relations"],
+                                                 doc[key]["num_gens"])))
         except NotFiniteError as exc:
             raise NotFiniteError(f"{key}: {exc}") from None
     rg, mg = groups
@@ -408,10 +411,10 @@ def parse_instance(source) -> ParsedInstance:
     module = FiniteModule(ring, mg, act_can)
 
     diags.extend(ring_validate(ring))
-    diags.extend(module_validate(ring, module))
+    diags.extend(module_validate(module))
     if diags:
         raise ValidationFailure(diags)
-    return ParsedInstance(ring, module, warnings)
+    return ParsedInstance(module, warnings)
 
 
 # -- instance families -------------------------------------------------------
@@ -550,12 +553,13 @@ def gen_randquot(n: int, seed, max_deg: int = 4, summands=None) -> dict:
     Deterministic in (n, seed, max_deg, summands).
     """
     if n < 2:
-        raise ValueError(f"randquot: n must be at least 2, got {n}")
+        raise ValueError(f"randquot: n must be at least 2, got {int_to_str(n)}")
     if max_deg < 1:
-        raise ValueError(f"randquot: max_deg must be at least 1, got {max_deg}")
+        raise ValueError(f"randquot: max_deg must be at least 1, got {int_to_str(max_deg)}")
     if summands is not None and summands < 0:
-        raise ValueError(f"randquot: summands must be nonnegative, got {summands}")
-    rng = random.Random(f"randquot:{n}:{max_deg}:{summands}:{seed}")
+        raise ValueError(f"randquot: summands must be nonnegative, got {int_to_str(summands)}")
+    count = "None" if summands is None else int_to_str(summands)
+    rng = random.Random(f"randquot:{int_to_str(n)}:{int_to_str(max_deg)}:{count}:{seed}")
     deg = rng.randint(1, max_deg)
     f_low = [rng.randrange(n) for _ in range(deg)]
 

@@ -3,7 +3,8 @@ and kernels modulo a lattice.
 
 Conventions, fixed repo-wide: vectors are rows, relation systems and lattice
 bases are matrix *rows*, and linear maps act by right multiplication
-(``x -> x @ A``).  All arithmetic uses Python's unbounded integers.
+(``x -> x @ A``).  `IntMatrix(data, cols)` is given its rows and their
+width, and counts the rows.  All arithmetic uses Python's unbounded integers.
 
 Every lattice the package builds contains D*Z^n for a known D (the
 exponent of the ambient group, or of a codomain), so its HNF is taken
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import mod
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intstr import int_to_str
 
@@ -35,33 +36,23 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
+    def __init__(self, data: Iterable[Iterable[int]], cols: int):
         entries = tuple(map(tuple, data))
-        if len(entries) != rows:
-            raise DimensionError(f"expected {rows} rows, got {len(entries)}")
         for row in entries:
             if len(row) != cols:
                 raise DimensionError(f"expected {cols} columns, got {len(row)}")
-        self.rows = rows
+        self.rows = len(entries)
         self.cols = cols
         self.data = entries
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        if cols is None:
-            if not rows:
-                raise DimensionError("cannot infer column count of an empty matrix")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
         n = len(entries)
-        return cls(n, n, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     def diagonal_entries(self) -> list:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
@@ -70,17 +61,17 @@ class IntMatrix:
         return [list(row) for row in self.data]
 
     def take_columns(self, idxs: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(self.rows, len(idxs), [[row[j] for j in idxs] for row in self.data])
+        return IntMatrix([[row[j] for j in idxs] for row in self.data], len(idxs))
 
     def take_rows(self, idxs: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(idxs), self.cols, [self.data[i] for i in idxs])
+        return IntMatrix([self.data[i] for i in idxs], self.cols)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        return (isinstance(other, IntMatrix) and self.cols == other.cols
+                and self.data == other.data)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.cols, self.data))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()!r})"
@@ -226,7 +217,7 @@ def snf(m: IntMatrix) -> SnfResult:
             continue
         t += 1
 
-    return SnfResult(IntMatrix(r, c, a), IntMatrix(c, c, v))
+    return SnfResult(IntMatrix(a, c), IntMatrix(v, c))
 
 
 class Hnf(NamedTuple):
@@ -296,14 +287,14 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
                 out[i] = prev[:j] + [(s - q * t) % mod for s, t in zip(prev[j:], pivot[j:])]
         out.append(pivot)
         rows = rest
-    return Hnf(IntMatrix(c, c, out))
+    return Hnf(IntMatrix(out, c))
 
 
 def _with_identity(m: IntMatrix) -> IntMatrix:
     """[m | I], whose HNF carries the transform in its right block."""
     r = m.rows
-    return IntMatrix(r, m.cols + r, [list(row) + [1 if j == i else 0 for j in range(r)]
-                                     for i, row in enumerate(m.data)])
+    return IntMatrix([list(row) + [1 if j == i else 0 for j in range(r)]
+                      for i, row in enumerate(m.data)], m.cols + r)
 
 
 def invert_unimodular(m: IntMatrix, modulus: int) -> IntMatrix:
@@ -350,10 +341,10 @@ def solve_congruence(a: IntMatrix, t: Sequence[int], moduli: Sequence[int],
         raise DimensionError("solve_congruence: column counts differ")
     cols = [[-t[j] * (modulus // q)] + [row[j] * (modulus // q) for row in a.data]
             for j, q in enumerate(moduli)]
-    h = hnf(IntMatrix(n, k + 1, cols), modulus).h
-    eqs = IntMatrix(k + 1, k + 1, zip(*h.data))
+    h = hnf(IntMatrix(cols, k + 1), modulus).h
+    eqs = IntMatrix(zip(*h.data), k + 1)
     sols = kernel_mod_lattice(eqs, IntMatrix.diagonal([modulus] * (k + 1)),
-                              IntMatrix(0, k + 1, []), modulus)
+                              IntMatrix([], k + 1), modulus)
     first = sols.data[0]
     return list(first[1:]) if first[0] == 1 else None
 
@@ -377,8 +368,8 @@ def kernel_mod_lattice(a: IntMatrix, l: IntMatrix, domain: IntMatrix,
     rows = list(_with_identity(a).data)
     rows.extend(tuple(row) + (0,) * k for row in l.data)
     rows.extend((0,) * n + tuple(row) for row in domain.data)
-    h = hnf(IntMatrix(len(rows), n + k, rows), modulus).h
+    h = hnf(IntMatrix(rows, n + k), modulus).h
     ker = [row[n:] for row in h.data if not any(row[:n]) and any(row[n:])]
     if len(ker) != k:
         raise RuntimeError("kernel basis does not have full rank")
-    return IntMatrix(k, k, ker)
+    return IntMatrix(ker, k)

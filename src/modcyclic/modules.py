@@ -73,8 +73,9 @@ class FiniteModule:
         return f"FiniteModule(order={self.order})"
 
 
-def module_validate(ring: FiniteRing, mod: FiniteModule) -> list:
+def module_validate(mod: FiniteModule) -> list:
     """Check the module axioms on generators; collects all diagnostics."""
+    ring = mod.ring
     dm = mod.group.invariant_factors
     table = mod.action_table
     diags = _well_defined_diagnostics(table, ring.group.invariant_factors, dm, "m",

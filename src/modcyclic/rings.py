@@ -92,7 +92,7 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
         return group.zero()
     a_rows = [[c for vec in row for c in vec] for row in mul_table]
     target = [1 if t == j else 0 for j in range(r) for t in range(r)]
-    x = solve_congruence(IntMatrix(r, r * r, a_rows), target,
+    x = solve_congruence(IntMatrix(a_rows, r * r), target,
                          list(group.invariant_factors) * r, group.exponent)
     if x is None:
         raise NoIdentityError("no element acts as a multiplicative identity")
@@ -261,9 +261,9 @@ def ideal_annihilator(ring: FiniteRing, i_a: Subgroup, x: Subgroup) -> Subgroup:
     return hom_kernel(ring.group, products, i_a)
 
 
-def ideal_meet_is_zero(ring: FiniteRing, i_a: Subgroup, p: Subgroup, q: Subgroup):
+def ideal_meet_is_zero(i_a: Subgroup, p: Subgroup, q: Subgroup):
     """Intersection of two ideals of A = R/I_A, and whether it is the zero
     ideal of A (i.e. the preimages meet exactly in i_a)."""
-    _check_group(ring.group, i_a.ambient)
+    _check_group(p.ambient, i_a.ambient)
     meet = subgroup_meet(p, q)
     return meet, meet == i_a

@@ -131,14 +131,14 @@ def reference_snf(m):
             continue
         t += 1
 
-    return IntMatrix(r, c, a), IntMatrix(c, c, v)
+    return IntMatrix(a, c), IntMatrix(v, c)
 
 
 def matmul(a, b):
     """The matrix product a @ b, one row of a at a time."""
     if a.cols != b.rows:
         raise DimensionError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return IntMatrix(a.rows, b.cols, [lincomb(row, b.data, b.cols) for row in a.data])
+    return IntMatrix([lincomb(row, b.data, b.cols) for row in a.data], b.cols)
 
 
 def exact_hnf(m):
@@ -181,7 +181,7 @@ def exact_hnf(m):
                 out[i] = [s - q * t for s, t in zip(prev, pivot)]
         out.append(pivot)
     out.extend([0] * c for _ in range(r - len(out)))
-    return Hnf(IntMatrix(r, c, out))
+    return Hnf(IntMatrix(out, c))
 
 
 def det(m):
@@ -240,8 +240,8 @@ def check_hnf(m):
     """
     h = exact_hnf(m).h
     r, c = m.rows, m.cols
-    full = exact_hnf(IntMatrix(r, c + r, [list(row) + [1 if j == i else 0 for j in range(r)]
-                                    for i, row in enumerate(m.data)])).h
+    full = exact_hnf(IntMatrix([list(row) + [1 if j == i else 0 for j in range(r)]
+                                for i, row in enumerate(m.data)], c + r)).h
     assert full.take_columns(range(c)) == h
     t = full.take_columns(range(c, c + r))
     assert matmul(t, m) == h
@@ -284,7 +284,7 @@ def hnf_reduce(rows, v):
 
 def group_order_by_enumeration(relation_rows, k):
     """|Z^k / L| by BFS over canonical coset representatives."""
-    h = exact_hnf(IntMatrix.from_rows([list(r) for r in relation_rows], cols=k)).h
+    h = exact_hnf(IntMatrix([list(r) for r in relation_rows], k)).h
     rows = [list(r) for r in h.data if any(r)]
     assert len(rows) == k, "presentation is not finite"
     start = hnf_reduce(rows, [0] * k)
@@ -396,8 +396,13 @@ def is_mult_closed(ring, ideal):
 
 
 def random_matrix(rng, rows, cols, lo=-100, hi=100):
-    return IntMatrix(rows, cols,
-                     [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+    return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def matrix(rows):
+    """The IntMatrix of nonempty rows, its column count read from the
+    first row."""
+    return IntMatrix(rows, len(rows[0]))
 
 
 def random_finite_presentation(rng, max_order=1000, max_gens=3):
@@ -625,8 +630,8 @@ def _reference_ring_validate(ring):
     return diags
 
 
-def _reference_module_validate(ring, module):
-    dm, table = module.group.invariant_factors, module.action_table
+def _reference_module_validate(module):
+    ring, dm, table = module.ring, module.group.invariant_factors, module.action_table
     diags = _reference_well_defined(table, ring.group.invariant_factors, dm, "m",
                                     "action product")
     diags.extend(_reference_assoc(ring, table, dm, "act"))
@@ -645,13 +650,11 @@ def reference_parse(obj):
     try:
         doc = reference_decode(obj)
         try:
-            rg = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"],
-                                                  cols=doc["ring"]["num_gens"]))
+            rg = canonicalize(IntMatrix(doc["ring"]["relations"], doc["ring"]["num_gens"]))
         except NotFiniteError as exc:
             raise NotFiniteError(f"ring: {exc}") from None
         try:
-            mg = canonicalize(IntMatrix.from_rows(doc["module"]["relations"],
-                                                  cols=doc["module"]["num_gens"]))
+            mg = canonicalize(IntMatrix(doc["module"]["relations"], doc["module"]["num_gens"]))
         except NotFiniteError as exc:
             raise NotFiniteError(f"module: {exc}") from None
         mul_img = [[vec_mat(vec, rg.to_can) for vec in row] for row in doc["ring"]["mul"]]
@@ -675,7 +678,7 @@ def reference_parse(obj):
         ring = FiniteRing(rg, mul_can, one)
         module = FiniteModule(ring, mg, act_can)
         diags.extend(_reference_ring_validate(ring))
-        diags.extend(_reference_module_validate(ring, module))
+        diags.extend(_reference_module_validate(module))
     except Exception as exc:  # every error the parser raises is an outcome
         return f"{type(exc).__name__}: {exc}"
     if diags:

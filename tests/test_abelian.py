@@ -28,7 +28,7 @@ from helpers import (
 
 
 def group_from_relations(rows, k):
-    return canonicalize(IntMatrix.from_rows([list(r) for r in rows], cols=k))
+    return canonicalize(IntMatrix([list(r) for r in rows], k))
 
 
 def zn(n):
@@ -43,7 +43,7 @@ def test_canonicalize_examples():
     assert g.invariant_factors == (6,)
 
     with pytest.raises(NotFiniteError):
-        canonicalize(IntMatrix(0, 1, []))
+        canonicalize(IntMatrix([], 1))
 
 
 def test_canonicalize_trivial_group():

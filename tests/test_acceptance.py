@@ -110,14 +110,14 @@ def corpus():
 def test_criterion_1_oracle_equivalence(corpus, tmp_path):
     t0 = time.monotonic()
     verdicts = Counter()
-    for idx, (label, doc, ring, module) in enumerate(corpus):
+    for idx, (label, doc, _, module) in enumerate(corpus):
         path = tmp_path / f"inst{idx}.json"
         path.write_text(dumps(doc))
         rc = cli_main(["compare", str(path)])
         assert rc in (0, 1), f"{label} #{idx}: compare exit {rc}"
         verdicts[rc] += 1
         if rc == 0:
-            result = run(ring, module)
+            result = run(module)
             assert result.cyclic
             assert cyclic_span_is_all(module, result.generator), \
                 f"{label} #{idx}: generator fails span check"
@@ -131,7 +131,7 @@ def test_criterion_1_oracle_equivalence(corpus, tmp_path):
 def test_criterion_2_hand_transcripts():
     # (a) R = Z/4, M = Z/2 x Z/2: branch iv then branch v-no, |A|: 4 -> 2
     ring, mod = _parse(gen_zmod(4, [2, 2]))
-    res = run(ring, mod)
+    res = run(mod)
     assert not res.cyclic
     assert [(e.branch, e.order_A) for e in res.trace] == [("iv", 4), ("v-no", 2)]
     assert [e.chosen_x for e in res.trace] == [(1, 0), (1, 0)]
@@ -139,7 +139,7 @@ def test_criterion_2_hand_transcripts():
 
     # (b) R = Z/2 x Z/2, M = R: two v-yes branches, then yes with y = 1
     ring, mod = _parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))
-    res = run(ring, mod)
+    res = run(mod)
     assert res.cyclic
     assert [(e.branch, e.order_A) for e in res.trace] == \
         [("v-yes", 4), ("v-yes", 2), ("yes", 1)]
@@ -148,7 +148,7 @@ def test_criterion_2_hand_transcripts():
 
     # (c) R = Z/6, M = Z/2 x Z/3: cyclic in one v-yes branch
     ring, mod = _parse(gen_zmod(6, [2, 3]))
-    res = run(ring, mod)
+    res = run(mod)
     assert res.cyclic
     assert [(e.branch, e.order_A) for e in res.trace] == [("v-yes", 6), ("yes", 1)]
     assert res.trace[0].chosen_x == (1,)
@@ -164,7 +164,7 @@ def _parse(doc):
 def test_criterion_3_halving_bound(corpus):
     steps = 0
     for label, doc, ring, module in corpus:
-        result = run(ring, module)
+        result = run(module)
         orders = [e.order_A for e in result.trace]
         for prev, cur in zip(orders, orders[1:]):
             assert 2 * cur <= prev, f"{label}: |A| {prev} -> {cur} did not halve"
@@ -177,8 +177,8 @@ def test_criterion_3_halving_bound(corpus):
 
 def test_criterion_4_state_invariants(corpus):
     states_checked = 0
-    for label, doc, ring, module in corpus:
-        state = init(ring, module)
+    for label, doc, _, module in corpus:
+        state = init(module)
         check_state_invariants(state)
         states_checked += 1
         while True:
@@ -244,7 +244,7 @@ def test_criterion_6_linear_algebra_substrate():
     presentations = 0
     while presentations < 100:
         k, rel_rows, order = random_finite_presentation(rng, max_order=1000)
-        group = canonicalize(IntMatrix.from_rows(rel_rows, cols=k))
+        group = canonicalize(IntMatrix(rel_rows, k))
         assert group.order == order
         assert group.order == group_order_by_enumeration(rel_rows, k)
         presentations += 1

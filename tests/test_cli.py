@@ -331,6 +331,29 @@ def test_identity_candidate_past_the_digit_limit_in_diagnostics(tmp_path, capsys
                             f"Element({nines},) does not fix generator 0\n")
 
 
+def test_gen_randquot_modulus_past_the_digit_limit(tmp_path, capsys):
+    # A modulus of 4,401 digits is valid: the file is written.
+    big = "1" + "0" * 4400
+    out = tmp_path / "big.json"
+    assert main(["gen", "--family", "randquot", "--n", big, "--max-deg", "1",
+                 "--summands", "1", "--seed", "0", "-o", str(out)]) == 0
+    assert load(out)["ring"]["relations"] == [[10 ** 4400]]
+    assert main(["validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize("option, rule", [("--n", "n must be at least 2"),
+                                          ("--max-deg", "max_deg must be at least 1"),
+                                          ("--summands", "summands must be nonnegative")])
+def test_gen_randquot_refusals_past_the_digit_limit(capsys, option, rule):
+    # Minus 4,401 digits is refused by the option's own message, which
+    # prints the value.
+    big = "1" + "0" * 4400
+    assert main(["gen", "--family", "randquot", "--n", "4", option, "-" + big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: randquot: {rule}, got -{big}\n"
+
+
 SMALL_FAMILIES = [gen_zmod(4, [2, 2]), gen_zmod(6, [2, 3]), gen_trunc(2, 2, [2, 1]),
                   gen_randquot(3, 1, max_deg=2)]
 

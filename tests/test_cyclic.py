@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcyclic import abelian, cyclic, instances
 from modcyclic.abelian import subgroup_span
@@ -35,8 +37,8 @@ def trace_summary(result):
 def test_transcript_z4_on_klein():
     # R = Z/4, M = Z/2 x Z/2: branch iv shrinks A from 4 to 2, then the
     # span test fails with |A/a| = 2 < |M_(A/a)| = 4
-    ring, mod = parse(gen_zmod(4, [2, 2]))
-    result = run(ring, mod)
+    _, mod = parse(gen_zmod(4, [2, 2]))
+    result = run(mod)
     assert not result.cyclic
     assert result.iterations == 2
     assert trace_summary(result) == [("iv", 4), ("v-no", 2)]
@@ -51,7 +53,7 @@ def test_transcript_z4_on_klein():
 def test_transcript_idempotent_pair():
     # R = M = Z/2 x Z/2: two v-yes branches accumulate y = e1 + e2 = 1
     ring, mod = parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))
-    result = run(ring, mod)
+    result = run(mod)
     assert result.cyclic
     assert result.iterations == 3
     assert trace_summary(result) == [("v-yes", 4), ("v-yes", 2), ("yes", 1)]
@@ -61,8 +63,8 @@ def test_transcript_idempotent_pair():
 
 
 def test_transcript_z6():
-    ring, mod = parse(gen_zmod(6, [2, 3]))
-    result = run(ring, mod)
+    _, mod = parse(gen_zmod(6, [2, 3]))
+    result = run(mod)
     assert result.cyclic
     assert result.iterations == 2
     assert trace_summary(result) == [("v-yes", 6), ("yes", 1)]
@@ -72,8 +74,8 @@ def test_transcript_z6():
 
 
 def test_init_state():
-    ring, mod = parse(gen_zmod(4, [2, 2]))
-    state = init(ring, mod)
+    _, mod = parse(gen_zmod(4, [2, 2]))
+    state = init(mod)
     assert state.i_a.order() == 1
     assert state.y.is_zero()
     assert subgroup_span(mod.group, state.n).order() == mod.order
@@ -82,14 +84,14 @@ def test_init_state():
 
 
 def test_trivial_module_and_zero_ring():
-    ring, mod = parse(gen_zmod(4, []))
-    result = run(ring, mod)
+    _, mod = parse(gen_zmod(4, []))
+    result = run(mod)
     assert result.cyclic and result.iterations == 1
     assert result.generator.is_zero()
 
     ring0, mod0 = parse(gen_zmod(1, [1]))
     assert ring0.order == 1 and mod0.order == 1
-    result0 = run(ring0, mod0)
+    result0 = run(mod0)
     assert result0.cyclic and result0.iterations == 1
 
 
@@ -97,7 +99,7 @@ def test_pick_x_skips_generators_that_die():
     ring, mod = parse(gen_zmod(4, [4]))
     two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
     n = submodule_span(mod, [mod.group.element((2,)), mod.group.element((1,))])
-    state = AlgState(ring, mod, two, mod.zero(), n)
+    state = AlgState(mod, two, mod.zero(), n)
     assert state.iam.index() == 2
     assert pick_x(state) == mod.group.element((1,))
 
@@ -105,27 +107,27 @@ def test_pick_x_skips_generators_that_die():
 def test_pick_x_hard_error_on_corrupt_state():
     ring, mod = parse(gen_zmod(4, [4]))
     # N = 0 cannot cover M_A = M
-    state = AlgState(ring, mod, zero_ideal(ring), mod.zero(), ())
+    state = AlgState(mod, zero_ideal(ring), mod.zero(), ())
     assert state.iam.index() == 4
     with pytest.raises(InvariantViolationError):
         pick_x(state)
 
 
 def test_check_state_invariants_rejects_corruption():
-    ring, mod = parse(gen_zmod(6, [2, 3]))
-    good = init(ring, mod)
+    _, mod = parse(gen_zmod(6, [2, 3]))
+    good = init(mod)
     check_state_invariants(good)
     # nonzero y has nonzero image in M_A at the start
-    bad = AlgState(ring, mod, good.i_a, mod.group.element((1,)), good.n)
+    bad = AlgState(mod, good.i_a, mod.group.element((1,)), good.n)
     with pytest.raises(InvariantViolationError):
         check_state_invariants(bad)
     # N too small to cover M_A
-    bad2 = AlgState(ring, mod, good.i_a, mod.zero(), ())
+    bad2 = AlgState(mod, good.i_a, mod.zero(), ())
     with pytest.raises(InvariantViolationError):
         check_state_invariants(bad2)
     # N spans M but lists the generator three times: 3 > log2 |M| = 2
     ring4, mod4 = parse(gen_zmod(4, [4]))
-    bad3 = AlgState(ring4, mod4, zero_ideal(ring4), mod4.zero(), tuple(mod4.group.gens()) * 3)
+    bad3 = AlgState(mod4, zero_ideal(ring4), mod4.zero(), tuple(mod4.group.gens()) * 3)
     with pytest.raises(InvariantViolationError, match="log2"):
         check_state_invariants(bad3)
 
@@ -137,9 +139,9 @@ def test_n_stays_a_subgroup_chain():
     doc = functools.reduce(gen_prod, [
         gen_trunc(2, 3), gen_zmod(9, [9]), gen_trunc(5, 2), gen_zmod(4, [4]),
         gen_trunc(3, 3), gen_randquot(12, 4, max_deg=5, summands=2)])
-    ring, mod = parse(doc)
+    _, mod = parse(doc)
     bound = math.floor(math.log2(mod.order))
-    state, sizes = init(ring, mod), []
+    state, sizes = init(mod), []
     while isinstance(state, AlgState):
         sizes.append(len(state.n))
         assert len(state.n) <= bound, sizes
@@ -179,7 +181,7 @@ def test_agreement_with_brute_force():
         ring, mod = parse(doc)
         if mod.order > 2000:
             continue
-        result = run(ring, mod)
+        result = run(mod)
         expect_cyclic, _ = brute_cyclic(ring, mod)
         assert result.cyclic == expect_cyclic, f"disagreement on {doc}"
         if result.cyclic:
@@ -194,7 +196,7 @@ def test_agreement_with_brute_force():
 def test_halving_and_iteration_bound():
     for doc in corpus(202, 40):
         ring, mod = parse(doc)
-        result = run(ring, mod)
+        result = run(mod)
         orders = [e.order_A for e in result.trace]
         for prev, cur in zip(orders, orders[1:]):
             assert cur * 2 <= prev
@@ -202,10 +204,38 @@ def test_halving_and_iteration_bound():
         assert result.iterations == len(result.trace)
 
 
+@st.composite
+def large_factors(draw):
+    """A family instance whose ring has more than 1,000 elements, so that
+    the product of two has more than 10^6, past the oracle's bound."""
+    family = draw(st.sampled_from(("zmod", "trunc", "randquot")))
+    if family == "zmod":
+        p = draw(st.sampled_from((2, 3, 5)))
+        e = draw(st.integers(10, 64))
+        ds = draw(st.lists(st.integers(0, e).map(lambda k: p ** k), max_size=3))
+        return gen_zmod(p ** e, ds)
+    if family == "trunc":
+        p, e = draw(st.sampled_from(((2, 10), (3, 7), (5, 5), (7, 4), (11, 3))))
+        return gen_trunc(p, e, draw(st.lists(st.integers(1, e), min_size=1, max_size=3)))
+    n = draw(st.sampled_from((1024, 3 ** 7, 2 ** 5 * 3 ** 3 * 5, 10 ** 9 + 7, 2 ** 64)))
+    return gen_randquot(n, draw(st.integers(0, 10 ** 6)), max_deg=draw(st.integers(1, 3)),
+                        summands=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=large_factors(), b=large_factors())
+def test_product_is_cyclic_iff_both_factors_are(a, b):
+    # R1 x R2 acting on M1 x M2 is cyclic exactly when both factors are: a
+    # relation that no oracle can check at these sizes
+    _, prod = parse(gen_prod(a, b))
+    assert prod.ring.order > 10 ** 6
+    assert run(prod).cyclic == (run(parse(a)[1]).cyclic and run(parse(b)[1]).cyclic)
+
+
 def test_huge_modulus_end_to_end():
     n = 10 ** 30
     ring, mod = parse(gen_zmod(n, [n]))
-    result = run(ring, mod)
+    result = run(mod)
     assert result.cyclic and result.iterations == 2
     assert mod.group.to_user(result.generator) == [1]
     assert result.iterations <= iteration_bound(ring)
@@ -217,8 +247,8 @@ def test_gen_prod_invalid_params():
 
 
 def test_step_returns_fresh_states():
-    ring, mod = parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))
-    s0 = init(ring, mod)
+    _, mod = parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))
+    s0 = init(mod)
     s1 = step(s0)
     assert isinstance(s1, AlgState)
     assert s0.i_a.order() == 1  # original state untouched
@@ -239,9 +269,9 @@ def test_state_builds_its_extension_once(monkeypatch):
     docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
             gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
     for doc in docs:
-        ring, mod = parse(doc)
+        _, mod = parse(doc)
         calls.clear()
-        result = run(ring, mod)
+        result = run(mod)
         branches = [e.branch for e in result.trace]
         continues = branches.count("iv") + branches.count("v-yes")
         v_steps = branches.count("v-yes") + branches.count("v-no")
@@ -263,9 +293,9 @@ def test_each_step_computes_the_images_of_x_once(monkeypatch):
     docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
             gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
     for doc in docs:
-        ring, mod = parse(doc)
+        _, mod = parse(doc)
         calls.clear()
-        result = run(ring, mod)
+        result = run(mod)
         picked = sum(1 for e in result.trace if e.chosen_x is not None)
         assert len(calls) == picked + result.cyclic
 
@@ -302,8 +332,8 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
     docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
             gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
     for doc in docs:
-        ring, mod = parse(doc)
-        guarded_run(ring, mod)
+        _, mod = parse(doc)
+        guarded_run(mod)
     assert set(entered) == set(guarded) | {"run"}
     assert reached.count(()) == 2 * len(docs)  # parsing reaches the wrapper
     assert [path for path in reached if path] == []

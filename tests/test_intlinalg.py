@@ -27,6 +27,7 @@ from helpers import (
     echelon_contains,
     exact_hnf,
     matmul,
+    matrix,
     random_matrix,
     reference_snf,
 )
@@ -67,19 +68,19 @@ def test_product_kernels_vs_sums():
 
 
 def test_snf_examples():
-    res = check_snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    res = check_snf(matrix([[2, 4], [6, 8]]))
     assert res.d.diagonal_entries() == [2, 4]
 
     res = check_snf(IntMatrix.identity(2))
     assert res.d == IntMatrix.identity(2)
 
-    res = snf(IntMatrix(0, 0, []))
+    res = snf(IntMatrix([], 0))
     assert res.d.rows == 0 and res.d.cols == 0
 
 
 def test_hnf_examples():
-    for m in (IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]]),
-              IntMatrix.from_rows([[4, 2], [0, 6], [2, 4]])):
+    for m in (matrix([[2, 0], [0, 3], [1, 1]]),
+              matrix([[4, 2], [0, 6], [2, 4]])):
         h, t = check_hnf(m)
         # same row span: each generator of one lattice lies in the other
         for row in m.data:
@@ -94,8 +95,8 @@ def test_hnf_examples():
     h, _ = check_hnf(IntMatrix.identity(3))
     assert h == IntMatrix.identity(3)
 
-    h, _ = check_hnf(IntMatrix(2, 3, [[0, 0, 0], [0, 0, 0]]))
-    assert h == IntMatrix(2, 3, [[0, 0, 0], [0, 0, 0]])
+    h, _ = check_hnf(IntMatrix([[0, 0, 0], [0, 0, 0]], 3))
+    assert h == IntMatrix([[0, 0, 0], [0, 0, 0]], 3)
 
 
 def test_hnf_modulus_matches_exact():
@@ -111,7 +112,7 @@ def test_hnf_modulus_matches_exact():
         rows = [[rng.randint(-40, 40) for _ in range(c)] for _ in range(rng.randint(0, 5))]
         rows.extend([d[i] if j == i else 0 for j in range(c)] for i in range(c))
         rng.shuffle(rows)
-        m = IntMatrix.from_rows(rows, cols=c)
+        m = IntMatrix(rows, c)
         big = d[-1]
         h = hnf(m, modulus=big).h
         exact = exact_hnf(m).h
@@ -128,7 +129,7 @@ def test_hnf_modulus_adds_the_multiples():
         r, c = rng.randint(0, 5), rng.randint(1, 5)
         big = rng.randint(1, 60)
         m = random_matrix(rng, r, c, -30, 30)
-        with_multiples = IntMatrix(r + c, c, list(m.data) + IntMatrix.diagonal([big] * c).to_lists())
+        with_multiples = IntMatrix(list(m.data) + IntMatrix.diagonal([big] * c).to_lists(), c)
         exact = exact_hnf(with_multiples).h
         assert hnf(m, modulus=big).h == exact.take_rows(range(c))
         assert not any(any(row) for row in exact.data[c:])
@@ -159,7 +160,7 @@ def pivot_cases(rng):
         for j in rng.sample(range(c), rng.randint(0, c // 2)):
             for row in rows:
                 row[j] = 0
-        yield IntMatrix(r, c, rows)
+        yield IntMatrix(rows, c)
     for _ in range(200):
         n = rng.randint(1, 8)
         entries = [rng.choice((-6, -4, -3, -2, 0, 2, 3, 4, 6, 9)) for _ in range(n)]
@@ -193,18 +194,18 @@ def test_snf_square_nonsingular_det_product():
 
 
 def test_solve_congruence_examples():
-    a = IntMatrix.from_rows([[4]])
+    a = matrix([[4]])
     x = solve_congruence(a, [8], [12], 12)
     assert x is not None and (4 * x[0] - 8) % 12 == 0
 
     assert solve_congruence(a, [0], [12], 12) == [0]
 
-    assert solve_congruence(IntMatrix.from_rows([[2]]), [1], [4], 4) is None
+    assert solve_congruence(matrix([[2]]), [1], [4], 4) is None
 
 
 def test_solve_congruence_dimension_error():
     with pytest.raises(DimensionError):
-        solve_congruence(IntMatrix.from_rows([[1, 2]]), [1, 2], [3], 3)
+        solve_congruence(matrix([[1, 2]]), [1, 2], [3], 3)
 
 
 def test_solve_congruence_vs_enumeration():
@@ -241,26 +242,24 @@ def test_solve_congruence_vs_enumeration():
 
 def no_rows(k):
     """A domain lattice with no rows: the kernel alone."""
-    return IntMatrix(0, k, [])
+    return IntMatrix([], k)
 
 
 def test_kernel_examples():
-    k = kernel_mod_lattice(IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[12]]),
-                           no_rows(1), 12)
+    k = kernel_mod_lattice(matrix([[4]]), matrix([[12]]), no_rows(1), 12)
     assert k.to_lists() == [[3]]
 
-    k = kernel_mod_lattice(IntMatrix(3, 2, [[0, 0]] * 3), IntMatrix.diagonal([5, 5]),
+    k = kernel_mod_lattice(IntMatrix([[0, 0]] * 3, 2), IntMatrix.diagonal([5, 5]),
                            no_rows(3), 5)
     assert k == IntMatrix.identity(3)
 
-    k = kernel_mod_lattice(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[7]]),
-                           no_rows(1), 7)
+    k = kernel_mod_lattice(matrix([[1]]), matrix([[7]]), no_rows(1), 7)
     assert k.to_lists() == [[7]]
 
     # the domain lattice joins the kernel: 3Z + 2Z = Z, 3Z + 6Z = 3Z
-    a, l = IntMatrix.from_rows([[4]]), IntMatrix.from_rows([[12]])
-    assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[2]]), 12).to_lists() == [[1]]
-    assert kernel_mod_lattice(a, l, IntMatrix.from_rows([[6]]), 12).to_lists() == [[3]]
+    a, l = matrix([[4]]), matrix([[12]])
+    assert kernel_mod_lattice(a, l, matrix([[2]]), 12).to_lists() == [[1]]
+    assert kernel_mod_lattice(a, l, matrix([[6]]), 12).to_lists() == [[3]]
 
     with pytest.raises(DimensionError):
         kernel_mod_lattice(a, l, no_rows(2), 12)
@@ -293,35 +292,34 @@ def test_invert_unimodular():
             if i != j:
                 q = rng.randint(-3, 3)
                 m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-        mat = IntMatrix.from_rows(m, cols=n)
+        mat = IntMatrix(m, n)
         # modulo a bound far past every entry, the symmetric lift is the
         # exact inverse
         inv_big = invert_unimodular(mat, big)
-        inv = IntMatrix(n, n, [[x - big if 2 * x > big else x for x in row]
-                               for row in inv_big.data])
+        inv = IntMatrix([[x - big if 2 * x > big else x for x in row]
+                         for row in inv_big.data], n)
         assert matmul(inv, mat) == IntMatrix.identity(n)
 
         inv_mod = invert_unimodular(mat, 10)
         assert inv_mod.to_lists() == [[x % 10 for x in row] for row in inv.data]
 
     with pytest.raises(NotUnimodularError):
-        invert_unimodular(IntMatrix.from_rows([[2]]), 4)
+        invert_unimodular(matrix([[2]]), 4)
     with pytest.raises(NotUnimodularError):
-        invert_unimodular(IntMatrix.from_rows([[1, 0]]), 5)
-    assert invert_unimodular(IntMatrix.from_rows([[2]]), 5).to_lists() == [[3]]
+        invert_unimodular(matrix([[1, 0]]), 5)
+    assert invert_unimodular(matrix([[2]]), 5).to_lists() == [[3]]
 
 
 def test_matrix_entries_from_lists_or_tuples():
     rows = [[1, -2, 3], [0, 4, 5]]
-    from_lists = IntMatrix(2, 3, rows)
-    from_tuples = IntMatrix(2, 3, tuple(map(tuple, rows)))
+    from_lists = IntMatrix(rows, 3)
+    from_tuples = IntMatrix(tuple(map(tuple, rows)), 3)
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
     assert from_lists.data == ((1, -2, 3), (0, 4, 5))
+    assert (from_lists.rows, from_lists.cols) == (2, 3)
     with pytest.raises(DimensionError):
-        IntMatrix(3, 3, rows)
-    with pytest.raises(DimensionError):
-        IntMatrix(2, 2, rows)
+        IntMatrix(rows, 2)
 
 
 def test_big_integer_exactness():
@@ -333,14 +331,14 @@ def test_big_integer_exactness():
         check_snf(m)
         check_hnf(m)
     n = 10 ** 40
-    x = solve_congruence(IntMatrix.from_rows([[7]]), [3 * 7 % n], [n], n)
+    x = solve_congruence(matrix([[7]]), [3 * 7 % n], [n], n)
     assert x is not None and (7 * x[0] - 21) % n == 0
 
 
 def test_det_small_cases():
-    assert det(IntMatrix(0, 0, [])) == 1
-    assert det(IntMatrix.from_rows([[5]])) == 5
-    assert det(IntMatrix.from_rows([[2, 4], [6, 8]])) == -8
+    assert det(IntMatrix([], 0)) == 1
+    assert det(matrix([[5]])) == 5
+    assert det(matrix([[2, 4], [6, 8]])) == -8
     rng = random.Random(3)
     for _ in range(60):
         m = random_matrix(rng, 3, 3, -6, 6)

@@ -75,3 +75,43 @@ def test_driver_imports_nothing_from_instances_or_cli():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert imported & {"instances", "cli"} == set()
+
+
+# A module knows its ring, so a function handed both has two homes for one
+# fact, and nothing checks that they agree.  The one exception is pinned.
+RING_AND_MODULE = {
+    "oracle.brute_force": "the benchmark's checker calls it positionally with both",
+}
+
+
+def ring_and_module_takers(tree, prefix):
+    """Functions that take, and classes whose annotated fields hold, both a
+    ring and a module: named `ring` or annotated `FiniteRing`, and named
+    `module` or `mod` or annotated `FiniteModule`."""
+    def kind(name, annotation):
+        hint = ast.unparse(annotation) if annotation is not None else ""
+        if name == "ring" or hint == "FiniteRing":
+            return "ring"
+        if name in ("module", "mod") or hint == "FiniteModule":
+            return "module"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            kinds = {kind(a.arg, a.annotation)
+                     for a in args.posonlyargs + args.args + args.kwonlyargs}
+        elif isinstance(node, ast.ClassDef):
+            kinds = {kind(item.target.id, item.annotation) for item in node.body
+                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+        else:
+            continue
+        if {"ring", "module"} <= kinds:
+            yield prefix + node.name
+
+
+def test_nothing_takes_both_a_ring_and_its_module():
+    found = {name for path, tree in trees()
+             for name in ring_and_module_takers(tree, path.removesuffix(".py") + ".")}
+    assert sorted(found - set(RING_AND_MODULE)) == []
+    assert set(RING_AND_MODULE) <= found

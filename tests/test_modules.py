@@ -107,7 +107,7 @@ def test_images_match_mul_and_act():
 def test_module_validate_ok():
     for ring, mod in small_instances():
         assert ring_validate(ring) == []
-        assert module_validate(ring, mod) == []
+        assert module_validate(mod) == []
 
 
 def test_module_validate_violations():
@@ -115,13 +115,13 @@ def test_module_validate_violations():
     g = mod.group
     # unitality broken: 1*m0 = 0
     bad = FiniteModule(ring, g, [[g.zero().coords, g.element((0, 1)).coords]])
-    axioms = {d.axiom for d in module_validate(ring, bad)}
+    axioms = {d.axiom for d in module_validate(bad)}
     assert "identity" in axioms
 
     # associativity broken: g acts as the shear [[1,1],[0,1]], whose square
     # is the identity, but g*g = g should act as the shear again
     bad2 = FiniteModule(ring, g, [[g.element((1, 1)).coords, g.element((0, 1)).coords]])
-    axioms2 = {d.axiom for d in module_validate(ring, bad2)}
+    axioms2 = {d.axiom for d in module_validate(bad2)}
     assert "associativity" in axioms2
 
 
@@ -161,7 +161,7 @@ def test_associativity_matches_the_elementwise_law():
                         for k, b in enumerate(gens)
                         if any(bad.act(ring_mul(ring, a, b), x) != bad.act(a, bad.act(b, x))
                                for x in xs)]
-            assert failures(module_validate(ring, bad)) == expected
+            assert failures(module_validate(bad)) == expected
 
 
 def test_ideal_times_submodule_examples():

@@ -141,7 +141,7 @@ def test_find_identity_on_a_noncommutative_table(case, diagnostics):
     # table is already in canonical coordinates.
     doc = left_identity_doc(*case)
     r = doc["ring"]["num_gens"]
-    group = canonicalize(IntMatrix.from_rows(doc["ring"]["relations"], cols=r))
+    group = canonicalize(IntMatrix(doc["ring"]["relations"], r))
     assert group.to_can == group.from_can == IntMatrix.identity(r)
     table = [[tuple(vec) for vec in row] for row in doc["ring"]["mul"]]
     one = find_identity(group, table)
@@ -258,16 +258,16 @@ def test_ideal_meet_is_zero_examples():
     z = zero_ideal(r)
     p = ideal_span(r, z, [r.group.element((4,))])
     q = ideal_span(r, z, [r.group.element((3,))])
-    meet, zero = ideal_meet_is_zero(r, z, p, q)
+    meet, zero = ideal_meet_is_zero(z, p, q)
     assert zero and meet.order() == 1
 
     r4 = ring_of(gen_zmod(4, [4]))
     z4 = zero_ideal(r4)
     two = ideal_span(r4, z4, [r4.group.element((2,))])
-    meet, zero = ideal_meet_is_zero(r4, z4, two, two)
+    meet, zero = ideal_meet_is_zero(z4, two, two)
     assert not zero and meet == two
 
-    meet, zero = ideal_meet_is_zero(r, z, zero_ideal(r), q)
+    meet, zero = ideal_meet_is_zero(z, zero_ideal(r), q)
     assert zero
 
 
@@ -284,7 +284,7 @@ def test_preideals_are_multiplicatively_closed():
             ann = ideal_annihilator(ring, i_a, x)
             assert is_mult_closed(ring, ann)
             assert all(ann.contains(u) for u in i_a.basis_elements())
-            meet, _ = ideal_meet_is_zero(ring, i_a, x, ann)
+            meet, _ = ideal_meet_is_zero(i_a, x, ann)
             assert is_mult_closed(ring, meet)
 
 
@@ -303,7 +303,7 @@ def test_annihilator_splitting_orders():
             order_A = ring.order // i_a.order()
             a = ideal_span(ring, i_a, [elements[rng.randrange(len(elements))]])
             b = ideal_annihilator(ring, i_a, a)
-            meet, zero = ideal_meet_is_zero(ring, i_a, a, b)
+            meet, zero = ideal_meet_is_zero(i_a, a, b)
             if not zero:
                 continue
             na = a.order() // i_a.order()
