@@ -217,21 +217,17 @@ def _lattice_to_subgroup(g: CanonicalGroup, rows) -> Subgroup:
 
 
 def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
-    """Smallest subgroup containing the given elements."""
-    elems = list(elems)
-    for e in elems:
-        _check_group(g, e.group)
-    r = g.rank
-    rows = [e.coords for e in elems]
-    rows.extend([g.invariant_factors[i] if j == i else 0 for j in range(r)]
-                for i in range(r))
-    return _lattice_to_subgroup(g, rows)
+    """Smallest subgroup containing the given elements: their join with the
+    zero subgroup, whose basis diag(d) is its own HNF modulo e."""
+    return subgroup_join(Subgroup(g, IntMatrix.diagonal(g.invariant_factors)), elems)
 
 
 def subgroup_join(s: Subgroup, elems) -> Subgroup:
     """Smallest subgroup containing s and the given elements.  The basis of
     s already spans diag(d), so it stands in for the relation rows."""
     elems = list(elems)
+    if not elems:
+        return s
     for e in elems:
         _check_group(s.ambient, e.group)
     return _lattice_to_subgroup(s.ambient, [e.coords for e in elems] + list(s.basis.data))

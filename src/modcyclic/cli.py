@@ -37,10 +37,20 @@ def _parse_file(path: str):
     return parsed
 
 
+# The keys of a JSON trace entry after its "iteration", in report order;
+# a witness has the last two.
+TRACE_KEYS = ("order_A", "branch", "chosen_x", "order_a", "order_b", "meet_zero",
+              "order_A_mod_a", "order_ext_mod_a")
+
+
+def _verdict(result: CyclicityResult) -> str:
+    return "cyclic" if result.cyclic else "not_cyclic"
+
+
 def _trace_lines(result: CyclicityResult) -> list:
     lines = []
-    for e in result.trace:
-        bits = [f"iter {e.iteration}: |A|={_text(e.order_A)} branch={e.branch}"]
+    for i, e in enumerate(result.trace, 1):
+        bits = [f"iter {i}: |A|={_text(e.order_A)} branch={e.branch}"]
         if e.chosen_x is not None:
             bits.append(f"x={_text(e.chosen_x)}")
         if e.order_a is not None:
@@ -51,15 +61,15 @@ def _trace_lines(result: CyclicityResult) -> list:
     return lines
 
 
-def _json_entry(entry, keys) -> dict:
-    """The named fields of a trace entry for the JSON report: the iteration
-    as a number, every other int and tuple of ints as decimal strings."""
-    out = {}
+def _json_entry(iteration: int, entry, keys) -> dict:
+    """The iteration, as a number, and the named fields of a trace entry for
+    the JSON report, every int and tuple of ints as decimal strings."""
+    out = {"iteration": iteration}
     for key in keys:
         v = getattr(entry, key)
         if isinstance(v, tuple):
             v = [int_to_str(c) for c in v]
-        elif key != "iteration" and isinstance(v, int) and not isinstance(v, bool):
+        elif isinstance(v, int) and not isinstance(v, bool):
             v = int_to_str(v)
         out[key] = v
     return out
@@ -72,14 +82,15 @@ def cmd_check(args) -> int:
                 if result.generator is not None else None)
     if args.format == "json":
         payload = {
-            "verdict": result.verdict,
+            "verdict": _verdict(result),
             "generator": None if gen_user is None else [int_to_str(c) for c in gen_user],
             "iterations": result.iterations,
             "witness": None if result.witness is None else _json_entry(
-                result.witness, ("iteration", "order_A_mod_a", "order_ext_mod_a")),
+                result.iterations, result.witness, TRACE_KEYS[-2:]),
         }
         if args.trace:
-            payload["trace"] = [_json_entry(e, vars(e)) for e in result.trace]
+            payload["trace"] = [_json_entry(i, e, TRACE_KEYS)
+                                for i, e in enumerate(result.trace, 1)]
         print(json.dumps(payload, indent=2))
     else:
         if result.cyclic:
@@ -88,7 +99,7 @@ def cmd_check(args) -> int:
         else:
             w = result.witness
             print("verdict: not cyclic")
-            print(f"witness: iteration {w.iteration}, |A/a| = {_text(w.order_A_mod_a)} "
+            print(f"witness: iteration {result.iterations}, |A/a| = {_text(w.order_A_mod_a)} "
                   f"< |M_(A/a)| = {_text(w.order_ext_mod_a)}")
         print(f"iterations: {result.iterations}")
         if args.trace:
@@ -101,7 +112,8 @@ def cmd_oracle(args) -> int:
     parsed = _parse_file(args.file)
     verdict = oracle.brute_force(parsed.ring, parsed.module, bound=args.bound)
     if verdict.kind == oracle.TOO_LARGE:
-        print(f"oracle: module order {_text(verdict.module_order)} exceeds bound {verdict.bound}")
+        print(f"oracle: module order {_text(parsed.module.order)} "
+              f"exceeds bound {_text(args.bound)}")
         return EXIT_TOO_LARGE
     if verdict.kind == oracle.CYCLIC:
         gen_user = parsed.module.group.to_user(verdict.generator)
@@ -117,14 +129,14 @@ def cmd_compare(args) -> int:
     result = run(parsed.module)
     verdict = oracle.brute_force(parsed.ring, parsed.module, bound=args.bound)
     if verdict.kind == oracle.TOO_LARGE:
-        print(f"oracle too large (|M| = {_text(verdict.module_order)} > bound {verdict.bound}); "
-              f"algorithm says {result.verdict}")
+        print(f"oracle too large (|M| = {_text(parsed.module.order)} > bound "
+              f"{_text(args.bound)}); algorithm says {_verdict(result)}")
         return EXIT_TOO_LARGE
     oracle_cyclic = verdict.kind == oracle.CYCLIC
     if oracle_cyclic == result.cyclic:
-        print(f"AGREE: {result.verdict}")
+        print(f"AGREE: {_verdict(result)}")
         return EXIT_CYCLIC if result.cyclic else EXIT_NOT_CYCLIC
-    print(f"DISAGREE: algorithm says {result.verdict}, oracle says {verdict.kind}")
+    print(f"DISAGREE: algorithm says {_verdict(result)}, oracle says {verdict.kind}")
     return EXIT_ERROR
 
 

@@ -42,17 +42,27 @@ BRANCH_V_NO = "v-no"
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One executed step of the main loop."""
+    """One executed step of the main loop.  Its iteration is its place in
+    the trace, counted from 1.  `chosen_x`, `order_a` and `order_b` are
+    None on the yes branch, and `order_ext_mod_a` off the v branches."""
 
-    iteration: int
     order_A: int
     branch: str
     chosen_x: Optional[tuple] = None
     order_a: Optional[int] = None
     order_b: Optional[int] = None
-    meet_zero: Optional[bool] = None
-    order_A_mod_a: Optional[int] = None
     order_ext_mod_a: Optional[int] = None
+
+    @property
+    def meet_zero(self) -> Optional[bool]:
+        """Whether I_A, a and b meet in zero: branch iv is taken exactly
+        when they do not."""
+        return None if self.branch == BRANCH_YES else self.branch != BRANCH_IV
+
+    @property
+    def order_A_mod_a(self) -> Optional[int]:
+        """|A/a| = |A| / |a/I_A|, on the v branches."""
+        return None if self.order_ext_mod_a is None else self.order_A // self.order_a
 
 
 @dataclass
@@ -103,10 +113,6 @@ class CyclicityResult:
     def iterations(self) -> int:
         return len(self.trace)
 
-    @property
-    def verdict(self) -> str:
-        return "cyclic" if self.cyclic else "not_cyclic"
-
 
 def init(module: FiniteModule) -> AlgState:
     """Starting state: A = R (zero ideal), y = 0, N = M."""
@@ -147,12 +153,11 @@ def step(state: AlgState):
     CyclicityResult at a verdict.  Every continue re-checks the state
     invariants, and a yes-verdict generator is re-verified."""
     module = state.module
-    iteration = state.iteration + 1
     order_A = state.order_A
     iam = state.iam
 
     if iam.index() == 1:
-        state.trace.append(TraceEntry(iteration, order_A, BRANCH_YES))
+        state.trace.append(TraceEntry(order_A, BRANCH_YES))
         if not cyclic_span_is_all(module, state.y):
             raise InvariantViolationError(
                 "claimed generator fails the span re-verification", state.trace)
@@ -164,12 +169,10 @@ def step(state: AlgState):
     b = ideal_annihilator(module.ring, state.i_a, a)
     meet, meet_zero = ideal_meet_is_zero(state.i_a, a, b)
     # |a/I_A| = |R : I_A| / |R : a|, and the same for b
-    index_a = a.index()
-    order_a, order_b = order_A // index_a, order_A // b.index()
+    order_a, order_b = order_A // a.index(), order_A // b.index()
 
     if not meet_zero:
-        entry = TraceEntry(iteration, order_A, BRANCH_IV, x.coords,
-                           order_a, order_b, meet_zero)
+        entry = TraceEntry(order_A, BRANCH_IV, x.coords, order_a, order_b)
         new_state = AlgState(module, meet, state.y, state.n,
                              state.trace + [entry])
         _after_continue(new_state, order_A)
@@ -177,8 +180,8 @@ def step(state: AlgState):
 
     iam_a = scalar_extension(module, a)
     spans = spans_extension(images, iam_a)
-    entry = TraceEntry(iteration, order_A, BRANCH_V_YES if spans else BRANCH_V_NO,
-                       x.coords, order_a, order_b, meet_zero, index_a, iam_a.index())
+    entry = TraceEntry(order_A, BRANCH_V_YES if spans else BRANCH_V_NO,
+                       x.coords, order_a, order_b, iam_a.index())
     if not spans:
         state.trace.append(entry)
         return CyclicityResult(None, state.trace)

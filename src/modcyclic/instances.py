@@ -559,7 +559,8 @@ def gen_randquot(n: int, seed, max_deg: int = 4, summands=None) -> dict:
     if summands is not None and summands < 0:
         raise ValueError(f"randquot: summands must be nonnegative, got {int_to_str(summands)}")
     count = "None" if summands is None else int_to_str(summands)
-    rng = random.Random(f"randquot:{int_to_str(n)}:{int_to_str(max_deg)}:{count}:{seed}")
+    rng = random.Random(
+        f"randquot:{int_to_str(n)}:{int_to_str(max_deg)}:{count}:{int_to_str(seed)}")
     deg = rng.randint(1, max_deg)
     f_low = [rng.randrange(n) for _ in range(deg)]
 

@@ -20,8 +20,6 @@ TOO_LARGE = "too_large"
 class OracleVerdict:
     kind: str
     generator: Optional[Element]
-    module_order: int
-    bound: int
 
     @property
     def decided(self) -> bool:
@@ -36,10 +34,9 @@ def brute_force(ring: FiniteRing, module: FiniteModule,
     Refuses (kind "too_large") when |M| exceeds the bound instead of
     running forever.
     """
-    size = module.order
-    if size > bound:
-        return OracleVerdict(TOO_LARGE, None, size, bound)
+    if module.order > bound:
+        return OracleVerdict(TOO_LARGE, None)
     for y in module.group.elements():
         if cyclic_span_is_all(module, y):
-            return OracleVerdict(CYCLIC, y, size, bound)
-    return OracleVerdict(NOT_CYCLIC, None, size, bound)
+            return OracleVerdict(CYCLIC, y)
+    return OracleVerdict(NOT_CYCLIC, None)

@@ -15,7 +15,7 @@ from modcyclic.abelian import (
     subgroup_span,
 )
 from modcyclic.instances import ValidationFailure, parse_instance
-from modcyclic.intlinalg import DimensionError, IntMatrix
+from modcyclic.intlinalg import DimensionError, IntMatrix, hnf
 
 from helpers import (
     additive_closure,
@@ -97,6 +97,18 @@ def test_subgroup_span_examples():
 
     g2 = group_from_relations([[2, 0], [0, 2]], 2)
     assert subgroup_span(g2, g2.gens()).order() == 4
+
+
+def test_empty_span_is_the_hnf_of_diag_d():
+    # the zero subgroup's basis diag(d) is its own HNF modulo e, so a span
+    # of nothing runs no HNF
+    rng = random.Random(41)
+    groups = [zn(1)] + [group_from_relations(rows, k) for k, rows, _ in
+                        (random_finite_presentation(rng, max_order=500) for _ in range(40))]
+    assert groups[0].rank == 0
+    for g in groups:
+        d = IntMatrix.diagonal(g.invariant_factors)
+        assert subgroup_span(g, []).basis == hnf(d, g.exponent).h == d
 
 
 def test_subgroup_contains_examples():

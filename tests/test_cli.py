@@ -480,6 +480,28 @@ def test_bound_takes_only_ascii_digits(cyclic_file, capsys, command):
     assert main([command, cyclic_file, "--bound", "+0003"]) == 3
 
 
+TOO_LARGE = {
+    "oracle": "oracle: module order {order} exceeds bound {bound}\n",
+    "compare": "oracle too large (|M| = {order} > bound {bound}); algorithm says {verdict}\n",
+}
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_too_large_names_the_order_and_the_bound(tmp_path, capsys, command):
+    # |M| and the bound are printed in full, also past the 4,300-digit
+    # limit of str()
+    small = tmp_path / "small.json"
+    small.write_text(dumps(gen_trunc(2, 5, [5, 5])))  # |M| = 2^10
+    huge = "1" + "0" * 4401
+    big = tmp_path / "big.json"
+    assert main(["gen", "--family", "zmod", "--n", huge, "--d", huge, "-o", str(big)]) == 0
+    for path, order, bound, verdict in ((small, "1024", "1000", "not_cyclic"),
+                                        (big, huge, huge[:-1], "cyclic")):
+        assert main([command, str(path), "--bound", bound]) == 3
+        assert capsys.readouterr().out == TOO_LARGE[command].format(
+            order=order, bound=bound, verdict=verdict)
+
+
 def test_int_from_str_past_the_digit_limit():
     # read by halves past the 4,300-digit limit: the value decimal gives
     rnd = random.Random(4300)

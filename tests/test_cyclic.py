@@ -207,7 +207,7 @@ def test_halving_and_iteration_bound():
 @st.composite
 def large_factors(draw):
     """A family instance whose ring has more than 1,000 elements, so that
-    the product of two has more than 10^6, past the oracle's bound."""
+    a product of two or more has more than 10^6, past the oracle's bound."""
     family = draw(st.sampled_from(("zmod", "trunc", "randquot")))
     if family == "zmod":
         p = draw(st.sampled_from((2, 3, 5)))
@@ -222,14 +222,14 @@ def large_factors(draw):
                         summands=draw(st.integers(1, 2)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(a=large_factors(), b=large_factors())
-def test_product_is_cyclic_iff_both_factors_are(a, b):
-    # R1 x R2 acting on M1 x M2 is cyclic exactly when both factors are: a
-    # relation that no oracle can check at these sizes
-    _, prod = parse(gen_prod(a, b))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(factors=st.lists(large_factors(), min_size=2, max_size=3))
+def test_product_is_cyclic_iff_both_factors_are(factors):
+    # R1 x R2 (x R3) acting on M1 x M2 (x M3) is cyclic exactly when every
+    # factor is: a relation that no oracle can check at these sizes
+    _, prod = parse(functools.reduce(gen_prod, factors))
     assert prod.ring.order > 10 ** 6
-    assert run(prod).cyclic == (run(parse(a)[1]).cyclic and run(parse(b)[1]).cyclic)
+    assert run(prod).cyclic == all(run(parse(f)[1]).cyclic for f in factors)
 
 
 def test_huge_modulus_end_to_end():

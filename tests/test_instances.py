@@ -16,6 +16,7 @@ from modcyclic.instances import (
     loads,
     parse_instance,
 )
+from modcyclic.intstr import int_to_str
 
 
 def family_docs():
@@ -57,6 +58,14 @@ def test_seed_determinism():
     assert a == b
     c = dumps(gen_randquot(6, 4243, max_deg=3))
     assert a != c
+
+
+def test_randquot_int_seed_past_the_digit_limit():
+    # an int seed is written into the seed string as its decimal text,
+    # which str() refuses past 4,300 digits
+    seed = 10 ** 5000
+    assert (gen_randquot(4, seed, max_deg=1, summands=1)
+            == gen_randquot(4, int_to_str(seed), max_deg=1, summands=1))
 
 
 def test_decimal_string_encoding():

@@ -1,14 +1,18 @@
-"""Which modules may know how a lattice is encoded.
+"""Which modules may know how a lattice is encoded, and what the package
+root exports.
 
 The normal forms and the lattice kernel live in `intlinalg`; `abelian` is
 the only module that builds lattices for them.  The ring, module and
 driver layers speak of subgroups, and take from `intlinalg` at most the
 product kernel.  Only `cli` knows how a report is written, so the driver
 imports neither `instances` nor `cli`.  Checked on the syntax trees of the
-package's sources.
+package's sources.  The root exports the names README's Library section
+lists, and no other.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import modcyclic
@@ -115,3 +119,12 @@ def test_nothing_takes_both_a_ring_and_its_module():
              for name in ring_and_module_takers(tree, path.removesuffix(".py") + ".")}
     assert sorted(found - set(RING_AND_MODULE)) == []
     assert set(RING_AND_MODULE) <= found
+
+
+def test_the_root_exports_what_readme_lists():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listing = next(p for p in library.split("\n\n") if p.startswith("The package root exports"))
+    public = {name for name, value in vars(modcyclic).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(re.findall(r"`([A-Za-z_]\w*)`", listing))

@@ -7,7 +7,9 @@ and trace that `check --format json --trace` printed for each before the
 normal forms were reduced modulo the exponent, and the generator it
 printed once generators were reduced modulo the exponent of M.  All five
 must stay byte-identical: a changed generator is still a generator, but
-it means the driver took a different path.
+it means the driver took a different path.  The key order of the report,
+its witness and each trace entry is pinned too, as the golden file keeps
+it: parsed reports compare equal whatever their key order.
 """
 
 import json
@@ -32,3 +34,6 @@ def test_trace_matches_golden(tmp_path, capsys, case):
     report = json.loads(capsys.readouterr().out)
     for key in ("verdict", "generator", "iterations", "witness", "trace"):
         assert report[key] == case[key], key
+    assert list(report) == list(case)[2:]
+    assert list(report["witness"] or ()) == list(case["witness"] or ())
+    assert [list(e) for e in report["trace"]] == [list(e) for e in case["trace"]]

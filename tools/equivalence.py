@@ -7,7 +7,8 @@ benchmark's workloads.
 The first form builds every file of the corpus, swell and wide workloads
 for each seed with `bench/workloads.py` (imported, never changed), runs
 `modcyclic.cli.main(["check", file, "--format", "json", "--trace"])`
-in-process on it, and writes the exit code and the full report per file to
+in-process on it, and writes the exit code, the full report and the sha256
+of the report's exact bytes (so key order and layout count) per file to
 one JSON file, with the exit code and standard output of the text report,
 `check <file> --trace`.  For every corpus and swell file it also records the
 `parse_instance` outcome of two seeded single-entry mutants of the file
@@ -22,7 +23,7 @@ where it does not and then exits 1.  `--src` names the source tree to
 import modcyclic from (default: this checkout's `src`), so the same
 workload files can be run against another checkout.  The second form lists
 every file whose bytes (either hash), exit code, report (verdict,
-generator, iterations, witness, trace), text report, standard error,
+generator, iterations, witness, trace), report bytes, text report, standard error,
 mutant outcomes or drop-`one` outcome differ, and exits 1 if any does.
 """
 
@@ -42,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("corpus", "swell", "wide")
 MUTANTS = 2
 # What one check run records, and what dropping `ring.one` must not change.
-OUTCOME = ("exit", "report", "stderr")
+OUTCOME = ("exit", "report", "stdout_sha256", "stderr")
 # The tables a mutant may change one entry of, as (section, key), per
 # workload.  Swell files keep their relations: one changed module relation
 # can hold the exact Smith form of `canonicalize` past ten seconds there.
@@ -91,10 +92,12 @@ def run_cli(cli, *argv: str):
 
 
 def check(cli, path: Path) -> dict:
-    """Exit code, parsed report (on a verdict) and standard error of one
-    in-process `check --format json --trace` run."""
+    """Exit code, parsed report (on a verdict), sha256 of the standard
+    output and standard error of one in-process `check --format json
+    --trace` run."""
     code, out, err = run_cli(cli, "check", str(path), "--format", "json", "--trace")
     return {"exit": code, "report": json.loads(out) if code in (0, 1) else None,
+            "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
             "stderr": err}
 
 
@@ -157,8 +160,8 @@ def compare(a: Path, b: Path) -> int:
             differ.append(f"{key}: only in {a if y is None else b}")
             continue
         rx, ry = x["report"] or {}, y["report"] or {}
-        fields = [f for f in ("sha256", "drop_one_sha256", "exit", "text", "stderr",
-                              "mutants", "drop_one")
+        fields = [f for f in ("sha256", "drop_one_sha256", "exit", "stdout_sha256", "text",
+                              "stderr", "mutants", "drop_one")
                   if x.get(f) != y.get(f)]
         fields += [f for f in sorted(set(rx) | set(ry)) if rx.get(f) != ry.get(f)]
         if fields:
