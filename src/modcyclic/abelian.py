@@ -5,7 +5,8 @@ matrix, into invariant-factor coordinates: the group becomes
 Z/d_1 x ... x Z/d_r with d_1 | d_2 | ... and every d_i >= 2 (factors equal
 to 1 are dropped; the trivial group has an empty coordinate vector).  All
 subgroup and quotient arithmetic then happens on these coordinates through
-integer lattices that always contain the relation lattice diag(d).
+integer lattices, each the tuple of its basis rows, that always contain the
+relation lattice diag(d).
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from operator import mod
 from .intlinalg import (
     DimensionError,
     IntMatrix,
+    diagonal,
     hnf,
     in_lattice,
     invert_unimodular,
     kernel_mod_lattice,
+    lincomb,
     snf,
-    vec_mat,
 )
 from .intstr import int_text, int_to_str
 
@@ -38,14 +40,14 @@ class GroupMismatchError(ValueError):
 class CanonicalGroup:
     """A finite abelian group in invariant-factor coordinates.
 
-    `to_can` (k x r) and `from_can` (r x k) translate between user
-    coordinates (length k = `to_can.rows`, the presentation's generators)
-    and canonical coordinates (length r, one per invariant factor).
+    `to_can` (k rows of length r) and `from_can` (r rows of length k)
+    translate between user coordinates (length k = len(to_can)) and
+    canonical coordinates (length r, one per invariant factor).
     """
 
     __slots__ = ("invariant_factors", "to_can", "from_can")
 
-    def __init__(self, invariant_factors, to_can: IntMatrix, from_can: IntMatrix):
+    def __init__(self, invariant_factors, to_can: tuple, from_can: tuple):
         self.invariant_factors = tuple(int(d) for d in invariant_factors)
         self.to_can = to_can
         self.from_can = from_can
@@ -78,14 +80,17 @@ class CanonicalGroup:
         return [Element(self, tuple(1 if j == i else 0 for j in range(r))) for i in range(r)]
 
     def from_user(self, vec) -> "Element":
-        return self.element(vec_mat(list(vec), self.to_can))
+        vec = list(vec)
+        if len(vec) != len(self.to_can):
+            raise DimensionError(f"expected {len(self.to_can)} user coordinates, got {len(vec)}")
+        return self.element(lincomb(vec, self.to_can, self.rank))
 
     def to_user(self, el: "Element") -> list:
         """User coordinates, each reduced modulo the exponent e: e times
         any user vector is a relation, so they name the same element."""
         _check_group(self, el.group)
         e = self.exponent
-        return [c % e for c in vec_mat(list(el.coords), self.from_can)]
+        return [c % e for c in lincomb(el.coords, self.from_can, len(self.to_can))]
 
     def elements(self):
         """All elements, canonical coordinates in lexicographic order."""
@@ -143,38 +148,38 @@ class Element:
         return f"Element{int_text(self.coords)}"
 
 
-def canonicalize(relations: IntMatrix) -> CanonicalGroup:
-    """Normalize the presentation Z^k / (row lattice of `relations`), with
-    k = relations.cols; raises NotFiniteError on infinite groups.
+def canonicalize(relations, k: int) -> CanonicalGroup:
+    """Normalize the presentation Z^k / (lattice of the rows `relations`,
+    each of length k); raises NotFiniteError on infinite groups.
 
     `from_can` is taken modulo the exponent e: e times any vector is a
     relation, so its rows still name the same elements.
     """
-    k = relations.cols
     message = "not finite: relation matrix rank is below the generator count"
-    if relations.rows < k:  # before `snf` builds its k x k transform
+    if len(relations) < k:  # before `snf` builds its k x k transform
         raise NotFiniteError(message)
-    res = snf(relations)
-    diag = res.d.diagonal_entries()
-    if sum(1 for x in diag if x != 0) < k:
+    res = snf(IntMatrix(relations, k))
+    diag = [res.d.data[i][i] for i in range(k)]
+    if not all(diag):
         raise NotFiniteError(message)
     kept = [i for i, di in enumerate(diag) if di > 1]
     factors = [diag[i] for i in kept]
-    vinv = invert_unimodular(res.v, factors[-1] if factors else 1)
-    return CanonicalGroup(factors, res.v.take_columns(kept), vinv.take_rows(kept))
+    vinv = invert_unimodular(res.v.data, factors[-1] if factors else 1)
+    return CanonicalGroup(factors, tuple(tuple(row[i] for i in kept) for row in res.v.data),
+                          tuple(vinv[i] for i in kept))
 
 
 class Subgroup:
     """A subgroup of a canonical group, carried by an integer lattice.
 
     `basis` is the full-rank HNF basis (modulo the exponent) of the
-    subgroup's preimage in Z^r, which contains diag(d).  The HNF is unique,
-    so two subgroups are equal exactly when their bases are.
+    subgroup's preimage in Z^r, which contains diag(d), as its r rows.  The
+    HNF is unique, so two subgroups are equal exactly when their bases are.
     """
 
     __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: CanonicalGroup, basis: IntMatrix):
+    def __init__(self, ambient: CanonicalGroup, basis: tuple):
         self.ambient = ambient
         self.basis = basis
 
@@ -182,7 +187,7 @@ class Subgroup:
         return self.ambient.order // self.index()
 
     def index(self) -> int:
-        return prod(self.basis.diagonal_entries())
+        return prod(row[i] for i, row in enumerate(self.basis))
 
     def contains(self, x: Element) -> bool:
         _check_group(self.ambient, x.group)
@@ -192,7 +197,7 @@ class Subgroup:
         """Nonzero reductions of the basis rows; a deterministic generator
         list for the subgroup."""
         out = []
-        for row in self.basis.data:
+        for row in self.basis:
             el = self.ambient.element(row)
             if not el.is_zero():
                 out.append(el)
@@ -206,20 +211,10 @@ class Subgroup:
         return f"Subgroup(order={self.order()} of {self.ambient!r})"
 
 
-def _lattice_to_subgroup(g: CanonicalGroup, rows) -> Subgroup:
-    """The subgroup whose preimage the rows span; they must span a lattice
-    that contains diag(d)."""
-    h = hnf(IntMatrix(rows, g.rank), g.exponent).h
-    nonzero = [row for row in h.data if any(row)]
-    if len(nonzero) != g.rank:
-        raise RuntimeError("subgroup lattice lost full rank")
-    return Subgroup(g, h)
-
-
 def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
     """Smallest subgroup containing the given elements: their join with the
     zero subgroup, whose basis diag(d) is its own HNF modulo e."""
-    return subgroup_join(Subgroup(g, IntMatrix.diagonal(g.invariant_factors)), elems)
+    return subgroup_join(Subgroup(g, diagonal(g.invariant_factors)), elems)
 
 
 def subgroup_join(s: Subgroup, elems) -> Subgroup:
@@ -228,9 +223,13 @@ def subgroup_join(s: Subgroup, elems) -> Subgroup:
     elems = list(elems)
     if not elems:
         return s
+    g = s.ambient
     for e in elems:
-        _check_group(s.ambient, e.group)
-    return _lattice_to_subgroup(s.ambient, [e.coords for e in elems] + list(s.basis.data))
+        _check_group(g, e.group)
+    h = hnf(IntMatrix([e.coords for e in elems] + list(s.basis), g.rank), g.exponent).h
+    if not all(map(any, h.data)):
+        raise RuntimeError("subgroup lattice lost full rank")
+    return Subgroup(g, h.data)
 
 
 def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
@@ -239,13 +238,13 @@ def subgroup_meet(s1: Subgroup, s2: Subgroup) -> Subgroup:
     _check_group(s1.ambient, s2.ambient)
     g = s1.ambient
     r = g.rank
-    rows = [row + row for row in s1.basis.data]
-    rows.extend(row + (0,) * r for row in s2.basis.data)
+    rows = [row + row for row in s1.basis]
+    rows.extend(row + (0,) * r for row in s2.basis)
     h = hnf(IntMatrix(rows, 2 * r), g.exponent).h
-    inter = [row[r:] for row in h.data if not any(row[:r]) and any(row[r:])]
+    inter = tuple(row[r:] for row in h.data if not any(row[:r]) and any(row[r:]))
     if len(inter) != r:
         raise RuntimeError("subgroup intersection lost full rank")
-    return Subgroup(g, IntMatrix(inter, r))
+    return Subgroup(g, inter)
 
 
 def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
@@ -256,11 +255,11 @@ def quotient(g: CanonicalGroup, s: Subgroup) -> CanonicalGroup:
     of it (is x zero there, what is |g/s|) is `s.contains(x)` or
     `s.index()`."""
     _check_group(g, s.ambient)
-    q = canonicalize(s.basis)
+    q = canonicalize(s.basis, g.rank)
     # The projection is well defined: generator i of order d_i maps to an
     # element whose order divides d_i.
     for i, d in enumerate(g.invariant_factors):
-        if any(q.reduce([d * x for x in q.to_can.data[i]])):
+        if any(q.reduce([d * x for x in q.to_can[i]])):
             raise RuntimeError(f"projection onto the quotient is not well defined "
                                f"at generator {i} of order {d}")
     if q.order * s.order() != g.order:
@@ -291,9 +290,7 @@ def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
     n, s = codomain.rank, len(blocks)
     rows = [[c for images in blocks for c in images[i].coords] for i in range(domain.rank)]
     copies = [(0,) * (n * t) + row + (0,) * (n * (s - 1 - t))
-              for t in range(s) for row in target.basis.data]
-    basis = kernel_mod_lattice(IntMatrix(rows, n * s),
-                               IntMatrix(copies, n * s),
-                               IntMatrix.diagonal(domain.invariant_factors),
+              for t in range(s) for row in target.basis]
+    basis = kernel_mod_lattice(rows, copies, diagonal(domain.invariant_factors),
                                codomain.exponent)
     return Subgroup(domain, basis)

@@ -10,11 +10,11 @@ of at least two, so the number of steps is logarithmic in |R|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .abelian import Element, Subgroup, subgroup_span
-from .intstr import int_to_str
+from .intstr import int_text, int_to_str
 from .modules import (
     FiniteModule,
     ann_element,
@@ -52,6 +52,12 @@ class TraceEntry:
     order_a: Optional[int] = None
     order_b: Optional[int] = None
     order_ext_mod_a: Optional[int] = None
+
+    def __repr__(self) -> str:
+        # The dataclass repr, with ints past the interpreter's digit limit
+        return "TraceEntry(" + ", ".join(
+            f"{f.name}={int_text(v) if isinstance(v, (int, tuple)) else repr(v)}"
+            for f in fields(self) for v in (getattr(self, f.name),)) + ")"
 
     @property
     def meet_zero(self) -> Optional[bool]:

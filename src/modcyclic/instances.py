@@ -34,7 +34,7 @@ from itertools import chain
 from operator import itemgetter, mod
 
 from .abelian import CanonicalGroup, NotFiniteError, canonicalize
-from .intlinalg import IntMatrix, lincomb
+from .intlinalg import lincomb
 from .intstr import int_from_str, int_to_str
 from .modules import FiniteModule, module_validate
 from .rings import (
@@ -262,14 +262,14 @@ def _to_canonical(section: dict, key: str, cols: int, group: CanonicalGroup):
     coordinates, unreduced: one `lincomb` per canonical coordinate over
     the columns of the table's vectors."""
     table = section.pop(key)
-    rows, k, r = len(table), group.to_can.rows, group.rank
+    rows, k, r = len(table), len(group.to_can), group.rank
     entries = list(chain.from_iterable(chain.from_iterable(table)))
     del table
     count = len(entries) // k if k else 0
     columns = [entries[s::k] for s in range(k)]
     del entries
     out = [0] * (count * r)
-    for t, coeffs in enumerate(zip(*group.to_can.data)):
+    for t, coeffs in enumerate(zip(*group.to_can)):
         out[t::r] = lincomb(coeffs, columns, count)
     del columns
     width = cols * r
@@ -362,8 +362,7 @@ def parse_instance(source) -> ParsedInstance:
     groups = []
     for key in ("ring", "module"):
         try:
-            groups.append(canonicalize(IntMatrix(doc[key]["relations"],
-                                                 doc[key]["num_gens"])))
+            groups.append(canonicalize(doc[key]["relations"], doc[key]["num_gens"]))
         except NotFiniteError as exc:
             raise NotFiniteError(f"{key}: {exc}") from None
     rg, mg = groups
@@ -390,7 +389,7 @@ def parse_instance(source) -> ParsedInstance:
     diags = _descent_diagnostics(doc, rg, mg)
 
     # canonical generator representatives in user coordinates
-    r_reps, m_reps = rg.from_can.data, mg.from_can.data
+    r_reps, m_reps = rg.from_can, mg.from_can
     mul_can = _canonical_table(doc["ring"].pop("mul"), k, r_reps, r_reps, rg)
     act_can = _canonical_table(doc["module"].pop("action"), m, r_reps, m_reps, mg)
 

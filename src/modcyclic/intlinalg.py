@@ -3,8 +3,12 @@ and kernels modulo a lattice.
 
 Conventions, fixed repo-wide: vectors are rows, relation systems and lattice
 bases are matrix *rows*, and linear maps act by right multiplication
-(``x -> x @ A``).  `IntMatrix(data, cols)` is given its rows and their
-width, and counts the rows.  All arithmetic uses Python's unbounded integers.
+(``x -> x @ A``).  A lattice, a basis or a coordinate transform is the
+tuple of its rows, each a tuple of ints.  `IntMatrix(data, cols)` is only
+what `hnf` and `snf` take and return: given the rows and their width, it
+checks every row's width and counts the rows, and the benchmark's tracer
+reads those counts and rows at these two calls.  All arithmetic uses
+Python's unbounded integers.
 
 Every lattice the package builds contains D*Z^n for a known D (the
 exponent of the ambient group, or of a codomain), so its HNF is taken
@@ -32,7 +36,8 @@ class NotUnimodularError(ValueError):
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, row major."""
+    """Immutable dense integer matrix, row major: the argument and the
+    results of `hnf` and `snf`."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -45,36 +50,18 @@ class IntMatrix:
         self.cols = cols
         self.data = entries
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    def diagonal_entries(self) -> list:
-        return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-    def to_lists(self) -> list:
-        return [list(row) for row in self.data]
-
-    def take_columns(self, idxs: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([[row[j] for j in idxs] for row in self.data], len(idxs))
-
-    def take_rows(self, idxs: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([self.data[i] for i in idxs], self.cols)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.cols == other.cols
                 and self.data == other.data)
 
-    def __hash__(self) -> int:
-        return hash((self.cols, self.data))
-
     def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()!r})"
+        return f"IntMatrix({self.rows}x{self.cols}, {[list(row) for row in self.data]!r})"
+
+
+def diagonal(entries: Sequence[int]) -> tuple:
+    """The rows of the square matrix with `entries` on its diagonal."""
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def lincomb(coeffs: Sequence[int], rows, n: int) -> list:
@@ -93,13 +80,6 @@ def lincomb(coeffs: Sequence[int], rows, n: int) -> list:
         for t, x in compress(enumerate(row), row):
             acc[t] += c * x
     return acc
-
-
-def vec_mat(v: Sequence[int], m: IntMatrix) -> list:
-    """Row vector times matrix."""
-    if len(v) != m.rows:
-        raise DimensionError(f"vector of length {len(v)} times {m.rows}x{m.cols}")
-    return lincomb(v, m.data, m.cols)
 
 
 def xgcd(a: int, b: int) -> tuple:
@@ -141,7 +121,7 @@ def snf(m: IntMatrix) -> SnfResult:
     transform, so it is never accumulated.
     """
     r, c = m.rows, m.cols
-    a = m.to_lists()
+    a = [list(row) for row in m.data]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_addmul(i, k, q):
@@ -290,31 +270,33 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
     return Hnf(IntMatrix(out, c))
 
 
-def _with_identity(m: IntMatrix) -> IntMatrix:
-    """[m | I], whose HNF carries the transform in its right block."""
-    r = m.rows
-    return IntMatrix([list(row) + [1 if j == i else 0 for j in range(r)]
-                      for i, row in enumerate(m.data)], m.cols + r)
+def _with_identity(rows) -> list:
+    """[m | I] for the rows of m, whose HNF carries the transform in its
+    right block."""
+    r = len(rows)
+    return [tuple(row) + tuple(1 if j == i else 0 for j in range(r))
+            for i, row in enumerate(rows)]
 
 
-def invert_unimodular(m: IntMatrix, modulus: int) -> IntMatrix:
-    """Inverse modulo D = `modulus` of a square matrix, with entries in
-    [0, D): m only has to be invertible modulo D, and the HNF of [m | I]
-    runs mod D."""
-    if m.rows != m.cols:
+def invert_unimodular(m, modulus: int) -> tuple:
+    """Rows of the inverse modulo D = `modulus` of the square matrix with
+    rows m, with entries in [0, D): m only has to be invertible modulo D,
+    and the HNF of [m | I] runs mod D."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise NotUnimodularError("not square")
-    n = m.rows
-    top = hnf(_with_identity(m), modulus).h.take_rows(range(n))
-    if top.take_columns(range(n)) != IntMatrix.identity(n):
+    top = hnf(IntMatrix(_with_identity(m), 2 * n), modulus).h.data[:n]
+    if tuple(row[:n] for row in top) != diagonal([1] * n):
         raise NotUnimodularError(f"matrix is not invertible modulo {int_to_str(modulus)}")
-    return top.take_columns(range(n, 2 * n))
+    return tuple(row[n:] for row in top)
 
 
-def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
-    """Membership of a row vector in the row lattice of h, a square full-rank
-    HNF as every subgroup basis is: row j in turn clears v at column j."""
+def in_lattice(h, v: Sequence[int]) -> bool:
+    """Membership of a row vector in the lattice of the rows h, a square
+    full-rank HNF as every subgroup basis is: row j in turn clears v at
+    column j."""
     residual = list(v)
-    for j, row in enumerate(h.data):
+    for j, row in enumerate(h):
         q, rem = divmod(residual[j], row[j])
         if rem:
             return False
@@ -324,11 +306,10 @@ def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
     return True
 
 
-def solve_congruence(a: IntMatrix, t: Sequence[int], moduli: Sequence[int],
-                     modulus: int):
+def solve_congruence(a, t: Sequence[int], moduli: Sequence[int], modulus: int):
     """An integer row vector x with (x @ a)_j = t_j modulo moduli[j] for
-    every column j, or None when there is none.  Every modulus divides
-    D = `modulus`.
+    every column j of the rows a, or None when there is none.  Every
+    modulus divides D = `modulus`.
 
     Scaled by D/moduli[j], column j of [-t ; a] is one congruence modulo D
     on (lambda, x).  The HNF modulo D of those columns, taken as rows,
@@ -336,40 +317,36 @@ def solve_congruence(a: IntMatrix, t: Sequence[int], moduli: Sequence[int],
     transpose modulo D form a lattice, and x is the x part of its first
     HNF row when that row's lambda pivot is 1.
     """
-    n, k = a.cols, a.rows
-    if len(t) != n or len(moduli) != n:
+    n, k = len(t), len(a)
+    if len(moduli) != n or any(len(row) != n for row in a):
         raise DimensionError("solve_congruence: column counts differ")
-    cols = [[-t[j] * (modulus // q)] + [row[j] * (modulus // q) for row in a.data]
+    cols = [[-t[j] * (modulus // q)] + [row[j] * (modulus // q) for row in a]
             for j, q in enumerate(moduli)]
     h = hnf(IntMatrix(cols, k + 1), modulus).h
-    eqs = IntMatrix(zip(*h.data), k + 1)
-    sols = kernel_mod_lattice(eqs, IntMatrix.diagonal([modulus] * (k + 1)),
-                              IntMatrix([], k + 1), modulus)
-    first = sols.data[0]
+    sols = kernel_mod_lattice(tuple(zip(*h.data)), diagonal([modulus] * (k + 1)), (),
+                              modulus)
+    first = sols[0]
     return list(first[1:]) if first[0] == 1 else None
 
 
-def kernel_mod_lattice(a: IntMatrix, l: IntMatrix, domain: IntMatrix,
-                       modulus: int) -> IntMatrix:
-    """HNF basis of {x in Z^k : x @ a lies in the row lattice of l}, plus
-    the row lattice of `domain` (k columns).
+def kernel_mod_lattice(a, l, domain, modulus: int) -> tuple:
+    """HNF basis rows of {x in Z^k : x @ a lies in the row lattice of l},
+    plus the lattice of the rows `domain` (k columns), for the k rows a.
 
     `modulus` is a positive D with D*Z^n inside the lattice of l (D kills
     the codomain Z^n/l, which is then finite); the result has full rank k
     and is k x k.  One HNF of [a | I ; l | 0 ; 0 | domain] modulo D gives
     the basis as its bottom k rows: the stacked lattice contains
-    D*Z^(n+k), because D*(a_i | e_i) minus D*a_i in l is D*e_i.
+    D*Z^(n+k), because D*(a_i | e_i) minus D*a_i in l is D*e_i.  The
+    stacked matrix checks that every row of a and l has the width n of the
+    first, and every row of `domain` the width k.
     """
-    if a.cols != l.cols:
-        raise DimensionError("kernel_mod_lattice: column counts differ")
-    n, k = a.cols, a.rows
-    if domain.cols != k:
-        raise DimensionError("kernel_mod_lattice: domain lattice has the wrong width")
-    rows = list(_with_identity(a).data)
-    rows.extend(tuple(row) + (0,) * k for row in l.data)
-    rows.extend((0,) * n + tuple(row) for row in domain.data)
+    n, k = len(next(chain(a, l), ())), len(a)
+    rows = _with_identity(a)
+    rows.extend(tuple(row) + (0,) * k for row in l)
+    rows.extend((0,) * n + tuple(row) for row in domain)
     h = hnf(IntMatrix(rows, n + k), modulus).h
-    ker = [row[n:] for row in h.data if not any(row[:n]) and any(row[n:])]
+    ker = tuple(row[n:] for row in h.data if not any(row[:n]) and any(row[n:]))
     if len(ker) != k:
         raise RuntimeError("kernel basis does not have full rank")
-    return IntMatrix(ker, k)
+    return ker

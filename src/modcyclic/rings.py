@@ -26,7 +26,7 @@ from .abelian import (
     subgroup_join,
     subgroup_meet,
 )
-from .intlinalg import IntMatrix, lincomb, solve_congruence
+from .intlinalg import lincomb, solve_congruence
 from .intstr import int_text, int_to_str
 
 
@@ -92,8 +92,7 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
         return group.zero()
     a_rows = [[c for vec in row for c in vec] for row in mul_table]
     target = [1 if t == j else 0 for j in range(r) for t in range(r)]
-    x = solve_congruence(IntMatrix(a_rows, r * r), target,
-                         list(group.invariant_factors) * r, group.exponent)
+    x = solve_congruence(a_rows, target, list(group.invariant_factors) * r, group.exponent)
     if x is None:
         raise NoIdentityError("no element acts as a multiplicative identity")
     one = group.element(x)

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from modcyclic import instances
 from modcyclic.abelian import NotFiniteError, _check_group, canonicalize, subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, lincomb, snf, vec_mat, xgcd
+from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, lincomb, snf, xgcd
 from modcyclic.intstr import int_to_str
 from modcyclic.modules import FiniteModule
 from modcyclic.rings import Diagnostic, FiniteRing, NoIdentityError, find_identity
@@ -32,6 +32,18 @@ def ring_mul(ring, a, b):
     _check_group(ring.group, a.group)
     _check_group(ring.group, b.group)
     return ring.group.element(bilinear(ring.mul_table, a.coords, b.coords, ring.group.rank))
+
+
+def vec_mat(v, m):
+    """Row vector times IntMatrix, with one entry of v per row of m."""
+    if len(v) != m.rows:
+        raise DimensionError(f"vector of length {len(v)} times {m.rows}x{m.cols}")
+    return lincomb(v, m.data, m.cols)
+
+
+def diagonal_entries(m):
+    """The entries m[i][i] of an IntMatrix, for i below both its sizes."""
+    return [m.data[i][i] for i in range(min(m.rows, m.cols))]
 
 
 def echelon_contains(h, v):
@@ -58,7 +70,7 @@ def reference_snf(m):
     first on ties, and the first row of the block with an entry the pivot
     does not divide.  Returns (d, v) as IntMatrix."""
     r, c = m.rows, m.cols
-    a = m.to_lists()
+    a = [list(row) for row in m.data]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_addmul(i, k, q):
@@ -191,7 +203,7 @@ def det(m):
     n = m.rows
     if n == 0:
         return 1
-    a = m.to_lists()
+    a = [list(row) for row in m.data]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -218,7 +230,7 @@ def check_snf(m):
     res = snf(m)
     assert abs(det(res.v)) == 1
     assert exact_hnf(matmul(m, res.v)).h == exact_hnf(res.d).h
-    diag = res.d.diagonal_entries()
+    diag = diagonal_entries(res.d)
     for i, x in enumerate(diag):
         assert x >= 0
         if i and diag[i - 1]:
@@ -242,8 +254,8 @@ def check_hnf(m):
     r, c = m.rows, m.cols
     full = exact_hnf(IntMatrix([list(row) + [1 if j == i else 0 for j in range(r)]
                                 for i, row in enumerate(m.data)], c + r)).h
-    assert full.take_columns(range(c)) == h
-    t = full.take_columns(range(c, c + r))
+    assert IntMatrix([row[:c] for row in full.data], c) == h
+    t = IntMatrix([row[c:] for row in full.data], r)
     assert matmul(t, m) == h
     assert abs(det(t)) == 1
     last = -1
@@ -650,17 +662,18 @@ def reference_parse(obj):
     try:
         doc = reference_decode(obj)
         try:
-            rg = canonicalize(IntMatrix(doc["ring"]["relations"], doc["ring"]["num_gens"]))
+            rg = canonicalize(doc["ring"]["relations"], doc["ring"]["num_gens"])
         except NotFiniteError as exc:
             raise NotFiniteError(f"ring: {exc}") from None
         try:
-            mg = canonicalize(IntMatrix(doc["module"]["relations"], doc["module"]["num_gens"]))
+            mg = canonicalize(doc["module"]["relations"], doc["module"]["num_gens"])
         except NotFiniteError as exc:
             raise NotFiniteError(f"module: {exc}") from None
-        mul_img = [[vec_mat(vec, rg.to_can) for vec in row] for row in doc["ring"]["mul"]]
-        act_img = [[vec_mat(vec, mg.to_can) for vec in row] for row in doc["module"]["action"]]
+        r_to_can, m_to_can = IntMatrix(rg.to_can, rg.rank), IntMatrix(mg.to_can, mg.rank)
+        mul_img = [[vec_mat(vec, r_to_can) for vec in row] for row in doc["ring"]["mul"]]
+        act_img = [[vec_mat(vec, m_to_can) for vec in row] for row in doc["module"]["action"]]
         diags = _reference_descent(doc, mul_img, act_img, rg, mg)
-        r_reps, m_reps = rg.from_can.data, mg.from_can.data
+        r_reps, m_reps = rg.from_can, mg.from_can
         mul_can = [[rg.reduce(bilinear(mul_img, ra, rb, rg.rank)) for rb in r_reps]
                    for ra in r_reps]
         act_can = [[mg.reduce(bilinear(act_img, ra, mb, mg.rank)) for mb in m_reps]

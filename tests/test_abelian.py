@@ -15,7 +15,7 @@ from modcyclic.abelian import (
     subgroup_span,
 )
 from modcyclic.instances import ValidationFailure, parse_instance
-from modcyclic.intlinalg import DimensionError, IntMatrix, hnf
+from modcyclic.intlinalg import DimensionError, IntMatrix, diagonal, hnf
 
 from helpers import (
     additive_closure,
@@ -28,7 +28,7 @@ from helpers import (
 
 
 def group_from_relations(rows, k):
-    return canonicalize(IntMatrix([list(r) for r in rows], k))
+    return canonicalize([list(r) for r in rows], k)
 
 
 def zn(n):
@@ -43,7 +43,7 @@ def test_canonicalize_examples():
     assert g.invariant_factors == (6,)
 
     with pytest.raises(NotFiniteError):
-        canonicalize(IntMatrix([], 1))
+        canonicalize([], 1)
 
 
 def test_canonicalize_trivial_group():
@@ -59,6 +59,23 @@ def test_reduce_checks_the_length():
     for coords in ([5], [1, 2, 3]):
         with pytest.raises(DimensionError, match=f"expected 2 coordinates, got {len(coords)}"):
             g.reduce(coords)
+
+
+def test_from_user_checks_the_length():
+    # three generators for C2 x C6: a user vector has three entries, not
+    # one per invariant factor
+    g = group_from_relations([[2, 0, 0], [0, 6, 0], [0, 0, 1]], 3)
+    assert g.invariant_factors == (2, 6)
+    assert g.from_user([1, 1, 5]) == g.element((1, 1))
+    for vec in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(DimensionError, match=f"expected 3 user coordinates, got {len(vec)}"):
+            g.from_user(vec)
+
+
+def test_canonicalize_checks_the_row_widths():
+    for rows in ([[2, 0], [0]], [[2, 0], [0, 4, 0]]):
+        with pytest.raises(DimensionError):
+            canonicalize(rows, 2)
 
 
 def test_roundtrip_user_canonical():
@@ -107,8 +124,8 @@ def test_empty_span_is_the_hnf_of_diag_d():
                         (random_finite_presentation(rng, max_order=500) for _ in range(40))]
     assert groups[0].rank == 0
     for g in groups:
-        d = IntMatrix.diagonal(g.invariant_factors)
-        assert subgroup_span(g, []).basis == hnf(d, g.exponent).h == d
+        d = diagonal(g.invariant_factors)
+        assert subgroup_span(g, []).basis == hnf(IntMatrix(d, g.rank), g.exponent).h.data == d
 
 
 def test_subgroup_contains_examples():

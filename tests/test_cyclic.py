@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modcyclic import abelian, cyclic, instances
@@ -11,6 +11,7 @@ from modcyclic.abelian import subgroup_span
 from modcyclic.cyclic import (
     AlgState,
     InvariantViolationError,
+    TraceEntry,
     check_state_invariants,
     init,
     iteration_bound,
@@ -19,6 +20,7 @@ from modcyclic.cyclic import (
     step,
 )
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
+from modcyclic.intlinalg import diagonal, lincomb
 from modcyclic.modules import FiniteModule, cyclic_span_is_all, scalar_extension
 from modcyclic.rings import ideal_span
 
@@ -132,6 +134,20 @@ def test_check_state_invariants_rejects_corruption():
         check_state_invariants(bad3)
 
 
+def test_invariant_error_prints_the_trace_past_the_digit_limit():
+    # The entries print as the dataclass repr, their ints through int_text
+    # and so in full past the interpreter's 4,300-digit limit.
+    exc = InvariantViolationError("boom", [TraceEntry(4, "iv", (1, 0), 2, 2),
+                                           TraceEntry(2, "v-no", (1,), 1, 2, 4)])
+    assert str(exc) == (
+        "boom\ntrace: [TraceEntry(order_A=4, branch='iv', chosen_x=(1, 0), order_a=2, "
+        "order_b=2, order_ext_mod_a=None), TraceEntry(order_A=2, branch='v-no', "
+        "chosen_x=(1,), order_a=1, order_b=2, order_ext_mod_a=4)]")
+    exc = InvariantViolationError("boom", [TraceEntry(10 ** 5000, "yes")])
+    assert str(exc) == ("boom\ntrace: [TraceEntry(order_A=1" + "0" * 5000 + ", branch='yes', "
+                        "chosen_x=None, order_a=None, order_b=None, order_ext_mod_a=None)]")
+
+
 def test_n_stays_a_subgroup_chain():
     # Every kept generator of N enlarges the span of those before it, so
     # |N| <= floor(log2 |M|) in every state, also after a chain of products
@@ -232,6 +248,75 @@ def test_product_is_cyclic_iff_both_factors_are(factors):
     assert run(prod).cyclic == all(run(parse(f)[1]).cyclic for f in factors)
 
 
+def unimodular_pair(rng, m):
+    """A seeded unimodular m x m matrix U and its inverse W, as lists of
+    rows, from elementary row operations on U: adding a multiple of one
+    row to another, swapping two rows, negating one.  Each is undone on
+    the right of W by the inverse column operation, so W @ U = I."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    w = [row[:] for row in u]
+    for _ in range(3 * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        op = rng.choice(("add", "swap", "negate"))
+        if op == "add" and i != j:
+            q = rng.choice((-3, -2, -1, 1, 2, 3))
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+            for row in w:
+                row[j] -= q * row[i]
+        elif op == "swap":
+            u[i], u[j] = u[j], u[i]
+            for row in w:
+                row[i], row[j] = row[j], row[i]
+        elif op == "negate":
+            u[i] = [-a for a in u[i]]
+            for row in w:
+                row[i] = -row[i]
+    return u, w
+
+
+def move_module(doc, u, w, relations):
+    """`doc` with its module presented on the generators
+    m'_j = sum_t U[j][t] m_t, U given by its rows u, where an element with
+    user vector x has x @ W: with the given relations, and each action
+    entry g_i * m'_j as (sum_t U[j][t] T[i][t]) @ W."""
+    m, n = doc["module"]["num_gens"], len(u)
+    action = [[lincomb(lincomb(row_u, row, m), w, n) for row_u in u]
+              for row in doc["module"]["action"]]
+    return dict(doc, module={"num_gens": n, "relations": relations, "action": action})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(factors=st.lists(large_factors(), min_size=2, max_size=3), seed=st.integers(0, 2 ** 32))
+def test_moving_user_coordinates_keeps_the_verdict(factors, seed):
+    # A relation past the oracle on the translation between user and
+    # canonical coordinates.  The module is first presented on its
+    # canonical generators (U = from_can, W = to_can, relations diag(d)),
+    # then moved by a seeded unimodular U: each relation rho becomes
+    # rho @ W, the relations are shuffled and one is stated twice.  The
+    # verdict stays, and y' @ U generates the module when y' generates the
+    # moved one.  Moving the document's own relations instead makes the
+    # exact Smith form of `canonicalize` swell without bound on some
+    # draws, so the move starts from diag(d).
+    doc = functools.reduce(gen_prod, factors)
+    _, mod = parse(doc)
+    assume(mod.order > 10 ** 6)
+    g, r = mod.group, mod.group.rank
+    canonical = move_module(doc, g.from_can, g.to_can, diagonal(g.invariant_factors))
+    rng = random.Random(seed)
+    u, w = unimodular_pair(rng, r)
+    assert [lincomb(row, u, r) for row in w] == [list(row) for row in diagonal([1] * r)]
+    relations = [lincomb(rho, w, r) for rho in canonical["module"]["relations"]]
+    rng.shuffle(relations)
+    relations.insert(rng.randrange(r + 1), rng.choice(relations))
+    _, moved = parse(move_module(canonical, u, w, relations))
+    assert moved.order == mod.order
+    result = run(moved)
+    assert result.cyclic == run(mod).cyclic
+    if result.cyclic:
+        y = lincomb(moved.group.to_user(result.generator), u, r)
+        assert cyclic_span_is_all(mod, g.element(y))
+
+
 def test_huge_modulus_end_to_end():
     n = 10 ** 30
     ring, mod = parse(gen_zmod(n, [n]))
@@ -310,9 +395,9 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
     active, entered, reached = [], [], []
     real = abelian.canonicalize
 
-    def counting(presentation):
+    def counting(relations, k):
         reached.append(tuple(active))
-        return real(presentation)
+        return real(relations, k)
 
     def guard(name, f):
         def wrapped(*args, **kwargs):

@@ -2,12 +2,13 @@
 root exports.
 
 The normal forms and the lattice kernel live in `intlinalg`; `abelian` is
-the only module that builds lattices for them.  The ring, module and
-driver layers speak of subgroups, and take from `intlinalg` at most the
-product kernel.  Only `cli` knows how a report is written, so the driver
-imports neither `instances` nor `cli`.  Checked on the syntax trees of the
-package's sources.  The root exports the names README's Library section
-lists, and no other.
+the only module that builds lattices for them, and it wraps a lattice's
+rows in an `IntMatrix` only to hand them to `hnf` or `snf`.  The ring,
+module and driver layers speak of subgroups, and take from `intlinalg` at
+most the product kernel.  Only `cli` knows how a report is written, so the
+driver imports neither `instances` nor `cli`.  Checked on the syntax trees
+of the package's sources.  The root exports the names README's Library
+section lists, and no other.
 """
 
 import ast
@@ -60,6 +61,21 @@ def test_lattice_kernels_are_named_only_in_intlinalg_and_abelian():
     assert found["intlinalg.py"] and found["abelian.py"]
     assert {name: hits for name, hits in found.items()
             if hits and name not in LATTICE_MODULES} == {}
+
+
+def test_only_the_normal_forms_take_an_intmatrix():
+    # A lattice is the tuple of its rows; `IntMatrix` is built only as the
+    # argument of `hnf` and `snf`, whose shapes the benchmark's tracer reads.
+    found = {name for name, tree in trees() if "IntMatrix" in set(named(tree))}
+    assert found == {"intlinalg.py", "abelian.py"}
+    tree = dict(trees())["abelian.py"]
+    inside = {id(node) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+              and call.func.id in ("hnf", "snf")
+              for arg in call.args for node in ast.walk(arg)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "IntMatrix" and id(node) not in inside]
+    assert outside == []
 
 
 def test_modules_and_driver_take_only_product_kernels_from_intlinalg():

@@ -44,7 +44,8 @@ UNREACHED = {
     "abelian.CanonicalGroup.__hash__": DUNDER,
     "abelian.Subgroup.__repr__": DUNDER,
     "abelian.Element.__hash__": DUNDER,
-    "intlinalg.IntMatrix.__hash__": DUNDER,
+    "cyclic.TraceEntry.__repr__": DUNDER,
+    "intlinalg.IntMatrix.__eq__": DUNDER,
     "intlinalg.IntMatrix.__repr__": DUNDER,
     "modules.FiniteModule.__repr__": DUNDER,
     "rings.FiniteRing.__repr__": DUNDER,

@@ -13,7 +13,7 @@ from modcyclic.instances import (
     gen_zmod,
     parse_instance,
 )
-from modcyclic.intlinalg import IntMatrix
+from modcyclic.intlinalg import diagonal
 from modcyclic.rings import (
     FiniteRing,
     NoIdentityError,
@@ -141,8 +141,8 @@ def test_find_identity_on_a_noncommutative_table(case, diagnostics):
     # table is already in canonical coordinates.
     doc = left_identity_doc(*case)
     r = doc["ring"]["num_gens"]
-    group = canonicalize(IntMatrix(doc["ring"]["relations"], r))
-    assert group.to_can == group.from_can == IntMatrix.identity(r)
+    group = canonicalize(doc["ring"]["relations"], r)
+    assert group.to_can == group.from_can == diagonal([1] * r)
     table = [[tuple(vec) for vec in row] for row in doc["ring"]["mul"]]
     one = find_identity(group, table)
     ring = FiniteRing(group, table, one)

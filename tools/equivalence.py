@@ -114,8 +114,10 @@ def write(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def record(src: Path, seeds, out: Path) -> int:
-    sys.path.insert(0, str(src))
+def record_files(seeds):
+    """The record of every file of the given seeds' workloads, as run with
+    the modcyclic that `sys.path` finds, and the keys of the files whose
+    outcome changes when `ring.one` is dropped."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
     from modcyclic import cli, instances
@@ -142,6 +144,12 @@ def record(src: Path, seeds, out: Path) -> int:
                         files[key]["mutants"] = [
                             outcome(instances, mutant(doc, MUTATED[name], rng))
                             for _ in range(MUTANTS)]
+    return files, broken
+
+
+def record(src: Path, seeds, out: Path) -> int:
+    sys.path.insert(0, str(src))
+    files, broken = record_files(seeds)
     out.write_text(json.dumps({"src": str(src), "seeds": list(seeds), "files": files},
                               indent=1) + "\n", encoding="utf-8")
     print(f"{len(files)} files recorded to {out}")
