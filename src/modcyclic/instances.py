@@ -94,36 +94,24 @@ _SMALL = {str(i): i for i in range(256)}
 
 def _decoded(entries: list):
     """The values of a flat list of entries in one C-level pass, as a new
-    list, or None when some entry needs the per-entry path.  The common
-    spelling is read by one map over `_SMALL`: a hit proves the entry
+    list, or None when some entry needs the per-entry path.  Entries that
+    are already ints (a document decoded before) are taken as they are.
+    Strings are read by one map over `_SMALL`: a hit proves the entry
     canonical (ASCII digits, no sign, no leading zero), so its value is
-    int() of it.  On any miss, an unhashable entry, an int, a bool or any
-    other string, the ASCII-digit spellings are checked by one join and
-    read by one map(int).  join() refuses a non-str entry, and int() an
-    empty one or one past its digit limit.  Entries that are already ints
-    (a document decoded before) are taken as they are."""
+    int() of it.  Any miss, an unhashable entry, a mix of ints and strings,
+    or a spelling the table does not hold, is None."""
     if entries and type(entries[0]) is int:
         return list(entries) if set(map(type, entries)) == {int} else None
     try:
         return list(map(_SMALL.__getitem__, entries))
     except (KeyError, TypeError):
-        pass
-    try:
-        digits = "".join(entries)
-    except TypeError:
-        return None
-    if not (digits.isdigit() and digits.isascii()):
-        return None
-    try:
-        return list(map(int, entries))
-    except ValueError:
         return None
 
 
 def _as_vector(value, length: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != length:
         raise InstanceFormatError(f"{path}: expected a vector of length {int_to_str(length)}")
-    # Every spelling the C-level pass leaves takes the per-entry path, the
+    # Every spelling the C-level pass misses takes the per-entry path, the
     # only one that builds each entry's path for its error message.
     out = _decoded(value)
     if out is None:
@@ -257,10 +245,10 @@ def _transposed(rows, cols: int, width: int) -> list:
             for j in range(cols)]
 
 
-def _to_canonical(section: dict, key: str, cols: int, group: CanonicalGroup):
+def _to_canonical(section: dict, key: str, group: CanonicalGroup):
     """Replace the user table `section[key]` by its flat rows in canonical
     coordinates, unreduced: one `lincomb` per canonical coordinate over
-    the columns of the table's vectors."""
+    the columns of the table's vectors, one per generator of `group`."""
     table = section.pop(key)
     rows, k, r = len(table), len(group.to_can), group.rank
     entries = list(chain.from_iterable(chain.from_iterable(table)))
@@ -272,18 +260,18 @@ def _to_canonical(section: dict, key: str, cols: int, group: CanonicalGroup):
     for t, coeffs in enumerate(zip(*group.to_can)):
         out[t::r] = lincomb(coeffs, columns, count)
     del columns
-    width = cols * r
+    width = k * r
     section[key] = [out[i * width:(i + 1) * width] for i in range(rows)]
 
 
-def _canonical_table(rows, cols: int, row_reps, col_reps, group: CanonicalGroup) -> list:
+def _canonical_table(rows, row_reps, col_reps, group: CanonicalGroup) -> list:
     """The generator table [[T(a, b) for b] for a] of a table held as flat
     rows in canonical coordinates, T(a, b) the product of the canonical
     generators a and b, given in user coordinates by `row_reps` and
     `col_reps`: one `lincomb` per row generator over the rows, then one per
     column generator over the transposed partial products, then reduced.
     The caller hands `rows` over, so that they are freed once read."""
-    c = group.rank
+    cols, c = len(group.to_can), group.rank
     partial = [lincomb(ra, rows, cols * c) for ra in row_reps]
     del rows
     partial_t = _transposed(partial, cols, c)
@@ -382,16 +370,15 @@ def parse_instance(source) -> ParsedInstance:
     # Both tables as flat rows in canonical coordinates, unreduced, once,
     # in place of the user tables; each is popped when its generator table
     # is built, and dropped.
-    m = doc["module"]["num_gens"]
-    _to_canonical(doc["ring"], "mul", k, rg)
-    _to_canonical(doc["module"], "action", m, mg)
+    _to_canonical(doc["ring"], "mul", rg)
+    _to_canonical(doc["module"], "action", mg)
 
     diags = _descent_diagnostics(doc, rg, mg)
 
     # canonical generator representatives in user coordinates
     r_reps, m_reps = rg.from_can, mg.from_can
-    mul_can = _canonical_table(doc["ring"].pop("mul"), k, r_reps, r_reps, rg)
-    act_can = _canonical_table(doc["module"].pop("action"), m, r_reps, m_reps, mg)
+    mul_can = _canonical_table(doc["ring"].pop("mul"), r_reps, r_reps, rg)
+    act_can = _canonical_table(doc["module"].pop("action"), r_reps, m_reps, mg)
 
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])

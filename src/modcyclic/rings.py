@@ -84,8 +84,8 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
 
     Works on any bilinear table; raises NoIdentityError when the system has
     no solution (the table is not a unital ring table).  The candidate is
-    checked against every generator, and a failure raises RuntimeError:
-    the solve, not the table, is then wrong.
+    checked against every generator by the validators' identity check, and
+    a failure raises RuntimeError: the solve, not the table, is then wrong.
     """
     r = group.rank
     if r == 0:
@@ -96,9 +96,10 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
     if x is None:
         raise NoIdentityError("no element acts as a multiplicative identity")
     one = group.element(x)
-    for j, g in enumerate(group.gens()):
-        if group.element(lincomb(one.coords, [row[j] for row in mul_table], r)) != g:
-            raise RuntimeError(f"solved identity {one!r} does not fix generator {j}")
+    failed = _identity_diagnostics(one, mul_table, group.invariant_factors, "g",
+                                   lambda j: f"solved identity {one!r} does not fix generator {j}")
+    if failed:
+        raise RuntimeError(failed[0].detail)
     return one
 
 

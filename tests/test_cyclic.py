@@ -317,6 +317,40 @@ def test_moving_user_coordinates_keeps_the_verdict(factors, seed):
         assert cyclic_span_is_all(mod, g.element(y))
 
 
+def with_implied_relations(doc, rng):
+    """`doc` with one more stated relation in the ring and in the module,
+    the sum of two of its rows and 3 times a third, and the rows shuffled."""
+    out = dict(doc)
+    for key in ("ring", "module"):
+        relations = [list(row) for row in doc[key]["relations"]]
+        a, b, c = rng.choices(relations, k=3)
+        relations.append([x + y + 3 * z for x, y, z in zip(a, b, c)])
+        rng.shuffle(relations)
+        out[key] = dict(doc[key], relations=relations)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_implied_relations_keep_the_verdict(seed):
+    # Adding relations that the stated ones imply, and shuffling them,
+    # presents the same ring and module on the same generators: the verdict
+    # stays, and a generator of the new presentation, in user coordinates,
+    # generates the original module.  The draws are corpus-sized, since the
+    # exact Smith form of `canonicalize` swells without end on some
+    # presentations of the size of the swell workload (ROADMAP item 9).
+    rng = random.Random(seed)
+    for doc in corpus(seed, 3):
+        _, mod = parse(doc)
+        _, implied = parse(with_implied_relations(doc, rng))
+        assert implied.order == mod.order
+        result = run(implied)
+        assert result.cyclic == run(mod).cyclic
+        if result.cyclic:
+            y = implied.group.to_user(result.generator)
+            assert cyclic_span_is_all(mod, mod.group.from_user(y))
+
+
 def test_huge_modulus_end_to_end():
     n = 10 ** 30
     ring, mod = parse(gen_zmod(n, [n]))

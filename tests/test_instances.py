@@ -284,8 +284,30 @@ def test_parse_reads_small_entries_without_int(monkeypatch):
     monkeypatch.setattr(instances, "int", counting, raising=False)
     parse_instance(text)
     assert calls == []
-    assert instances._decoded(["1", "007"]) == [1, 7]  # a miss: the fallback's int()
-    assert calls
+    # a miss: the vector is read entry by entry, through `int_from_str`
+    assert instances._decoded(["1", "007"]) is None
+    assert instances._as_vector(["1", "007"], 2, "v") == [1, 7]
+
+
+def test_a_row_the_spelling_table_misses_is_read_entry_by_entry(monkeypatch):
+    # "256" is past the decoder's table of small spellings: the rows that
+    # hold it, and only those, send their entries through `_as_int`, and
+    # the document decodes to the same values as the dict it was written
+    # from.
+    doc = gen_zmod(256, [256, 2])
+    text = dumps(doc)
+    paths = []
+    real = instances._as_int
+
+    def counted(value, path):
+        paths.append(path)
+        return real(value, path)
+
+    monkeypatch.setattr(instances, "_as_int", counted)
+    parse_instance(text)
+    assert [p for p in paths if not p.endswith("num_gens")] == [
+        "ring.relations[0][0]", "module.relations[0][0]", "module.relations[0][1]"]
+    assert loads(text) == instances.decode_document(doc)
 
 
 @pytest.mark.parametrize("e", [16, 32])

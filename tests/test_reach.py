@@ -43,6 +43,7 @@ UNREACHED = {
     "abelian.CanonicalGroup.__repr__": DUNDER,
     "abelian.CanonicalGroup.__hash__": DUNDER,
     "abelian.Subgroup.__repr__": DUNDER,
+    "abelian.Element.__eq__": DUNDER,
     "abelian.Element.__hash__": DUNDER,
     "cyclic.TraceEntry.__repr__": DUNDER,
     "intlinalg.IntMatrix.__eq__": DUNDER,
