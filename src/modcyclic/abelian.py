@@ -43,14 +43,17 @@ class CanonicalGroup:
     `to_can` (k rows of length r) and `from_can` (r rows of length k)
     translate between user coordinates (length k = len(to_can)) and
     canonical coordinates (length r, one per invariant factor).
+    `relations` is diag(d), the relation lattice of the canonical
+    coordinates, built once with the group.
     """
 
-    __slots__ = ("invariant_factors", "to_can", "from_can")
+    __slots__ = ("invariant_factors", "to_can", "from_can", "relations")
 
     def __init__(self, invariant_factors, to_can: tuple, from_can: tuple):
         self.invariant_factors = tuple(int(d) for d in invariant_factors)
         self.to_can = to_can
         self.from_can = from_can
+        self.relations = diagonal(self.invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -196,12 +199,7 @@ class Subgroup:
     def basis_elements(self) -> list:
         """Nonzero reductions of the basis rows; a deterministic generator
         list for the subgroup."""
-        out = []
-        for row in self.basis:
-            el = self.ambient.element(row)
-            if not el.is_zero():
-                out.append(el)
-        return out
+        return [el for el in map(self.ambient.element, self.basis) if not el.is_zero()]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup) and _same_group(self.ambient, other.ambient)
@@ -214,7 +212,7 @@ class Subgroup:
 def subgroup_span(g: CanonicalGroup, elems) -> Subgroup:
     """Smallest subgroup containing the given elements: their join with the
     zero subgroup, whose basis diag(d) is its own HNF modulo e."""
-    return subgroup_join(Subgroup(g, diagonal(g.invariant_factors)), elems)
+    return subgroup_join(Subgroup(g, g.relations), elems)
 
 
 def subgroup_join(s: Subgroup, elems) -> Subgroup:
@@ -291,6 +289,5 @@ def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
     rows = [[c for images in blocks for c in images[i].coords] for i in range(domain.rank)]
     copies = [(0,) * (n * t) + row + (0,) * (n * (s - 1 - t))
               for t in range(s) for row in target.basis]
-    basis = kernel_mod_lattice(rows, copies, diagonal(domain.invariant_factors),
-                               codomain.exponent)
+    basis = kernel_mod_lattice(rows, copies, domain.relations, codomain.exponent)
     return Subgroup(domain, basis)

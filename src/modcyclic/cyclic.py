@@ -19,6 +19,7 @@ from .modules import (
     FiniteModule,
     ann_element,
     cyclic_span_is_all,
+    ideal_products,
     ideal_times_submodule,
     scalar_extension,
     spans_extension,
@@ -86,7 +87,7 @@ class AlgState:
     iam: Subgroup = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.iam = scalar_extension(self.module, self.i_a)
+        self.iam = scalar_extension(self.module, ideal_products(self.module, self.i_a))
 
     @property
     def iteration(self) -> int:
@@ -184,7 +185,8 @@ def step(state: AlgState):
         _after_continue(new_state, order_A)
         return new_state
 
-    iam_a = scalar_extension(module, a)
+    rows = ideal_products(module, a)  # u*m_j over a's basis, for M_{A/a} and a*N
+    iam_a = scalar_extension(module, rows)
     spans = spans_extension(images, iam_a)
     entry = TraceEntry(order_A, BRANCH_V_YES if spans else BRANCH_V_NO,
                        x.coords, order_a, order_b, iam_a.index())
@@ -193,7 +195,7 @@ def step(state: AlgState):
         return CyclicityResult(None, state.trace)
 
     new_state = AlgState(module, b, x + state.y,
-                         ideal_times_submodule(a, state.n, module),
+                         ideal_times_submodule(rows, state.n, module),
                          state.trace + [entry])
     _after_continue(new_state, order_A)
     return new_state

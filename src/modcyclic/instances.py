@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter, mod
 
 from .abelian import CanonicalGroup, NotFiniteError, canonicalize
@@ -143,6 +144,11 @@ def decode_document(obj) -> dict:
     integer; returns a plain dict with Python ints."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("top level must be an object")
+    # Both keys are optional: the family generators' documents omit them.
+    if obj.get("format", FORMAT_NAME) != FORMAT_NAME:
+        raise InstanceFormatError(f'format: expected "{FORMAT_NAME}"')
+    if "version" in obj and _as_int(obj["version"], "version") != FORMAT_VERSION:
+        raise InstanceFormatError(f"version: expected {FORMAT_VERSION}")
     for key in ("ring", "module"):
         if key not in obj or not isinstance(obj[key], dict):
             raise InstanceFormatError(f"missing section: {key}")
@@ -167,9 +173,19 @@ def decode_document(obj) -> dict:
     return doc
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a key stated twice, of
+    which `json` would silently keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise InstanceFormatError(f"duplicate key: {json.dumps(twice)}")
+    return obj
+
+
 def loads(text: str) -> dict:
     try:
-        obj = json.loads(text, parse_int=int_from_str)
+        obj = json.loads(text, parse_int=int_from_str, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from None
     return decode_document(obj)
@@ -450,21 +466,10 @@ def gen_trunc(p: int, e: int, mdegs=None) -> dict:
     mul = [[(_unit(i + j, e) if i + j < e else [0] * e) for j in range(e)]
            for i in range(e)]
     total = sum(mdegs)
-    offsets = []
-    off = 0
-    for t in mdegs:
-        offsets.append(off)
-        off += t
-    action = []
-    for i in range(e):
-        row = []
-        for t, off in zip(mdegs, offsets):
-            for j in range(t):
-                if i + j < t:
-                    row.append(_unit(off + i + j, total))
-                else:
-                    row.append([0] * total)
-        action.append(row)
+    offsets = list(accumulate(mdegs, initial=0))
+    action = [[_unit(off + i + j, total) if i + j < t else [0] * total
+               for t, off in zip(mdegs, offsets) for j in range(t)]
+              for i in range(e)]
     return {
         "ring": {
             "num_gens": e,

@@ -10,8 +10,6 @@ kernel of `intlinalg`."""
 
 from __future__ import annotations
 
-from operator import mod
-
 from .abelian import (
     CanonicalGroup,
     Element,
@@ -25,9 +23,9 @@ from .intlinalg import lincomb
 from .rings import (
     FiniteRing,
     _assoc_diagnostics,
-    _flat_products,
     _identity_diagnostics,
     _well_defined_diagnostics,
+    products,
 )
 
 
@@ -87,32 +85,29 @@ def module_validate(mod: FiniteModule) -> list:
     return diags
 
 
-def _generator_products(module: FiniteModule, u: Element) -> list:
-    """u*m_j for every generator m_j of M, as reduced coordinates, from one
-    row of products."""
-    _check_group(module.ring.group, u.group)
-    g = module.group
-    n = g.rank
-    flat = tuple(map(mod, _flat_products(u.coords, module.action_table, n * n),
-                     g.invariant_factors * n))
-    return [flat[j * n:(j + 1) * n] for j in range(n)]
+def ideal_products(module: FiniteModule, i: Subgroup) -> list:
+    """One `products` row u*m_j over the generators m_j of M per basis
+    element u of the ideal i: what `scalar_extension` and
+    `ideal_times_submodule` read."""
+    _check_group(module.ring.group, i.ambient)
+    factors = module.group.invariant_factors
+    return [products(u.coords, module.action_table, factors) for u in i.basis_elements()]
 
 
-def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
-    """Generators of the submodule i*N: of the products u*z, u over the basis
-    elements of the ideal i and z over the generators n of N, in that order,
-    those outside the span of the ones kept before them.  They span a strict
-    subgroup chain in M, so there are at most log2|M| of them.  Each u*z
-    combines the products of u with the generators of M, as
-    `scalar_extension` takes them."""
+def ideal_times_submodule(rows, n, module: FiniteModule) -> tuple:
+    """Generators of the submodule i*N, given the `ideal_products` rows of
+    the ideal i and the generators n of N: of the products u*z, u over the
+    basis elements of i and z over n, in that order, those outside the
+    span of the ones kept before them.  They span a strict subgroup chain
+    in M, so there are at most log2|M| of them.  Each u*z combines the
+    products of u with the generators of M."""
     kept = []
     g = module.group
     span = subgroup_span(g, [])
-    for u in i.basis_elements():
-        products = _generator_products(module, u)
+    for row in rows:
         for z in n:
             _check_group(g, z.group)
-            p = g.element(lincomb(z.coords, products, g.rank))
+            p = g.element(lincomb(z.coords, row, g.rank))
             if not span.contains(p):
                 kept.append(p)
                 span = subgroup_join(span, [p])
@@ -121,14 +116,13 @@ def ideal_times_submodule(i: Subgroup, n, module: FiniteModule) -> tuple:
     return tuple(kept)
 
 
-def scalar_extension(module: FiniteModule, i_a: Subgroup) -> Subgroup:
+def scalar_extension(module: FiniteModule, rows) -> Subgroup:
     """Base change of M along R -> R/I_A, as the lattice I_A*M that
-    M_A = M/(I_A M) is read from: one span of all products u*m, u in the
-    basis of I_A, m a generator of M, each u's products from one `lincomb`.
-    The quotient group is never built."""
+    M_A = M/(I_A M) is read from, given the `ideal_products` rows of I_A:
+    one span of all products u*m, u in the basis of I_A, m a generator of
+    M.  The quotient group is never built."""
     g = module.group
-    products = {p for u in i_a.basis_elements() for p in _generator_products(module, u)}
-    return subgroup_span(g, [Element(g, p) for p in products])
+    return subgroup_span(g, [Element(g, p) for p in {p for row in rows for p in row}])
 
 
 def ann_element(module: FiniteModule, images, iam: Subgroup) -> Subgroup:

@@ -69,10 +69,12 @@ class FiniteRing:
         return self.group.order
 
     def images(self, x: Element) -> list:
-        """g_i * x for every generator g_i, in order."""
+        """g_i * x for every generator g_i, in order: the products x * g_i
+        of one `products` row.  Every parsed ring has passed the
+        commutativity check, so x * g_i = g_i * x."""
         _check_group(self.group, x.group)
-        r = self.group.rank
-        return [self.group.element(lincomb(x.coords, row, r)) for row in self.mul_table]
+        g = self.group
+        return [Element(g, p) for p in products(x.coords, self.mul_table, g.invariant_factors)]
 
     def __repr__(self) -> str:
         return f"FiniteRing(order={self.order})"
@@ -194,25 +196,24 @@ def _well_defined_diagnostics(table, row_orders, col_orders, col: str, what: str
     return diags
 
 
-def _flat_products(coeffs, table, width: int) -> list:
-    """sum_i coeffs_i * (row i of a generator table, its vectors
-    concatenated): an element's products with every column generator at
-    once, unreduced, as one `lincomb` over the rows it does not skip."""
-    return lincomb(list(filter(None, coeffs)),
-                   [list(chain.from_iterable(row)) for row in compress(table, coeffs)], width)
+def products(coeffs, table, factors) -> list:
+    """x*h_j, as reduced coordinates, for every column generator h_j of a
+    generator table (`mul_table` or `action_table`, `factors` the orders
+    of the h_j), x with coordinates `coeffs` over the row generators: one
+    `lincomb` over the rows x does not skip, their vectors concatenated."""
+    n = len(factors)
+    flat = lincomb(list(filter(None, coeffs)),
+                   [list(chain.from_iterable(row)) for row in compress(table, coeffs)], n * n)
+    flat = tuple(map(mod, flat, factors * n))
+    return [flat[j * n:(j + 1) * n] for j in range(n)]
 
 
 def _identity_diagnostics(one: Element, table, factors, label: str, detail) -> list:
     """one * x_j = x_j for every generator x_j of the target of a generator
     table, from one row of products."""
-    n = len(factors)
-    got = list(map(mod, _flat_products(one.coords, table, n * n), factors * n))
-    unit = [0] * (n * n)
-    unit[::n + 1] = [1] * n
-    if got == unit:
-        return []
     return [Diagnostic("identity", f"1*{label}{j}", detail(j))
-            for j in range(n) if got[j * n:(j + 1) * n] != unit[j * n:(j + 1) * n]]
+            for j, got in enumerate(products(one.coords, table, factors))
+            if got[j] != 1 or any(got[:j] + got[j + 1:])]
 
 
 def ring_validate(ring: FiniteRing) -> list:

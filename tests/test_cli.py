@@ -123,6 +123,48 @@ def test_validate(cyclic_file, tmp_path, capsys):
     assert "identity" in err
 
 
+@pytest.mark.parametrize("command", ["check", "validate"])
+@pytest.mark.parametrize("key", ["ring", "one"])
+def test_a_key_stated_twice_is_an_error(tmp_path, capsys, command, key):
+    # `json` keeps the last value of a key stated twice: a second "ring"
+    # section, or a second "one", would be decided on in silence.
+    z4, z6 = gen_zmod(4, [2, 2]), gen_zmod(6, [2, 3])
+    ring = json.dumps(z6["ring"])
+    if key == "ring":  # Z/4's ring section, then Z/6's
+        sections = '"ring": ' + json.dumps(z4["ring"]) + ', "ring": ' + ring
+    else:  # "one" stated as 5, then as Z/6's own 1
+        sections = '"ring": {"one": ["5"], ' + ring[1:]
+    text = "{" + sections + ', "module": ' + json.dumps(z6["module"]) + "}"
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f'error: duplicate key: "{key}"\n'
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"format": "other", "version": 99}, "format"),
+    ({"format": "modcyclic-instance", "version": 99}, "version"),
+    ({"version": "2"}, "version"),
+    ({"format": None}, "format"),
+    ({"version": "one"}, "version"),
+])
+def test_an_unknown_format_or_version_is_an_error(tmp_path, capsys, fields, key):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({**gen_zmod(6, [2, 3]), **fields}))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+def test_format_and_version_are_optional_and_read_like_any_field(tmp_path, capsys):
+    # The family generators' documents carry neither key.
+    doc = gen_zmod(6, [2, 3])
+    for fields in ({}, {"format": "modcyclic-instance"}, {"version": 1}, {"version": " +1"}):
+        path = tmp_path / "z6.json"
+        path.write_text(json.dumps({**doc, **fields}))
+        assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["check", "/nonexistent/instance.json"]) == 2
     assert main(["check", str(tmp_path)]) == 2

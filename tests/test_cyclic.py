@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modcyclic import abelian, cyclic, instances
+from modcyclic import abelian, cyclic, instances, modules
 from modcyclic.abelian import subgroup_span
 from modcyclic.cyclic import (
     AlgState,
@@ -21,7 +21,7 @@ from modcyclic.cyclic import (
 )
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
 from modcyclic.intlinalg import diagonal, lincomb
-from modcyclic.modules import FiniteModule, cyclic_span_is_all, scalar_extension
+from modcyclic.modules import FiniteModule, ann_element, cyclic_span_is_all, scalar_extension
 from modcyclic.rings import ideal_span
 
 from helpers import brute_cyclic, submodule_span, zero_ideal
@@ -374,27 +374,54 @@ def test_step_returns_fresh_states():
     assert s1.iteration == 1 and len(s1.trace) == 1
 
 
+def product_rows(mod) -> int:
+    """The products u*m_j a run needs, as rows of one u each: the basis
+    elements of I_A in every state and of a at every step of branch v,
+    counted by stepping the run."""
+    rows, state = 0, init(mod)
+    while isinstance(state, AlgState):
+        rows += len(state.i_a.basis_elements())
+        new = step(state)
+        entry = new.trace[-1]
+        if entry.branch in ("v-yes", "v-no"):
+            x = mod.group.element(entry.chosen_x)
+            rows += len(ann_element(mod, mod.images(x), state.iam).basis_elements())
+        state = new
+    return rows
+
+
 def test_state_builds_its_extension_once(monkeypatch):
     # The invariant checks read the M_A each state built, so they add no
     # scalar extension to a run: one per state (the first, and one per
-    # continue) and one for M_{A/a} at each step of branch v.
-    calls = []
+    # continue) and one for M_{A/a} at each step of branch v.  Their
+    # products u*m_j are built once: a step of branch v hands a's to both
+    # M_{A/a} and a*N.
+    calls, tables = [], []
+    real_products = modules.products
 
-    def counting(module, i_a):
-        calls.append(i_a)
-        return scalar_extension(module, i_a)
+    def counting(module, rows):
+        calls.append(rows)
+        return scalar_extension(module, rows)
+
+    def counting_products(coeffs, table, factors):
+        tables.append(table)
+        return real_products(coeffs, table, factors)
 
     monkeypatch.setattr(cyclic, "scalar_extension", counting)
+    monkeypatch.setattr(modules, "products", counting_products)
     docs = [gen_zmod(4, [2, 2]), gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])),
             gen_trunc(2, 4, [4, 2])] + corpus(303, 12)
     for doc in docs:
         _, mod = parse(doc)
+        expected_rows = product_rows(mod)
         calls.clear()
+        tables.clear()
         result = run(mod)
         branches = [e.branch for e in result.trace]
         continues = branches.count("iv") + branches.count("v-yes")
         v_steps = branches.count("v-yes") + branches.count("v-no")
         assert len(calls) == 1 + continues + v_steps
+        assert sum(table is mod.action_table for table in tables) == expected_rows
 
 
 def test_each_step_computes_the_images_of_x_once(monkeypatch):
@@ -423,15 +450,20 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
     # The driver works on lattices alone: M_A is read from I_A*M and
     # Ann(x) is one kernel against copies of I_A, so no quotient group is
     # built and canonicalize is reached only from parsing, never from
-    # anything under run.
+    # anything under run.  The relation lattice diag(d) is built once with
+    # each group, at parsing, and every span and kernel under run reads it.
     guarded = ("scalar_extension", "ann_element", "spans_extension",
                "check_state_invariants", "ideal_annihilator")
-    active, entered, reached = [], [], []
-    real = abelian.canonicalize
+    active, entered, reached, diagonals = [], [], [], []
+    real, real_diagonal = abelian.canonicalize, abelian.diagonal
 
     def counting(relations, k):
         reached.append(tuple(active))
         return real(relations, k)
+
+    def counting_diagonal(entries):
+        diagonals.append(tuple(active))
+        return real_diagonal(entries)
 
     def guard(name, f):
         def wrapped(*args, **kwargs):
@@ -445,6 +477,7 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
 
     monkeypatch.setattr(abelian, "canonicalize", counting)
     monkeypatch.setattr(instances, "canonicalize", counting)
+    monkeypatch.setattr(abelian, "diagonal", counting_diagonal)
     for name in guarded:
         monkeypatch.setattr(cyclic, name, guard(name, getattr(cyclic, name)))
     guarded_run = guard("run", cyclic.run)
@@ -456,3 +489,4 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
     assert set(entered) == set(guarded) | {"run"}
     assert reached.count(()) == 2 * len(docs)  # parsing reaches the wrapper
     assert [path for path in reached if path] == []
+    assert diagonals == [()] * (2 * len(docs))

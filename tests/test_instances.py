@@ -293,7 +293,8 @@ def test_a_row_the_spelling_table_misses_is_read_entry_by_entry(monkeypatch):
     # "256" is past the decoder's table of small spellings: the rows that
     # hold it, and only those, send their entries through `_as_int`, and
     # the document decodes to the same values as the dict it was written
-    # from.
+    # from.  The scalar fields, `version` and the generator counts, are
+    # always read through `_as_int`.
     doc = gen_zmod(256, [256, 2])
     text = dumps(doc)
     paths = []
@@ -305,7 +306,7 @@ def test_a_row_the_spelling_table_misses_is_read_entry_by_entry(monkeypatch):
 
     monkeypatch.setattr(instances, "_as_int", counted)
     parse_instance(text)
-    assert [p for p in paths if not p.endswith("num_gens")] == [
+    assert [p for p in paths if p != "version" and not p.endswith("num_gens")] == [
         "ring.relations[0][0]", "module.relations[0][0]", "module.relations[0][1]"]
     assert loads(text) == instances.decode_document(doc)
 

@@ -8,12 +8,13 @@ from modcyclic.modules import (
     FiniteModule,
     ann_element,
     cyclic_span_is_all,
+    ideal_products,
     ideal_times_submodule,
     module_validate,
     scalar_extension,
     spans_extension,
 )
-from modcyclic.rings import FiniteRing, ideal_span, ring_validate
+from modcyclic.rings import FiniteRing, ideal_span, products, ring_validate
 
 from helpers import (
     additive_closure,
@@ -35,7 +36,8 @@ def parse(doc):
 
 def ann_in_whole(ring, mod, x):
     """Ann_R(x), the element annihilator over A = R."""
-    return ann_element(mod, mod.images(x), scalar_extension(mod, zero_ideal(ring)))
+    iam = scalar_extension(mod, ideal_products(mod, zero_ideal(ring)))
+    return ann_element(mod, mod.images(x), iam)
 
 
 def small_instances():
@@ -89,19 +91,28 @@ def test_act_rejects_elements_of_other_groups():
 
 
 def test_images_match_mul_and_act():
+    # `products` is the one helper for both generator tables: x*g_j on the
+    # ring's against `ring_mul`, u*m_j on the module's against `act`, also
+    # for elements with zero coordinates, whose table rows it skips.
     rng = random.Random(8)
     for ring, mod in small_instances():
-        gens = ring.group.gens()
+        gens, mgens = ring.group.gens(), mod.group.gens()
+        d, dm = ring.group.invariant_factors, mod.group.invariant_factors
         for _ in range(5):
-            x = ring.group.element(tuple(rng.randrange(d)
-                                         for d in ring.group.invariant_factors))
-            m = mod.group.element(tuple(rng.randrange(d)
-                                        for d in mod.group.invariant_factors))
+            x = ring.group.element(tuple(rng.randrange(di) for di in d))
+            m = mod.group.element(tuple(rng.randrange(di) for di in dm))
             ring_images, mod_images = ring.images(x), mod.images(m)
             assert len(ring_images) == len(mod_images) == len(gens)
             for i, g in enumerate(gens):
                 assert ring_images[i] == ring_mul(ring, g, x)
                 assert mod_images[i] == mod.act(g, m)
+            sparse = ring.group.element(tuple(rng.randrange(di) * rng.randrange(2)
+                                              for di in d))
+            for u in (x, sparse, ring.group.zero()):
+                assert products(u.coords, ring.mul_table, d) == [
+                    ring_mul(ring, u, g).coords for g in gens]
+                assert products(u.coords, mod.action_table, dm) == [
+                    mod.act(u, mj).coords for mj in mgens]
 
 
 def test_module_validate_ok():
@@ -168,18 +179,18 @@ def test_ideal_times_submodule_examples():
     ring, mod = parse(gen_zmod(12, [12]))
     two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
     n = mod.group.gens()
-    prod = ideal_times_submodule(two, n, mod)
+    prod = ideal_times_submodule(ideal_products(mod, two), n, mod)
     assert subgroup_coords(subgroup_span(mod.group, prod)) == {
         (0,), (2,), (4,), (6,), (8,), (10,)}
 
-    assert subgroup_span(mod.group,
-                         ideal_times_submodule(zero_ideal(ring), n, mod)).order() == 1
+    zero_rows = ideal_products(mod, zero_ideal(ring))
+    assert subgroup_span(mod.group, ideal_times_submodule(zero_rows, n, mod)).order() == 1
 
     # idempotent ring acting on itself: (e2) * R = {0, e2}
     ring2, mod2 = parse(gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])))
     e2 = ring2.group.element((0, 1))
     ideal = ideal_span(ring2, zero_ideal(ring2), [e2])
-    prod2 = ideal_times_submodule(ideal, mod2.group.gens(), mod2)
+    prod2 = ideal_times_submodule(ideal_products(mod2, ideal), mod2.group.gens(), mod2)
     assert subgroup_coords(subgroup_span(mod2.group, prod2)) == {(0, 0), (0, 1)}
 
 
@@ -196,7 +207,7 @@ def test_ideal_times_submodule_closure_and_containment():
                     for _ in range(rng.randint(0, 2))]
             n = submodule_span(mod, gens)
             assert is_action_closed(mod, n)
-            prod = ideal_times_submodule(i, n, mod)
+            prod = ideal_times_submodule(ideal_products(mod, i), n, mod)
             assert is_action_closed(mod, prod)
             # i*N sits inside N since N is action closed
             n_span = subgroup_span(mod.group, n)
@@ -207,13 +218,13 @@ def test_ideal_times_submodule_closure_and_containment():
 def test_scalar_extension_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     two = ideal_span(ring, zero_ideal(ring), [ring.group.element((2,))])
-    iam = scalar_extension(mod, two)
+    iam = scalar_extension(mod, ideal_products(mod, two))
     assert iam.index() == 4  # 2*M = 0, so M_A = M
 
-    iam_unit = scalar_extension(mod, unit_ideal(ring))
+    iam_unit = scalar_extension(mod, ideal_products(mod, unit_ideal(ring)))
     assert iam_unit.index() == 1
 
-    iam_zero = scalar_extension(mod, zero_ideal(ring))
+    iam_zero = scalar_extension(mod, ideal_products(mod, zero_ideal(ring)))
     assert iam_zero.index() == mod.order
 
 
@@ -221,11 +232,13 @@ def test_products_reject_elements_of_another_group():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     other_ring, other_mod = parse(gen_zmod(6, [2, 3]))
     with pytest.raises(GroupMismatchError):
-        scalar_extension(mod, unit_ideal(other_ring))
+        scalar_extension(mod, ideal_products(mod, unit_ideal(other_ring)))
     with pytest.raises(GroupMismatchError):
-        ideal_times_submodule(unit_ideal(other_ring), mod.group.gens(), mod)
+        ideal_times_submodule(ideal_products(mod, unit_ideal(other_ring)),
+                              mod.group.gens(), mod)
     with pytest.raises(GroupMismatchError):
-        ideal_times_submodule(unit_ideal(ring), other_mod.group.gens(), mod)
+        ideal_times_submodule(ideal_products(mod, unit_ideal(ring)),
+                              other_mod.group.gens(), mod)
 
 
 def test_scalar_extension_order_divides():
@@ -236,7 +249,7 @@ def test_scalar_extension_order_divides():
             i = ideal_span(ring, zero_ideal(ring),
                            [elements[rng.randrange(len(elements))]
                             for _ in range(rng.randint(0, 2))])
-            iam = scalar_extension(mod, i)
+            iam = scalar_extension(mod, ideal_products(mod, i))
             assert mod.order % iam.index() == 0
             assert iam.index() * iam.order() == mod.order
             # the elements with zero image in M_A are exactly I_A*M, the
@@ -274,7 +287,7 @@ def test_ann_element_vs_enumeration():
                               for _ in range(rng.randint(0, 1))])
             x = mod.group.element(tuple(rng.randrange(d)
                                         for d in mod.group.invariant_factors))
-            iam_sub = scalar_extension(mod, i_a)
+            iam_sub = scalar_extension(mod, ideal_products(mod, i_a))
             ann = ann_element(mod, mod.images(x), iam_sub)
             iam = subgroup_coords(iam_sub)
             expect = {r.coords for r in ring.group.elements()
@@ -286,15 +299,15 @@ def test_spans_extension_examples():
     ring, mod = parse(gen_zmod(4, [2, 2]))
     x = mod.group.element((1, 0))
     a = ann_in_whole(ring, mod, x)  # = (2), so A/a has order 2
-    iam = scalar_extension(mod, a)
+    iam = scalar_extension(mod, ideal_products(mod, a))
     images = mod.images(x)
     assert iam.index() == 4
     assert not spans_extension(images, iam)
 
-    iam_trivial = scalar_extension(mod, unit_ideal(ring))
+    iam_trivial = scalar_extension(mod, ideal_products(mod, unit_ideal(ring)))
     assert spans_extension([], iam_trivial)
 
-    iam_zero = scalar_extension(mod, zero_ideal(ring))
+    iam_zero = scalar_extension(mod, ideal_products(mod, zero_ideal(ring)))
     assert spans_extension(list(mod.group.gens()), iam_zero)
 
 
@@ -308,7 +321,7 @@ def test_spans_extension_vs_closure():
             i_a = ideal_span(ring, zero_ideal(ring),
                              [elements[rng.randrange(len(elements))]
                               for _ in range(rng.randint(0, 1))])
-            iam = scalar_extension(mod, i_a)
+            iam = scalar_extension(mod, ideal_products(mod, i_a))
             elems = [mod.group.element(tuple(rng.randrange(d)
                                              for d in mod.group.invariant_factors))
                      for _ in range(rng.randint(0, 3))]

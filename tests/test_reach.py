@@ -26,6 +26,9 @@ from modcyclic.instances import dumps, gen_prod, gen_zmod
 from modcyclic.intstr import _power_of_ten
 
 PACKAGE = Path(modcyclic.__file__).resolve().parent
+# The benchmark files that can pin a function here; read, never changed.
+BENCH_FILES = [Path(__file__).resolve().parent.parent / "bench" / name
+               for name in ("tracing.py", "test_checker.py")]
 
 BENCH_PIN = "the benchmark's tracer or checker names it"
 ERROR_ONLY = "runs only when an input or an internal check fails"
@@ -72,6 +75,20 @@ def defined_functions() -> dict:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         visit(tree, path, path.stem + ".")
     return found
+
+
+def bench_names() -> set:
+    """Every identifier, attribute and string constant of BENCH_FILES."""
+    names = set()
+    for path in BENCH_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
 
 
 def unreached(traffic) -> set:
@@ -138,6 +155,14 @@ def test_the_cli_enters_every_function_but_the_pinned_ones(tmp_path, capsys):
     assert codes == ([0] * 6 + [0] * 2 + [1] * 6 + [0] * 2 + [2, 0, 0]
                      + [0, 1, 0, 1, 0, 0])
     assert sorted(missed) == sorted(UNREACHED)
+
+
+def test_every_bench_pin_is_named_by_the_benchmark():
+    # A BENCH_PIN reason holds only while the tracer or the checker names
+    # the function; once neither does, this names the function to delete.
+    named = bench_names()
+    assert sorted(name for name, reason in UNREACHED.items()
+                  if reason == BENCH_PIN and name.rsplit(".", 1)[-1] not in named) == []
 
 
 if __name__ == "__main__":
