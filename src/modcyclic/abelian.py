@@ -21,7 +21,6 @@ from .intlinalg import (
     diagonal,
     hnf,
     in_lattice,
-    invert_unimodular,
     kernel_mod_lattice,
     lincomb,
     snf,
@@ -42,7 +41,8 @@ class CanonicalGroup:
 
     `to_can` (k rows of length r) and `from_can` (r rows of length k)
     translate between user coordinates (length k = len(to_can)) and
-    canonical coordinates (length r, one per invariant factor).
+    canonical coordinates (length r, one per invariant factor), both
+    stored reduced as `canonicalize` builds them.
     `relations` is diag(d), the relation lattice of the canonical
     coordinates, built once with the group.
     """
@@ -155,8 +155,9 @@ def canonicalize(relations, k: int) -> CanonicalGroup:
     """Normalize the presentation Z^k / (lattice of the rows `relations`,
     each of length k); raises NotFiniteError on infinite groups.
 
-    `from_can` is taken modulo the exponent e: e times any vector is a
-    relation, so its rows still name the same elements.
+    One Smith pass gives both coordinate changes, stored reduced: `to_can`
+    is v's kept columns, column i modulo d_i, and `from_can` is v^-1's kept
+    rows modulo the exponent e, since e times any vector is a relation.
     """
     message = "not finite: relation matrix rank is below the generator count"
     if len(relations) < k:  # before `snf` builds its k x k transform
@@ -166,10 +167,10 @@ def canonicalize(relations, k: int) -> CanonicalGroup:
     if not all(diag):
         raise NotFiniteError(message)
     kept = [i for i, di in enumerate(diag) if di > 1]
-    factors = [diag[i] for i in kept]
-    vinv = invert_unimodular(res.v.data, factors[-1] if factors else 1)
-    return CanonicalGroup(factors, tuple(tuple(row[i] for i in kept) for row in res.v.data),
-                          tuple(vinv[i] for i in kept))
+    e = max(diag, default=1)
+    return CanonicalGroup([diag[i] for i in kept],
+                          tuple(tuple(row[i] % diag[i] for i in kept) for row in res.v.data),
+                          tuple(tuple(x % e for x in res.vinv.data[i]) for i in kept))
 
 
 class Subgroup:

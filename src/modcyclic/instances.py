@@ -150,8 +150,9 @@ def decode_document(obj) -> dict:
     if "version" in obj and _as_int(obj["version"], "version") != FORMAT_VERSION:
         raise InstanceFormatError(f"version: expected {FORMAT_VERSION}")
     for key in ("ring", "module"):
-        if key not in obj or not isinstance(obj[key], dict):
-            raise InstanceFormatError(f"missing section: {key}")
+        if not isinstance(obj.get(key), dict):
+            raise InstanceFormatError(f"{key} must be an object" if key in obj
+                                      else f"missing section: {key}")
 
     # Both tables have one row per ring generator, of vectors as long as
     # their section's generator count.
@@ -489,28 +490,20 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
     """Componentwise product: R = R1 x R2 acting on M1 x M2."""
     a = decode_document(doc_a)
     b = decode_document(doc_b)
-    ka, ma = a["ring"]["num_gens"], a["module"]["num_gens"]
-    k, m = ka + b["ring"]["num_gens"], ma + b["module"]["num_gens"]
 
-    def pad_left(vec, width, offset):
-        out = [0] * width
-        out[offset:offset + len(vec)] = vec
-        return out
+    def section(sa, sb, table):
+        """The product of two sections, ring or module: A's vectors padded
+        on the right with zeros to the total generator count, B's on the
+        left; A's relations then B's, and the block-diagonal table, A's rows
+        then B's.  Every vector is a fresh list."""
+        na, nb = sa["num_gens"], sb["num_gens"]
 
-    def stacked(rows_a, rows_b, width, offset):
-        """The rows of A, then those of B, each padded to `width` with B's
-        entries from `offset` on."""
-        return ([pad_left(v, width, 0) for v in rows_a]
-                + [pad_left(v, width, offset) for v in rows_b])
+        def rows(vecs_a, vecs_b):
+            return [v + [0] * nb for v in vecs_a] + [[0] * na + v for v in vecs_b]
 
-    def block_diagonal(table_a, table_b, width, offset):
-        """A's table rows padded by zero vectors on the right, then B's padded
-        on the left, every vector padded as by `stacked`; each zero vector
-        is a fresh list."""
-        def zeros(count):
-            return [[0] * width for _ in range(count)]
-        return ([stacked(row, [], width, offset) + zeros(width - offset) for row in table_a]
-                + [zeros(offset) + stacked([], row, width, offset) for row in table_b])
+        return {"num_gens": na + nb, "relations": rows(sa["relations"], sb["relations"]),
+                table: [rows(row, [[0] * nb] * nb) for row in sa[table]]
+                + [rows([[0] * na] * na, row) for row in sb[table]]}
 
     def one_of(doc):
         if doc["ring"].get("one") is not None:
@@ -518,17 +511,9 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
         parsed = parse_instance(doc)
         return parsed.ring.group.to_user(parsed.ring.one)
 
-    return {
-        "ring": {"num_gens": k,
-                 "relations": stacked(a["ring"]["relations"], b["ring"]["relations"], k, ka),
-                 "mul": block_diagonal(a["ring"]["mul"], b["ring"]["mul"], k, ka),
-                 "one": [*one_of(a), *one_of(b)]},
-        "module": {"num_gens": m,
-                   "relations": stacked(a["module"]["relations"], b["module"]["relations"],
-                                        m, ma),
-                   "action": block_diagonal(a["module"]["action"], b["module"]["action"],
-                                            m, ma)},
-    }
+    ring = section(a["ring"], b["ring"], "mul")
+    ring["one"] = [*one_of(a), *one_of(b)]
+    return {"ring": ring, "module": section(a["module"], b["module"], "action")}
 
 
 def _shift_reduce(vec, f_low, n):

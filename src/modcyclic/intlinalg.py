@@ -12,10 +12,10 @@ Python's unbounded integers.
 
 Every lattice the package builds contains D*Z^n for a known D (the
 exponent of the ambient group, or of a codomain), so its HNF is taken
-modulo D and no entry exceeds D; inverting the Smith transform and
-solving congruences are taken modulo the exponent too.  Only the Smith
-form of a presentation is exact and lets intermediate entries grow past
-any machine width.
+modulo D and no entry exceeds D; solving congruences is taken modulo the
+exponent too.  Only the Smith form of a presentation is exact, together
+with its right transform and that transform's inverse, and lets
+intermediate entries grow past any machine width.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def xgcd(a: int, b: int) -> tuple:
 
 class SnfResult(NamedTuple):
     """Smith normal form of m: d = u @ m @ v for a unimodular u that is not
-    built, and a unimodular v.
+    built, a unimodular v, and vinv with vinv @ v = I exactly.  All three
+    are exact: a caller reduces the entries it keeps.
 
     Diagonal entries of d are nonnegative and form a divisibility chain
     d[0] | d[1] | ...; all off-diagonal entries are zero.
@@ -107,6 +108,7 @@ class SnfResult(NamedTuple):
 
     d: IntMatrix
     v: IntMatrix
+    vinv: IntMatrix
 
 
 def snf(m: IntMatrix) -> SnfResult:
@@ -118,11 +120,14 @@ def snf(m: IntMatrix) -> SnfResult:
     trailing block are each one C-level pass (min or any over map and
     filter) over the block's rows, not one Python step per entry.  Row
     operations act on the working matrix only: no caller reads the left
-    transform, so it is never accumulated.
+    transform, so it is never accumulated.  Each column operation on v is
+    undone by the inverse row operation on vinv (Cohen, Alg. 2.4.14):
+    `col j += q*col k` by `row k -= q*row j`, a column swap by a row swap.
     """
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    vinv = [row[:] for row in v]
 
     def row_addmul(i, k, q):
         ai, ak = a[i], a[k]
@@ -137,12 +142,14 @@ def snf(m: IntMatrix) -> SnfResult:
             row[j] += q * row[k]
         for row in v:
             row[j] += q * row[k]
+        vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
 
     def col_swap(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
         for row in v:
             row[j], row[k] = row[k], row[j]
+        vinv[j], vinv[k] = vinv[k], vinv[j]
 
     t = 0
     while t < r and t < c:
@@ -197,7 +204,7 @@ def snf(m: IntMatrix) -> SnfResult:
             continue
         t += 1
 
-    return SnfResult(IntMatrix(a, c), IntMatrix(v, c))
+    return SnfResult(IntMatrix(a, c), IntMatrix(v, c), IntMatrix(vinv, c))
 
 
 class Hnf(NamedTuple):
@@ -281,7 +288,8 @@ def _with_identity(rows) -> list:
 def invert_unimodular(m, modulus: int) -> tuple:
     """Rows of the inverse modulo D = `modulus` of the square matrix with
     rows m, with entries in [0, D): m only has to be invertible modulo D,
-    and the HNF of [m | I] runs mod D."""
+    and the HNF of [m | I] runs mod D.  No caller in the package: it is the
+    tests' reference for `snf`'s vinv, and a layer the benchmark traces."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise NotUnimodularError("not square")

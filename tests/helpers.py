@@ -14,7 +14,7 @@ from math import gcd, lcm
 from modcyclic import instances
 from modcyclic.abelian import NotFiniteError, _check_group, canonicalize, subgroup_span
 from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod
-from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, lincomb, snf, xgcd
+from modcyclic.intlinalg import DimensionError, Hnf, IntMatrix, diagonal, lincomb, snf, xgcd
 from modcyclic.intstr import int_to_str
 from modcyclic.modules import FiniteModule
 from modcyclic.rings import Diagnostic, FiniteRing, NoIdentityError, find_identity
@@ -225,10 +225,12 @@ def check_snf(m):
     """Assert every SnfResult invariant exactly; returns the result.
 
     A unimodular u with u @ m @ v = d exists exactly when m @ v and d have
-    the same row lattice, that is the same exact row HNF.
+    the same row lattice, that is the same exact row HNF.  vinv is v's
+    exact inverse.
     """
     res = snf(m)
     assert abs(det(res.v)) == 1
+    assert matmul(res.vinv, res.v) == IntMatrix(diagonal([1] * m.cols), m.cols)
     assert exact_hnf(matmul(m, res.v)).h == exact_hnf(res.d).h
     diag = diagonal_entries(res.d)
     for i, x in enumerate(diag):
@@ -542,8 +544,10 @@ def reference_decode(obj):
     if not isinstance(obj, dict):
         raise error("top level must be an object")
     for key in ("ring", "module"):
-        if key not in obj or not isinstance(obj[key], dict):
+        if key not in obj:
             raise error(f"missing section: {key}")
+        if not isinstance(obj[key], dict):
+            raise error(f"{key} must be an object")
     rsec, msec = obj["ring"], obj["module"]
     k = instances._as_int(rsec.get("num_gens"), "ring.num_gens")
     if k < 0:

@@ -46,6 +46,24 @@ def test_canonicalize_examples():
         canonicalize([], 1)
 
 
+def test_canonicalize_stores_both_transforms_reduced():
+    # Column i of to_can lies in [0, d_i), from_can in [0, e), and
+    # from_can @ to_can is the identity modulo d: a canonical generator
+    # taken to user coordinates and back is itself.  The first case's
+    # exact to_can is ((1, -2), (0, 1)).
+    rng = random.Random(24)
+    cases = [(2, [[2, 4], [6, 8]])] + [
+        random_finite_presentation(rng, max_order=400)[:2] for _ in range(80)]
+    for k, rows in cases:
+        g = group_from_relations(rows, k)
+        d, e = g.invariant_factors, g.exponent
+        assert all(0 <= x < di for row in g.to_can for x, di in zip(row, d))
+        assert all(0 <= x < e for row in g.from_can for x in row)
+        for i, row in enumerate(g.from_can):
+            back = [sum(x * to[j] for x, to in zip(row, g.to_can)) for j in range(g.rank)]
+            assert [x % di for x, di in zip(back, d)] == [int(i == j) for j in range(g.rank)]
+
+
 def test_canonicalize_trivial_group():
     g = group_from_relations([[1]], 1)
     assert g.invariant_factors == ()

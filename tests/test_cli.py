@@ -165,6 +165,22 @@ def test_format_and_version_are_optional_and_read_like_any_field(tmp_path, capsy
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["ring", "module"])
+def test_a_section_that_is_not_an_object_is_an_error(tmp_path, capsys, key):
+    # A section stated as anything but an object is present, so it is not
+    # "missing"; an absent one is.
+    path = tmp_path / "section.json"
+    doc = gen_zmod(6, [2, 3])
+    for value in ("x", [], None):
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an object\n"
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: missing section: {key}\n"
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert main(["check", "/nonexistent/instance.json"]) == 2
     assert main(["check", str(tmp_path)]) == 2

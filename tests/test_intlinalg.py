@@ -306,6 +306,19 @@ def test_invert_unimodular():
     assert invert_unimodular([[2]], 5) == ((3,),)
 
 
+def test_snf_inverse_is_the_inverse_modulo_any_modulus():
+    # `invert_unimodular` is the reference: v^-1 is unique modulo e, so the
+    # inverse `snf` builds beside v reduces to the one the HNF of [v | I]
+    # gives.
+    rng = random.Random(2414)
+    for _ in range(150):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        res = check_snf(random_matrix(rng, r, c, -30, 30))
+        for e in (1, 2, 12, rng.randint(2, 10 ** 6)):
+            assert invert_unimodular(res.v.data, e) == tuple(
+                tuple(x % e for x in row) for row in res.vinv.data)
+
+
 def test_matrix_entries_from_lists_or_tuples():
     rows = [[1, -2, 3], [0, 4, 5]]
     from_lists = IntMatrix(rows, 3)

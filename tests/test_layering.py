@@ -6,14 +6,16 @@ the only module that builds lattices for them, and it wraps a lattice's
 rows in an `IntMatrix` only to hand them to `hnf` or `snf`.  The ring,
 module and driver layers speak of subgroups, and take from `intlinalg` at
 most the product kernel.  Only `cli` knows how a report is written, so the
-driver imports neither `instances` nor `cli`.  Checked on the syntax trees
-of the package's sources.  The root exports the names README's Library
+driver imports neither `instances` nor `cli`.  Nothing outside the package
+and the standard library is imported.  Checked on the syntax trees of the
+package's sources.  The root exports the names README's Library
 section lists, and no other.
 """
 
 import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import modcyclic
@@ -135,6 +137,24 @@ def test_nothing_takes_both_a_ring_and_its_module():
              for name in ring_and_module_takers(tree, path.removesuffix(".py") + ".")}
     assert sorted(found - set(RING_AND_MODULE)) == []
     assert set(RING_AND_MODULE) <= found
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # The package stays pure standard library at run time: every import is
+    # relative, names the package, or names a module the interpreter ships.
+    allowed = sys.stdlib_module_names | {"modcyclic"}
+    found = []
+    for name, tree in trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [(name, module) for module in modules
+                      if module.split(".")[0] not in allowed]
+    assert found == []
 
 
 def test_the_root_exports_what_readme_lists():

@@ -40,6 +40,7 @@ UNREACHED = {
     "modules.submodule_plus_ideal_module_is_all": BENCH_PIN,
     "modules.FiniteModule.act": BENCH_PIN,
     "oracle.OracleVerdict.decided": BENCH_PIN,
+    "intlinalg.invert_unimodular": BENCH_PIN,
     "cli._err": ERROR_ONLY,
     "cyclic.InvariantViolationError.__init__": ERROR_ONLY,
     "abelian.CanonicalGroup.__eq__": DUNDER,
