@@ -3,7 +3,11 @@
 A presentation is normalized once, via Smith normal form of its relation
 matrix, into invariant-factor coordinates: the group becomes
 Z/d_1 x ... x Z/d_r with d_1 | d_2 | ... and every d_i >= 2 (factors equal
-to 1 are dropped; the trivial group has an empty coordinate vector).  All
+to 1 are dropped; the trivial group has an empty coordinate vector).  A
+relation matrix already in that form, diag(d) with positive d_i and
+d_1 | d_2 | ..., is its own Smith form with identity transforms, so it is
+read as it is: its invariant factors are the d_i >= 2, and user and
+canonical coordinates agree up to the dropped unit factors.  All
 subgroup and quotient arithmetic then happens on these coordinates through
 integer lattices, each the tuple of its basis rows, that always contain the
 relation lattice diag(d).
@@ -151,6 +155,19 @@ class Element:
         return f"Element{int_text(self.coords)}"
 
 
+def _smith_diagonal(relations, k: int):
+    """d when the rows `relations` already are diag(d_1, ..., d_k) with
+    every d_i positive and d_1 | d_2 | ... | d_k, else None: exactly k rows
+    of width k, row i zero except d_i at column i."""
+    if len(relations) != k or any(len(row) != k for row in relations):
+        return None
+    d = [row[i] for i, row in enumerate(relations)]
+    if (all(di > 0 for di in d) and all(row.count(0) == k - 1 for row in relations)
+            and not any(map(mod, d[1:], d))):
+        return d
+    return None
+
+
 def canonicalize(relations, k: int) -> CanonicalGroup:
     """Normalize the presentation Z^k / (lattice of the rows `relations`,
     each of length k); raises NotFiniteError on infinite groups.
@@ -158,10 +175,22 @@ def canonicalize(relations, k: int) -> CanonicalGroup:
     One Smith pass gives both coordinate changes, stored reduced: `to_can`
     is v's kept columns, column i modulo d_i, and `from_can` is v^-1's kept
     rows modulo the exponent e, since e times any vector is a relation.
+
+    Relations that already are in Smith form, diag(d) with positive d_i
+    and d_i | d_(i+1), skip the Smith pass: on them `snf` performs no
+    operation and returns d with v = v^-1 = I, so the invariant factors
+    are the kept d_i, and `to_can` and `from_can` are the kept columns and
+    rows of I, as the pass would store them.
     """
     message = "not finite: relation matrix rank is below the generator count"
     if len(relations) < k:  # before `snf` builds its k x k transform
         raise NotFiniteError(message)
+    diag = _smith_diagonal(relations, k)
+    if diag is not None:
+        kept = [i for i, di in enumerate(diag) if di > 1]
+        return CanonicalGroup([diag[i] for i in kept],
+                              tuple(tuple(int(i == j) for j in kept) for i in range(k)),
+                              tuple(tuple(int(i == j) for j in range(k)) for i in kept))
     res = snf(IntMatrix(relations, k))
     diag = [res.d.data[i][i] for i in range(k)]
     if not all(diag):

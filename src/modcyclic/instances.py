@@ -262,11 +262,24 @@ def _transposed(rows, cols: int, width: int) -> list:
             for j in range(cols)]
 
 
+def _is_identity(rows, n: int) -> bool:
+    """Whether `rows` are the rows of the n x n identity matrix: n rows of
+    width n, row i a 1 at column i and n - 1 zeros."""
+    return len(rows) == n and all(len(row) == n and row[i] == 1 and row.count(0) == n - 1
+                                  for i, row in enumerate(rows))
+
+
 def _to_canonical(section: dict, key: str, group: CanonicalGroup):
     """Replace the user table `section[key]` by its flat rows in canonical
     coordinates, unreduced: one `lincomb` per canonical coordinate over
-    the columns of the table's vectors, one per generator of `group`."""
+    the columns of the table's vectors, one per generator of `group`.
+    When `to_can` is the identity (as for a presentation in Smith form
+    with no unit factor), user and canonical coordinates agree, so the
+    user rows, flattened, are what those `lincomb`s would give."""
     table = section.pop(key)
+    if _is_identity(group.to_can, group.rank):
+        section[key] = [list(chain.from_iterable(row)) for row in table]
+        return
     rows, k, r = len(table), len(group.to_can), group.rank
     entries = list(chain.from_iterable(chain.from_iterable(table)))
     del table
@@ -287,8 +300,15 @@ def _canonical_table(rows, row_reps, col_reps, group: CanonicalGroup) -> list:
     generators a and b, given in user coordinates by `row_reps` and
     `col_reps`: one `lincomb` per row generator over the rows, then one per
     column generator over the transposed partial products, then reduced.
+    When both are identities, canonical and user generators agree and
+    T(a, b) is vector b of flat row a, so each flat row is only reduced
+    and cut into vectors.
     The caller hands `rows` over, so that they are freed once read."""
     cols, c = len(group.to_can), group.rank
+    if _is_identity(row_reps, len(rows)) and _is_identity(col_reps, cols):
+        # zip over c references to one iterator takes its entries c at a time
+        moduli = group.invariant_factors * cols
+        return [list(zip(*[map(mod, row, moduli)] * c)) for row in rows]
     partial = [lincomb(ra, rows, cols * c) for ra in row_reps]
     del rows
     partial_t = _transposed(partial, cols, c)

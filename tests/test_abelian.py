@@ -1,10 +1,16 @@
 import random
 import re
+from contextlib import contextmanager
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modcyclic import abelian
 from modcyclic.abelian import (
+    CanonicalGroup,
     GroupMismatchError,
     NotFiniteError,
     canonicalize,
@@ -15,7 +21,7 @@ from modcyclic.abelian import (
     subgroup_span,
 )
 from modcyclic.instances import ValidationFailure, parse_instance
-from modcyclic.intlinalg import DimensionError, IntMatrix, diagonal, hnf
+from modcyclic.intlinalg import DimensionError, IntMatrix, diagonal, hnf, snf
 
 from helpers import (
     additive_closure,
@@ -94,6 +100,104 @@ def test_canonicalize_checks_the_row_widths():
     for rows in ([[2, 0], [0]], [[2, 0], [0, 4, 0]]):
         with pytest.raises(DimensionError):
             canonicalize(rows, 2)
+
+
+NOT_FINITE = "not finite: relation matrix rank is below the generator count"
+# Past Python's 4,300-digit limit for int to str; a chain that holds it
+# multiplies it into its last factor.
+HUGE = 10 ** 4400 + 1
+
+
+@contextmanager
+def counted_snf():
+    """The list of the matrices `canonicalize` hands to `snf` meanwhile."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return snf(m)
+
+    with mock.patch.object(abelian, "snf", counting):
+        yield calls
+
+
+def canonical_by_snf(rows, k):
+    """The group `canonicalize` builds from the exact Smith form, with no
+    shortcut: v's kept columns, column i modulo d_i, and v^-1's kept rows
+    modulo e."""
+    res = snf(IntMatrix(rows, k))
+    diag = [res.d.data[i][i] for i in range(k)]
+    kept = [i for i, di in enumerate(diag) if di > 1]
+    e = max(diag, default=1)
+    return CanonicalGroup([diag[i] for i in kept],
+                          tuple(tuple(row[i] % diag[i] for i in kept) for row in res.v.data),
+                          tuple(tuple(x % e for x in res.vinv.data[i]) for i in kept))
+
+
+@st.composite
+def smith_chains(draw):
+    """A divisibility chain d_1 | ... | d_k, k from 0 to 8, as its small
+    factors and whether the last one is multiplied by HUGE (drawn as a
+    flag, since hypothesis cannot print an int that long): leading 1s and
+    equal factors are common."""
+    k = draw(st.integers(0, 8))
+    x = draw(st.sampled_from((1, 1, 2, 3, 4)))
+    chain = []
+    for _ in range(k):
+        chain.append(x)
+        x *= draw(st.sampled_from((1, 1, 2, 3, 5)))
+    return chain, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=smith_chains())
+def test_canonicalize_takes_a_smith_form_as_it_is(drawn):
+    chain, huge = drawn
+    if huge and chain:
+        chain[-1] *= HUGE
+    k = len(chain)
+    rows = [list(row) for row in diagonal(chain)]
+    # The premise: the exact Smith pass performs no operation on a Smith
+    # form, so its d is the input and v = v^-1 = I.
+    res = snf(IntMatrix(rows, k))
+    identity = IntMatrix(diagonal([1] * k), k)
+    assert (res.d, res.v, res.vinv) == (IntMatrix(rows, k), identity, identity)
+    with counted_snf() as calls:
+        g = canonicalize(rows, k)
+    assert calls == []
+    expected = canonical_by_snf(rows, k)
+    assert g == expected
+    assert g.relations == expected.relations
+    assert g.invariant_factors == tuple(d for d in chain if d > 1)
+
+
+def test_canonicalize_near_a_smith_form_takes_the_smith_pass():
+    # Not a chain, a negative factor, an extra zero row, one entry off the
+    # diagonal: each takes the one Smith pass and gives what it gives.
+    for rows in ([[4, 0], [0, 2]], [[2, 0], [0, 3]], [[-2, 0], [0, 4]],
+                 [[2, 0], [0, 4], [0, 0]], [[2, 0], [6, 4]]):
+        with counted_snf() as calls:
+            g = canonicalize(rows, 2)
+        assert calls == [IntMatrix(rows, 2)], rows
+        assert g == canonical_by_snf(rows, 2), rows
+
+
+def test_canonicalize_near_a_smith_form_raises_as_before():
+    # A zero on the diagonal reaches the Smith pass, which finds the rank
+    # too low; too few rows are refused before it, and a row of the wrong
+    # width by the matrix it would take.
+    for rows in ([[2, 0], [0, 0]], [[0, 0], [0, 2]]):
+        with counted_snf() as calls, pytest.raises(NotFiniteError) as exc:
+            canonicalize(rows, 2)
+        assert str(exc.value) == NOT_FINITE
+        assert len(calls) == 1
+    for rows, error in (([[2, 0]], NotFiniteError), ([[2, 0], [0]], DimensionError),
+                        ([[2, 0], [0, 4, 0]], DimensionError)):
+        with counted_snf() as calls, pytest.raises(error) as exc:
+            canonicalize(rows, 2)
+        assert calls == []
+        if error is NotFiniteError:
+            assert str(exc.value) == NOT_FINITE
 
 
 def test_roundtrip_user_canonical():

@@ -1,14 +1,21 @@
 """The instance parser's whole-row passes against the per-vector reference
 in `helpers.reference_parse`, on seeded random instances.
 
-Every instance is drawn by hypothesis: a small family instance under a
-random unimodular change of user coordinates (relation matrices that are
-not diagonal, with negative entries), or a random presentation with random
-tables; rank-0 groups and more user generators than invariant factors
-(k != r) occur in both.  Some draws then get one table entry moved, or one
-entry or vector of the JSON document spelled wrong.  The parser must give
-exactly what the reference gives: the same canonical tables and identity,
-the same diagnostics in the same order, or the same error.
+Every instance is drawn by hypothesis: a small family instance, as it is
+or under a random unimodular change of user coordinates (relation matrices
+that are not diagonal, with negative entries), or a random presentation
+with random tables; rank-0 groups and more user generators than invariant
+factors (k != r) occur in all three.  Family and random draws both hold
+presentations already in Smith form, diag(d) with d_1 | d_2 | ..., on
+purpose: the families as they are (every trunc group, every zmod ring) and
+a share of the random presentations, some with a leading 1, as diag(1, 4).
+Those groups skip the Smith pass, and those with no unit factor also skip
+the parser's changes of coordinates, which are identities for them; the
+rest take the general passes.  Some draws then get one
+table entry moved, or one entry or vector of the JSON document spelled
+wrong.  The parser must give exactly what the reference gives: the same
+canonical tables and identity, the same diagnostics in the same order, or
+the same error.
 """
 
 import json
@@ -86,8 +93,15 @@ def family(rnd):
 
 
 def presentation(rnd, k):
-    """Relations of a finite group on k generators: diag(d) with some
-    d = 1, then random row operations and column operations."""
+    """Relations of a finite group on k generators: at times a divisibility
+    chain diag(d), leading 1s and equal factors allowed, as it is;
+    otherwise diag(d) with some d = 1, then random row operations and
+    column operations."""
+    if rnd.random() < 0.3:
+        d = [rnd.choice((1, 2, 3))]
+        for _ in range(k - 1):
+            d.append(d[-1] * rnd.choice((1, 2, 3, 4)))
+        return [[d[i] if i == j else 0 for j in range(k)] for i in range(k)]
     rows = [[rnd.randint(1, 6) if i == j else 0 for j in range(k)] for i in range(k)]
     for _ in range(rnd.randint(0, 4) if k > 1 else 0):
         a, b = rnd.sample(range(k), 2)
@@ -126,7 +140,12 @@ BAD_SPELLINGS = (" 7", "+3", "-0", "007", "1_0", "x", "", "٣", True, 7.5, None,
 @st.composite
 def documents(draw):
     rnd = draw(st.randoms(use_true_random=True))
-    doc = recoordinatize(family(rnd), rnd) if draw(st.booleans()) else random_doc(rnd)
+    if draw(st.booleans()):
+        doc = family(rnd)
+        if rnd.random() < 0.6:
+            doc = recoordinatize(doc, rnd)
+    else:
+        doc = random_doc(rnd)
     if rnd.random() < 0.3:
         doc["ring"].pop("one", None)
     vectors = [vec for sec, key in (("ring", "mul"), ("module", "action"))
