@@ -178,28 +178,26 @@ def canonicalize(relations, k: int) -> CanonicalGroup:
 
     Relations that already are in Smith form, diag(d) with positive d_i
     and d_i | d_(i+1), skip the Smith pass: on them `snf` performs no
-    operation and returns d with v = v^-1 = I, so the invariant factors
-    are the kept d_i, and `to_can` and `from_can` are the kept columns and
-    rows of I, as the pass would store them.
+    operation and returns d with v = v^-1 = I, so d and I take the place
+    of its result and go through the same reduction.
     """
     message = "not finite: relation matrix rank is below the generator count"
     if len(relations) < k:  # before `snf` builds its k x k transform
         raise NotFiniteError(message)
     diag = _smith_diagonal(relations, k)
-    if diag is not None:
-        kept = [i for i, di in enumerate(diag) if di > 1]
-        return CanonicalGroup([diag[i] for i in kept],
-                              tuple(tuple(int(i == j) for j in kept) for i in range(k)),
-                              tuple(tuple(int(i == j) for j in range(k)) for i in kept))
-    res = snf(IntMatrix(relations, k))
-    diag = [res.d.data[i][i] for i in range(k)]
-    if not all(diag):
-        raise NotFiniteError(message)
+    if diag is None:
+        res = snf(IntMatrix(relations, k))
+        diag = [res.d.data[i][i] for i in range(k)]
+        if not all(diag):
+            raise NotFiniteError(message)
+        v, vinv = res.v.data, res.vinv.data
+    else:
+        v = vinv = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     kept = [i for i, di in enumerate(diag) if di > 1]
     e = max(diag, default=1)
     return CanonicalGroup([diag[i] for i in kept],
-                          tuple(tuple(row[i] % diag[i] for i in kept) for row in res.v.data),
-                          tuple(tuple(x % e for x in res.vinv.data[i]) for i in kept))
+                          tuple(tuple(row[i] % diag[i] for i in kept) for row in v),
+                          tuple(tuple(x % e for x in vinv[i]) for i in kept))
 
 
 class Subgroup:

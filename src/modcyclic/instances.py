@@ -120,22 +120,22 @@ def _as_vector(value, length: int, path: str) -> list:
     return out
 
 
-def _as_table(value, rows: int, cols: int, veclen: int, path: str) -> list:
+def _as_table(value, rows: int, cols: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != rows:
         raise InstanceFormatError(f"{path}: expected {int_to_str(rows)} rows")
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise InstanceFormatError(f"{path}[{i}]: expected {int_to_str(cols)} entries")
-        # A row of `cols` vectors of `veclen` entries decodes in one pass;
+        # A row of `cols` vectors of `cols` entries decodes in one pass;
         # any other row vector by vector, for the error messages.
         flat = None
-        if set(map(type, row)) == {list} and set(map(len, row)) == {veclen}:
+        if set(map(type, row)) == {list} and set(map(len, row)) == {cols}:
             flat = _decoded(list(chain.from_iterable(row)))
         if flat is None:
-            out.append([_as_vector(v, veclen, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+            out.append([_as_vector(v, cols, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
         else:
-            out.append([flat[t:t + veclen] for t in range(0, len(flat), veclen)])
+            out.append([flat[t:t + cols] for t in range(0, len(flat), cols)])
     return out
 
 
@@ -167,7 +167,7 @@ def decode_document(obj) -> dict:
             raise InstanceFormatError(f"{key}.relations must be a list of rows")
         doc[key] = {"num_gens": n, "relations": [
             _as_vector(row, n, f"{key}.relations[{i}]") for i, row in enumerate(rels)]}
-        doc[key][table] = _as_table(sec.get(table), doc["ring"]["num_gens"], n, n,
+        doc[key][table] = _as_table(sec.get(table), doc["ring"]["num_gens"], n,
                                     f"{key}.{table}")
         if key == "ring" and sec.get("one") is not None:
             doc[key]["one"] = _as_vector(sec["one"], n, "ring.one")
@@ -294,26 +294,28 @@ def _to_canonical(section: dict, key: str, group: CanonicalGroup):
     section[key] = [out[i * width:(i + 1) * width] for i in range(rows)]
 
 
-def _canonical_table(rows, row_reps, col_reps, group: CanonicalGroup) -> list:
+def _canonical_table(rows, row_group: CanonicalGroup, col_group: CanonicalGroup) -> list:
     """The generator table [[T(a, b) for b] for a] of a table held as flat
-    rows in canonical coordinates, T(a, b) the product of the canonical
-    generators a and b, given in user coordinates by `row_reps` and
-    `col_reps`: one `lincomb` per row generator over the rows, then one per
-    column generator over the transposed partial products, then reduced.
+    rows in canonical coordinates of `col_group`, T(a, b) the product of
+    the canonical generators a of `row_group` and b of `col_group`, given
+    in user coordinates by the groups' `from_can`: one `lincomb` per row
+    generator over the rows, then one per column generator over the
+    transposed partial products, then reduced.
     When both are identities, canonical and user generators agree and
     T(a, b) is vector b of flat row a, so each flat row is only reduced
     and cut into vectors.
     The caller hands `rows` over, so that they are freed once read."""
-    cols, c = len(group.to_can), group.rank
+    row_reps, col_reps = row_group.from_can, col_group.from_can
+    cols, c = len(col_group.to_can), col_group.rank
     if _is_identity(row_reps, len(rows)) and _is_identity(col_reps, cols):
         # zip over c references to one iterator takes its entries c at a time
-        moduli = group.invariant_factors * cols
+        moduli = col_group.invariant_factors * cols
         return [list(zip(*[map(mod, row, moduli)] * c)) for row in rows]
     partial = [lincomb(ra, rows, cols * c) for ra in row_reps]
     del rows
     partial_t = _transposed(partial, cols, c)
     del partial
-    moduli = group.invariant_factors * len(row_reps)
+    moduli = col_group.invariant_factors * len(row_reps)
     by_col = [tuple(map(mod, lincomb(cb, partial_t, len(moduli)), moduli)) for cb in col_reps]
     del partial_t
     return [[col[a * c:(a + 1) * c] for col in by_col] for a in range(len(row_reps))]
@@ -331,20 +333,22 @@ def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> l
     relation that is not killed is split per generator, for its
     diagnostics.  A relation is first reduced modulo the exponent of the
     target group, which changes no combination modulo the target's orders,
-    so one that vanishes there is killed outright."""
+    so one that vanishes there is killed outright, and a side builds its
+    views, the transposed ones included, only once a relation survives."""
     k, m = doc["ring"]["num_gens"], doc["module"]["num_gens"]
     mul_rows, act_rows = doc["ring"]["mul"], doc["module"]["action"]
 
     def unkilled(rels, group, views, blocks, where, what):
         """Diagnostics for the relations whose combination of some view's
-        flat rows is not killed at block j."""
+        flat rows is not killed at block j; `views()` builds the views."""
         e, factors, size = group.exponent, group.invariant_factors, group.rank
-        diags = []
+        diags, built = [], None
         for idx, rel in enumerate(rels):
             coeffs = [c % e for c in rel]
             if not any(coeffs):
                 continue
-            vecs = [lincomb(coeffs, rows, blocks * size) for rows in views]
+            built = built or views()
+            vecs = [lincomb(coeffs, rows, blocks * size) for rows in built]
             if any(any(map(mod, vec, factors * blocks)) for vec in vecs):
                 diags.extend(Diagnostic("well-definedness", where(idx, j), what)
                              for j in range(blocks)
@@ -355,13 +359,14 @@ def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> l
     # rho x g_j from the flat rows and g_j x rho from the transposed view,
     # rho x m_j, and g_i x sigma, each for every generator at once
     diags = unkilled(doc["ring"]["relations"], rg,
-                     [mul_rows, _transposed(mul_rows, k, rg.rank)], k,
+                     lambda: [mul_rows, _transposed(mul_rows, k, rg.rank)], k,
                      lambda idx, j: f"ring relation {idx} x g{j}",
                      "multiplication does not kill a stated ring relation")
-    diags += unkilled(doc["ring"]["relations"], mg, [act_rows], m,
+    diags += unkilled(doc["ring"]["relations"], mg, lambda: [act_rows], m,
                       lambda idx, j: f"ring relation {idx} x m{j}",
                       "module action does not kill a stated ring relation")
-    diags += unkilled(doc["module"]["relations"], mg, [_transposed(act_rows, m, mg.rank)], k,
+    diags += unkilled(doc["module"]["relations"], mg,
+                      lambda: [_transposed(act_rows, m, mg.rank)], k,
                       lambda idx, i: f"g{i} x module relation {idx}",
                       "module action does not kill a stated module relation")
     return diags
@@ -412,10 +417,8 @@ def parse_instance(source) -> ParsedInstance:
 
     diags = _descent_diagnostics(doc, rg, mg)
 
-    # canonical generator representatives in user coordinates
-    r_reps, m_reps = rg.from_can, mg.from_can
-    mul_can = _canonical_table(doc["ring"].pop("mul"), r_reps, r_reps, rg)
-    act_can = _canonical_table(doc["module"].pop("action"), r_reps, m_reps, mg)
+    mul_can = _canonical_table(doc["ring"].pop("mul"), rg, rg)
+    act_can = _canonical_table(doc["module"].pop("action"), rg, mg)
 
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])

@@ -219,8 +219,11 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
 
     The lattice is the row span of m plus D*Z^c, and the result is its
     c x c basis, whose diagonal entries all divide D.  Every row operation
-    is reduced modulo D and D*e_j is folded in at column j (Domich, Kannan
-    & Trotter 1987; Cohen, Alg. 2.4.8), so no entry exceeds D.  When the
+    is reduced modulo D, and D*e_j is the last row folded at column j,
+    by the same gcd step as every other row (Domich, Kannan & Trotter
+    1987; Cohen, Alg. 2.4.8), so no entry exceeds D and pivot j divides D.
+    The HNF of a lattice holding D*Z^c is unique, so the order of the
+    folds does not change the result.  When the
     rows of m already span D*Z^c this is the exact HNF of m without its
     zero rows.  A caller that needs the transform t with t @ m = h reads
     it from the HNF of [m | I]: its left block is h, its right one t.
@@ -233,10 +236,13 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
     out = []
     for j in range(c):
         # Every row left in `rows` is zero before column j.  Fold the ones
-        # that are not zero at j into a single pivot row by gcd steps.
+        # that are not zero at j, and last D*e_j, into a single pivot row
+        # by gcd steps; what stays of D*e_j is zero at j.
+        unit = [0] * c
+        unit[j] = mod
         pivot = None
         rest = []
-        for row in rows:
+        for row in chain(rows, (unit,)):
             x = row[j]
             if not x:
                 rest.append(row)
@@ -255,18 +261,6 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
                               [(u * z - w * p) % mod for p, z in zip(pivot, row)])
             if any(row):
                 rest.append(row)
-        # The lattice holds mod*e_j: the pivot becomes gcd(pivot, mod), and
-        # (mod/g) times the old pivot row, which vanishes at j, stays behind
-        # for the later columns.
-        if pivot is None:
-            pivot = [0] * c
-            pivot[j] = mod
-        else:
-            g, s, _ = xgcd(pivot[j], mod)
-            extra = [(mod // g) * p % mod for p in pivot]
-            if any(extra):
-                rest.append(extra)
-            pivot = [s * p % mod for p in pivot]
         piv = pivot[j]
         for i, prev in enumerate(out):
             q = prev[j] // piv

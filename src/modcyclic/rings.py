@@ -90,8 +90,6 @@ def find_identity(group: CanonicalGroup, mul_table) -> Element:
     a failure raises RuntimeError: the solve, not the table, is then wrong.
     """
     r = group.rank
-    if r == 0:
-        return group.zero()
     a_rows = [[c for vec in row for c in vec] for row in mul_table]
     target = [1 if t == j else 0 for j in range(r) for t in range(r)]
     x = solve_congruence(a_rows, target, list(group.invariant_factors) * r, group.exponent)

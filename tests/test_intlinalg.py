@@ -127,12 +127,24 @@ def test_hnf_modulus_matches_exact():
 
 
 def test_hnf_modulus_adds_the_multiples():
-    # Without diag(d) in its rows, hnf(m, D) is the HNF of m plus D*Z^c.
+    # Without diag(d) in its rows, hnf(m, D) is the HNF of m plus D*Z^c,
+    # for small D, for D = 1 and for D wider than 64 bits, with entries of
+    # at most 5 or at most 81 bits.
     rng = random.Random(87)
-    for _ in range(200):
-        r, c = rng.randint(0, 5), rng.randint(1, 5)
-        big = rng.randint(1, 60)
-        m = random_matrix(rng, r, c, -30, 30)
+
+    def cases():
+        for _ in range(200):
+            r, c = rng.randint(0, 5), rng.randint(1, 5)
+            big = rng.randint(1, 60)
+            yield big, random_matrix(rng, r, c, -30, 30)
+        for big in (1, 2**70, 10**25 + 7):
+            for bound in (30, 2**80):
+                for _ in range(25):
+                    r, c = rng.randint(0, 5), rng.randint(1, 5)
+                    yield big, random_matrix(rng, r, c, -bound, bound)
+
+    for big, m in cases():
+        c = m.cols
         with_multiples = IntMatrix(m.data + diagonal([big] * c), c)
         exact = exact_hnf(with_multiples).h
         assert hnf(m, modulus=big).h == IntMatrix(exact.data[:c], c)
