@@ -303,11 +303,12 @@ def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
     are products g_i * u of the ring generators with one element u, and
     d_i * (g_i * u) = 0 because every `parse_instance` runs `ring_validate`
     and `module_validate`, whose well-definedness check rejects any other
-    generator table.  One HNF modulo the exponent of target.ambient of
-    [images | I ; s diagonal copies of target.basis | 0 ; 0 | diag(d)],
+    generator table.  So each relation d_i * e_i of the domain lies in the
+    kernel.  One `kernel_mod_lattice` modulo the exponent e of
+    target.ambient, of [images | I ; s diagonal copies of target.basis | 0],
     where row i of images is the blocks' i-th images side by side, gives
-    the kernel lattice together with the relations diag(d) of the domain,
-    so its bottom rows are the subgroup's HNF basis.
+    the subgroup's HNF basis: the codomain lattice is L(copies) + e*Z^(ns),
+    and target.basis already holds e*Z^n.
     """
     blocks = [list(images) for images in blocks]
     codomain = target.ambient
@@ -317,5 +318,5 @@ def hom_kernel(domain: CanonicalGroup, blocks, target: Subgroup) -> Subgroup:
     rows = [[c for images in blocks for c in images[i].coords] for i in range(domain.rank)]
     copies = [(0,) * (n * t) + row + (0,) * (n * (s - 1 - t))
               for t in range(s) for row in target.basis]
-    basis = kernel_mod_lattice(rows, copies, domain.relations, codomain.exponent)
+    basis = kernel_mod_lattice(rows, copies, codomain.exponent)
     return Subgroup(domain, basis)

@@ -316,8 +316,8 @@ def solve_congruence(a, t: Sequence[int], moduli: Sequence[int], modulus: int):
     Scaled by D/moduli[j], column j of [-t ; a] is one congruence modulo D
     on (lambda, x).  The HNF modulo D of those columns, taken as rows,
     states the same congruences in k + 1 rows; the solutions of its
-    transpose modulo D form a lattice, and x is the x part of its first
-    HNF row when that row's lambda pivot is 1.
+    transpose modulo D form a lattice, a kernel with no rows l, and x is
+    the x part of its first HNF row when that row's lambda pivot is 1.
     """
     n, k = len(t), len(a)
     if len(moduli) != n or any(len(row) != n for row in a):
@@ -325,28 +325,23 @@ def solve_congruence(a, t: Sequence[int], moduli: Sequence[int], modulus: int):
     cols = [[-t[j] * (modulus // q)] + [row[j] * (modulus // q) for row in a]
             for j, q in enumerate(moduli)]
     h = hnf(IntMatrix(cols, k + 1), modulus).h
-    sols = kernel_mod_lattice(tuple(zip(*h.data)), diagonal([modulus] * (k + 1)), (),
-                              modulus)
-    first = sols[0]
+    first = kernel_mod_lattice(tuple(zip(*h.data)), (), modulus)[0]
     return list(first[1:]) if first[0] == 1 else None
 
 
-def kernel_mod_lattice(a, l, domain, modulus: int) -> tuple:
-    """HNF basis rows of {x in Z^k : x @ a lies in the row lattice of l},
-    plus the lattice of the rows `domain` (k columns), for the k rows a.
+def kernel_mod_lattice(a, l, modulus: int) -> tuple:
+    """HNF basis rows of the kernel of x -> x @ a, from Z^k for the k rows
+    a, into Z^n / (L(l) + D*Z^n): the codomain lattice is the row lattice
+    L(l) of l plus D*Z^n, for D = `modulus` > 0.
 
-    `modulus` is a positive D with D*Z^n inside the lattice of l (D kills
-    the codomain Z^n/l, which is then finite); the result has full rank k
-    and is k x k.  One HNF of [a | I ; l | 0 ; 0 | domain] modulo D gives
-    the basis as its bottom k rows: the stacked lattice contains
-    D*Z^(n+k), because D*(a_i | e_i) minus D*a_i in l is D*e_i.  The
-    stacked matrix checks that every row of a and l has the width n of the
-    first, and every row of `domain` the width k.
+    The kernel holds D*Z^k, so the result is k x k.  One HNF modulo D of
+    [a | I ; l | 0] gives it as its bottom k rows, since `hnf` folds D*e_j
+    into every column.  The stacked matrix checks that every row of a and
+    l has the width n of the first.
     """
     n, k = len(next(chain(a, l), ())), len(a)
     rows = _with_identity(a)
     rows.extend(tuple(row) + (0,) * k for row in l)
-    rows.extend((0,) * n + tuple(row) for row in domain)
     h = hnf(IntMatrix(rows, n + k), modulus).h
     ker = tuple(row[n:] for row in h.data if not any(row[:n]) and any(row[n:]))
     if len(ker) != k:

@@ -363,6 +363,11 @@ def test_hom_kernel_examples():
     z8 = zn(8)
     ker = hom_kernel(zn(4), [[z8.element((1,))]], subgroup_span(z8, [z8.element((4,))]))
     assert ker.order() == 1
+    # Z/6 -> Z/4, 1 -> 2: the domain's relation 6 is neither zero modulo
+    # the exponent 4 nor a multiple of it, yet lies in the kernel
+    ker = hom_kernel(zn(6), [[zn(4).element((2,))]], subgroup_span(zn(4), []))
+    assert subgroup_coords(ker) == {(0,), (2,), (4,)}
+    assert ker.basis == ((2,),)
 
     # no blocks: the map into a product of no copies kills everything
     g = group_from_relations([[2, 0], [0, 6]], 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modcyclic import abelian, cyclic, instances, modules
+from modcyclic import abelian, cyclic, instances, intlinalg, modules
 from modcyclic.abelian import subgroup_span
 from modcyclic.cyclic import (
     AlgState,
@@ -490,3 +490,28 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
     assert reached.count(()) == 2 * len(docs)  # parsing reaches the wrapper
     assert [path for path in reached if path] == []
     assert diagonals == [()] * (2 * len(docs))
+
+
+@pytest.mark.parametrize("factor, count, iterations, bound", [
+    (lambda: gen_trunc(2, 4), 4, 5, 32_768),
+    (lambda: gen_trunc(2, 4), 8, 9, 507_904),
+    (lambda: gen_zmod(2, [2]), 16, 17, 531_328),
+], ids=["4-trunc-2-4", "8-trunc-2-4", "16-zmod-2"])
+def test_driver_hnf_work_is_bounded(factor, count, iterations, bound, monkeypatch):
+    # A bound on the work, not the time: rows x columns summed over every
+    # HNF input of one run on a product of cyclic factors.  The bounds are
+    # the counts the code makes today; a change may lower them, never
+    # raise them.
+    cells = []
+    real = intlinalg.hnf
+
+    def recording(m, *args, **kwargs):
+        cells.append(len(m.data) * m.cols)
+        return real(m, *args, **kwargs)
+
+    _, mod = parse(functools.reduce(gen_prod, [factor() for _ in range(count)]))
+    monkeypatch.setattr(abelian, "hnf", recording)
+    monkeypatch.setattr(intlinalg, "hnf", recording)
+    result = run(mod)
+    assert result.cyclic and len(result.trace) == iterations
+    assert sum(cells) <= bound, sum(cells)

@@ -259,36 +259,32 @@ def test_solve_congruence_vs_enumeration():
 
 
 def test_kernel_examples():
-    # an empty domain lattice: the kernel alone
-    assert kernel_mod_lattice([[4]], [[12]], (), 12) == ((3,),)
-    assert kernel_mod_lattice([[0, 0]] * 3, diagonal([5, 5]), (), 5) == diagonal([1, 1, 1])
-    assert kernel_mod_lattice([[1]], [[7]], (), 7) == ((7,),)
+    assert kernel_mod_lattice([[4]], [[12]], 12) == ((3,),)
+    assert kernel_mod_lattice([[0, 0]] * 3, diagonal([5, 5]), 5) == diagonal([1, 1, 1])
+    assert kernel_mod_lattice([[1]], [[7]], 7) == ((7,),)
 
-    # the domain lattice joins the kernel: 3Z + 2Z = Z, 3Z + 6Z = 3Z
-    a, l = [[4]], [[12]]
-    assert kernel_mod_lattice(a, l, [[2]], 12) == ((1,),)
-    assert kernel_mod_lattice(a, l, [[6]], 12) == ((3,),)
-
-    # a domain row as wide as two rows of a, or rows of a and l that differ
+    # rows of a and l that differ in width
     with pytest.raises(DimensionError):
-        kernel_mod_lattice(a, l, [[2, 0]], 12)
-    with pytest.raises(DimensionError):
-        kernel_mod_lattice(a, [[12, 0]], (), 12)
+        kernel_mod_lattice([[4]], [[12, 0]], 12)
 
 
 def test_kernel_vs_enumeration():
-    rng = random.Random(31)
+    rng, draw_big = random.Random(31), random.Random(37)
     for _ in range(80):
         k = rng.randint(1, 3)
         n = rng.randint(1, 2)
         diag = [rng.randint(1, 6) for _ in range(n)]
         a = random_matrix(rng, k, n, -5, 5)
-        basis = kernel_mod_lattice(a.data, diagonal(diag), (), lcm(*diag))
-        box = [max(diag) * 2] * k
+        basis = kernel_mod_lattice(a.data, diagonal(diag), lcm(*diag))
+        # no rows l: the codomain lattice is D*Z^n alone
+        big = draw_big.randint(1, 12)
+        alone = kernel_mod_lattice(a.data, (), big)
+        box = [max(max(diag), big) * 2] * k
         for xs in product(*(range(b) for b in box)):
             img = vec_mat(list(xs), a)
             in_ker = all(img[j] % diag[j] == 0 for j in range(n))
             assert in_ker == in_lattice(basis, list(xs))
+            assert all(img[j] % big == 0 for j in range(n)) == in_lattice(alone, list(xs))
 
 
 def test_invert_unimodular():
