@@ -157,18 +157,18 @@ def check_state_invariants(state: AlgState):
 
 def step(state: AlgState):
     """Execute one loop iteration; returns a new AlgState, or the
-    CyclicityResult at a verdict.  Every continue re-checks the state
-    invariants, and a yes-verdict generator is re-verified."""
+    CyclicityResult at a verdict, and leaves its argument unchanged.  Every
+    continue re-checks the invariants; a yes-verdict generator is re-verified."""
     module = state.module
     order_A = state.order_A
     iam = state.iam
 
     if iam.index() == 1:
-        state.trace.append(TraceEntry(order_A, BRANCH_YES))
+        trace = state.trace + [TraceEntry(order_A, BRANCH_YES)]
         if not cyclic_span_is_all(module, state.y):
             raise InvariantViolationError(
-                "claimed generator fails the span re-verification", state.trace)
-        return CyclicityResult(state.y, state.trace)
+                "claimed generator fails the span re-verification", trace)
+        return CyclicityResult(state.y, trace)
 
     x = pick_x(state)
     images = module.images(x)
@@ -179,34 +179,25 @@ def step(state: AlgState):
     order_a, order_b = order_A // a.index(), order_A // b.index()
 
     if not meet_zero:
-        entry = TraceEntry(order_A, BRANCH_IV, x.coords, order_a, order_b)
-        new_state = AlgState(module, meet, state.y, state.n,
-                             state.trace + [entry])
-        _after_continue(new_state, order_A)
-        return new_state
+        trace = state.trace + [TraceEntry(order_A, BRANCH_IV, x.coords, order_a, order_b)]
+        new = AlgState(module, meet, state.y, state.n, trace)
+    else:
+        rows = ideal_products(module, a)  # u*m_j over a's basis, for M_{A/a} and a*N
+        iam_a = scalar_extension(module, rows)
+        spans = spans_extension(images, iam_a)
+        trace = state.trace + [TraceEntry(order_A, BRANCH_V_YES if spans else BRANCH_V_NO,
+                                          x.coords, order_a, order_b, iam_a.index())]
+        if not spans:
+            return CyclicityResult(None, trace)
+        new = AlgState(module, b, x + state.y,
+                       ideal_times_submodule(rows, state.n, module), trace)
 
-    rows = ideal_products(module, a)  # u*m_j over a's basis, for M_{A/a} and a*N
-    iam_a = scalar_extension(module, rows)
-    spans = spans_extension(images, iam_a)
-    entry = TraceEntry(order_A, BRANCH_V_YES if spans else BRANCH_V_NO,
-                       x.coords, order_a, order_b, iam_a.index())
-    if not spans:
-        state.trace.append(entry)
-        return CyclicityResult(None, state.trace)
-
-    new_state = AlgState(module, b, x + state.y,
-                         ideal_times_submodule(rows, state.n, module),
-                         state.trace + [entry])
-    _after_continue(new_state, order_A)
-    return new_state
-
-
-def _after_continue(new: AlgState, order_A: int):
     if new.order_A * 2 > order_A:
         raise InvariantViolationError(
             f"|A| did not halve: {int_to_str(order_A)} -> {int_to_str(new.order_A)}",
-            new.trace)
+            trace)
     check_state_invariants(new)
+    return new
 
 
 def iteration_bound(ring: FiniteRing) -> int:

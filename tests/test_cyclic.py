@@ -372,6 +372,21 @@ def test_step_returns_fresh_states():
     assert isinstance(s1, AlgState)
     assert s0.i_a.order() == 1  # original state untouched
     assert s1.iteration == 1 and len(s1.trace) == 1
+    # Every branch, the two verdicts included, leaves the state it is given
+    # as it was and hands on a trace list of its own.
+    branches = []
+    for doc in (gen_zmod(4, [2, 2]), gen_zmod(6, [2, 3]),
+                gen_prod(gen_zmod(2, [2]), gen_zmod(2, [2])), gen_zmod(5, [])):
+        state = init(parse(doc)[1])
+        while isinstance(state, AlgState):
+            before = (list(state.trace), state.i_a.basis, state.y, state.n)
+            new = step(state)
+            assert (list(state.trace), state.i_a.basis, state.y, state.n) == before
+            assert new.trace is not state.trace
+            assert new.trace[:-1] == before[0]
+            branches.append(new.trace[-1].branch)
+            state = new
+    assert set(branches) == {"yes", "iv", "v-yes", "v-no"}
 
 
 def product_rows(mod) -> int:
@@ -451,7 +466,7 @@ def test_m_a_queries_never_canonicalize(monkeypatch):
     # Ann(x) is one kernel against copies of I_A, so no quotient group is
     # built and canonicalize is reached only from parsing, never from
     # anything under run.  The relation lattice diag(d) is built once with
-    # each group, at parsing, and every span and kernel under run reads it.
+    # each group, at parsing, and every span under run reads it.
     guarded = ("scalar_extension", "ann_element", "spans_extension",
                "check_state_invariants", "ideal_annihilator")
     active, entered, reached, diagonals = [], [], [], []
