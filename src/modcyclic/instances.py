@@ -249,12 +249,15 @@ def dumps(doc: dict) -> str:
 
 # -- parsing into canonical objects ------------------------------------------
 #
-# A table of rows x cols vectors is held as its flat rows: row i is
-# T[i][0], ..., T[i][cols-1] concatenated.  Each pass is one `lincomb` per
-# table row, relation or generator over whole flat rows, never one per
-# table vector.  A pass that needs the table's columns builds the
-# transposed view (row j is T[0][j], ..., T[rows-1][j] concatenated) and
-# drops it when it ends.
+# `parse_instance` passes each table on as a value, in three stages: the
+# decoded nested table (rows x cols vectors) goes to `_to_canonical`, which
+# returns its flat rows in canonical coordinates (row i is T[i][0], ...,
+# T[i][cols-1] concatenated); `_descent_diagnostics` and `_canonical_table`
+# take those rows and return the diagnostics and the generator table.  Each
+# pass is one `lincomb` per table row, relation or generator over whole
+# flat rows, never one per table vector.  A pass that needs the table's
+# columns builds the transposed view (row j is T[0][j], ..., T[rows-1][j]
+# concatenated) and drops it when it ends.
 
 def _transposed(rows, cols: int, width: int) -> list:
     """The transposed view of flat rows of `cols` vectors of `width`."""
@@ -269,29 +272,24 @@ def _is_identity(rows, n: int) -> bool:
                                   for i, row in enumerate(rows))
 
 
-def _to_canonical(section: dict, key: str, group: CanonicalGroup):
-    """Replace the user table `section[key]` by its flat rows in canonical
-    coordinates, unreduced: one `lincomb` per canonical coordinate over
-    the columns of the table's vectors, one per generator of `group`.
+def _to_canonical(table, group: CanonicalGroup) -> list:
+    """The flat rows of the user table `table` in canonical coordinates,
+    unreduced: one `lincomb` per canonical coordinate over the columns of
+    the table's vectors, one per generator of `group`.
     When `to_can` is the identity (as for a presentation in Smith form
     with no unit factor), user and canonical coordinates agree, so the
     user rows, flattened, are what those `lincomb`s would give."""
-    table = section.pop(key)
     if _is_identity(group.to_can, group.rank):
-        section[key] = [list(chain.from_iterable(row)) for row in table]
-        return
+        return [list(chain.from_iterable(row)) for row in table]
     rows, k, r = len(table), len(group.to_can), group.rank
     entries = list(chain.from_iterable(chain.from_iterable(table)))
-    del table
     count = len(entries) // k if k else 0
     columns = [entries[s::k] for s in range(k)]
-    del entries
     out = [0] * (count * r)
     for t, coeffs in enumerate(zip(*group.to_can)):
         out[t::r] = lincomb(coeffs, columns, count)
-    del columns
     width = k * r
-    section[key] = [out[i * width:(i + 1) * width] for i in range(rows)]
+    return [out[i * width:(i + 1) * width] for i in range(rows)]
 
 
 def _canonical_table(rows, row_group: CanonicalGroup, col_group: CanonicalGroup) -> list:
@@ -303,28 +301,24 @@ def _canonical_table(rows, row_group: CanonicalGroup, col_group: CanonicalGroup)
     transposed partial products, then reduced.
     When both are identities, canonical and user generators agree and
     T(a, b) is vector b of flat row a, so each flat row is only reduced
-    and cut into vectors.
-    The caller hands `rows` over, so that they are freed once read."""
+    and cut into vectors."""
     row_reps, col_reps = row_group.from_can, col_group.from_can
     cols, c = len(col_group.to_can), col_group.rank
     if _is_identity(row_reps, len(rows)) and _is_identity(col_reps, cols):
         # zip over c references to one iterator takes its entries c at a time
         moduli = col_group.invariant_factors * cols
         return [list(zip(*[map(mod, row, moduli)] * c)) for row in rows]
-    partial = [lincomb(ra, rows, cols * c) for ra in row_reps]
-    del rows
-    partial_t = _transposed(partial, cols, c)
-    del partial
+    partial_t = _transposed([lincomb(ra, rows, cols * c) for ra in row_reps], cols, c)
     moduli = col_group.invariant_factors * len(row_reps)
     by_col = [tuple(map(mod, lincomb(cb, partial_t, len(moduli)), moduli)) for cb in col_reps]
-    del partial_t
     return [[col[a * c:(a + 1) * c] for col in by_col] for a in range(len(row_reps))]
 
 
-def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> list:
-    """User-level well-definedness: every stated relation must be killed by
-    the bilinear tables, otherwise the table does not descend to the
-    presented groups.  `ring.mul` and `module.action` are the tables' flat
+def _descent_diagnostics(doc: dict, mul_rows, act_rows, rg: CanonicalGroup,
+                         mg: CanonicalGroup) -> list:
+    """User-level well-definedness: every stated relation of `doc` must be
+    killed by the bilinear tables, otherwise the table does not descend to
+    the presented groups.  `mul_rows` and `act_rows` are the tables' flat
     rows in canonical coordinates, unreduced; a relation combination of
     them is the image of the same combination of the user vectors, since
     the change of coordinates is linear.
@@ -336,7 +330,6 @@ def _descent_diagnostics(doc: dict, rg: CanonicalGroup, mg: CanonicalGroup) -> l
     so one that vanishes there is killed outright, and a side builds its
     views, the transposed ones included, only once a relation survives."""
     k, m = doc["ring"]["num_gens"], doc["module"]["num_gens"]
-    mul_rows, act_rows = doc["ring"]["mul"], doc["module"]["action"]
 
     def unkilled(rels, group, views, blocks, where, what):
         """Diagnostics for the relations whose combination of some view's
@@ -409,16 +402,15 @@ def parse_instance(source) -> ParsedInstance:
             "entries are normalized modulo the relations and commutativity "
             "is checked canonically")
 
-    # Both tables as flat rows in canonical coordinates, unreduced, once,
-    # in place of the user tables; each is popped when its generator table
-    # is built, and dropped.
-    _to_canonical(doc["ring"], "mul", rg)
-    _to_canonical(doc["module"], "action", mg)
-
-    diags = _descent_diagnostics(doc, rg, mg)
-
-    mul_can = _canonical_table(doc["ring"].pop("mul"), rg, rg)
-    act_can = _canonical_table(doc["module"].pop("action"), rg, mg)
+    # Both tables as flat rows in canonical coordinates, unreduced, once.
+    # Each user table is popped from the document as it is converted, so
+    # that the document holds no table through validation.
+    mul_rows = _to_canonical(doc["ring"].pop("mul"), rg)
+    act_rows = _to_canonical(doc["module"].pop("action"), mg)
+    diags = _descent_diagnostics(doc, mul_rows, act_rows, rg, mg)
+    mul_can = _canonical_table(mul_rows, rg, rg)
+    act_can = _canonical_table(act_rows, rg, mg)
+    del mul_rows, act_rows
 
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])

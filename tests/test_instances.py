@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -45,6 +46,8 @@ def test_roundtrip_preserves_canonical_data():
         assert doc2 == doc, label
         p1 = parse_instance(doc)
         p2 = parse_instance(doc2)
+        # parsing reads its argument and changes nothing in it
+        assert doc == loads(text) and doc2 == loads(text), label
         assert p1.ring.group.invariant_factors == p2.ring.group.invariant_factors
         assert p1.ring.mul_table == p2.ring.mul_table
         assert p1.ring.one == p2.ring.one
@@ -189,6 +192,17 @@ def test_identity_solved_when_omitted():
     del doc["ring"]["one"]
     parsed = parse_instance(doc)
     assert parsed.ring.one == parsed.ring.group.element((1, 1))
+    # gen_prod parses a factor without "one" to solve for its identity,
+    # and leaves both factors as they were
+    for a, b in [(gen_zmod(6, [2, 3]), gen_trunc(2, 3)),
+                 (gen_trunc(3, 2, [2, 1]), gen_randquot(4, 123)),
+                 (gen_randquot(6, 7, max_deg=3), gen_zmod(4, [4]))]:
+        bare = copy.deepcopy((a, b))
+        for factor in bare:
+            del factor["ring"]["one"]
+        before = copy.deepcopy((a, b, bare))
+        assert gen_prod(*bare) == gen_prod(a, b)
+        assert (a, b, bare) == before
 
 
 def test_supplied_identity_must_be_correct():
