@@ -177,27 +177,29 @@ def canonicalize(relations, k: int) -> CanonicalGroup:
     rows modulo the exponent e, since e times any vector is a relation.
 
     Relations that already are in Smith form, diag(d) with positive d_i
-    and d_i | d_(i+1), skip the Smith pass: on them `snf` performs no
-    operation and returns d with v = v^-1 = I, so d and I take the place
-    of its result and go through the same reduction.
+    and d_i | d_(i+1), skip the Smith pass, which would return d and
+    v = v^-1 = I.  The reduced I is built directly: `from_can` is the unit
+    rows of the kept i, and `to_can` its transpose, whose row i is the unit
+    row of i's place among the kept factors, or zero for a unit factor.
     """
     message = "not finite: relation matrix rank is below the generator count"
     if len(relations) < k:  # before `snf` builds its k x k transform
         raise NotFiniteError(message)
     diag = _smith_diagonal(relations, k)
-    if diag is None:
-        res = snf(IntMatrix(relations, k))
-        diag = [res.d.data[i][i] for i in range(k)]
-        if not all(diag):
-            raise NotFiniteError(message)
-        v, vinv = res.v.data, res.vinv.data
-    else:
-        v = vinv = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    if diag is not None:
+        kept = [i for i, di in enumerate(diag) if di > 1]
+        from_can = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) for i in kept)
+        return CanonicalGroup([diag[i] for i in kept],
+                              tuple(zip(*from_can)) if kept else ((),) * k, from_can)
+    res = snf(IntMatrix(relations, k))
+    diag = [res.d.data[i][i] for i in range(k)]
+    if not all(diag):
+        raise NotFiniteError(message)
     kept = [i for i, di in enumerate(diag) if di > 1]
     e = max(diag, default=1)
     return CanonicalGroup([diag[i] for i in kept],
-                          tuple(tuple(row[i] % diag[i] for i in kept) for row in v),
-                          tuple(tuple(x % e for x in vinv[i]) for i in kept))
+                          tuple(tuple(row[i] % diag[i] for i in kept) for row in res.v.data),
+                          tuple(tuple(x % e for x in res.vinv.data[i]) for i in kept))
 
 
 class Subgroup:

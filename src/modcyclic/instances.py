@@ -31,6 +31,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate, chain
 from operator import itemgetter, mod
 
@@ -253,11 +254,12 @@ def dumps(doc: dict) -> str:
 # decoded nested table (rows x cols vectors) goes to `_to_canonical`, which
 # returns its flat rows in canonical coordinates (row i is T[i][0], ...,
 # T[i][cols-1] concatenated); `_descent_diagnostics` and `_canonical_table`
-# take those rows and return the diagnostics and the generator table.  Each
-# pass is one `lincomb` per table row, relation or generator over whole
-# flat rows, never one per table vector.  A pass that needs the table's
-# columns builds the transposed view (row j is T[0][j], ..., T[rows-1][j]
-# concatenated) and drops it when it ends.
+# take those rows and return the diagnostics and the generator table, whose
+# vectors are reduced once per distinct vector, one tuple per distinct
+# reduced vector.  Each pass is one `lincomb` per table row, relation or
+# generator over whole flat rows, never one per table vector.  A pass that
+# needs the table's columns builds the transposed view (row j is T[0][j],
+# ..., T[rows-1][j] concatenated) and drops it when it ends.
 
 def _transposed(rows, cols: int, width: int) -> list:
     """The transposed view of flat rows of `cols` vectors of `width`."""
@@ -298,20 +300,25 @@ def _canonical_table(rows, row_group: CanonicalGroup, col_group: CanonicalGroup)
     the canonical generators a of `row_group` and b of `col_group`, given
     in user coordinates by the groups' `from_can`: one `lincomb` per row
     generator over the rows, then one per column generator over the
-    transposed partial products, then reduced.
-    When both are identities, canonical and user generators agree and
-    T(a, b) is vector b of flat row a, so each flat row is only reduced
-    and cut into vectors."""
+    transposed partial products.  When both are identities, T(a, b) is
+    vector b of flat row a.  Every vector goes through one cache keyed by
+    the unreduced vector, so each distinct one is reduced once and each
+    distinct reduced vector is one tuple, shared by every slot holding it."""
     row_reps, col_reps = row_group.from_can, col_group.from_can
     cols, c = len(col_group.to_can), col_group.rank
+    canon = {}  # each reduced vector, as its own key and value
+
+    @cache
+    def shared(vec):
+        reduced = tuple(map(mod, vec, col_group.invariant_factors))
+        return canon.setdefault(reduced, reduced)
+
     if _is_identity(row_reps, len(rows)) and _is_identity(col_reps, cols):
         # zip over c references to one iterator takes its entries c at a time
-        moduli = col_group.invariant_factors * cols
-        return [list(zip(*[map(mod, row, moduli)] * c)) for row in rows]
+        return [list(map(shared, zip(*[iter(row)] * c))) for row in rows]
     partial_t = _transposed([lincomb(ra, rows, cols * c) for ra in row_reps], cols, c)
-    moduli = col_group.invariant_factors * len(row_reps)
-    by_col = [tuple(map(mod, lincomb(cb, partial_t, len(moduli)), moduli)) for cb in col_reps]
-    return [[col[a * c:(a + 1) * c] for col in by_col] for a in range(len(row_reps))]
+    by_col = [tuple(lincomb(cb, partial_t, len(row_reps) * c)) for cb in col_reps]
+    return [[shared(col[a * c:(a + 1) * c]) for col in by_col] for a in range(len(row_reps))]
 
 
 def _descent_diagnostics(doc: dict, mul_rows, act_rows, rg: CanonicalGroup,

@@ -61,7 +61,7 @@ class IntMatrix:
 def diagonal(entries: Sequence[int]) -> tuple:
     """The rows of the square matrix with `entries` on its diagonal."""
     n = len(entries)
-    return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(entries))
 
 
 def lincomb(coeffs: Sequence[int], rows, n: int) -> list:

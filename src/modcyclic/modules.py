@@ -33,8 +33,8 @@ class FiniteModule:
     """A finite R-module: abelian group plus the generator action table.
 
     `action_table[i][j]` is (ring generator i) * (module generator j), as a
-    tuple of reduced canonical coordinates; arbitrary products are bilinear
-    extensions.
+    tuple of reduced canonical coordinates, one tuple per distinct product
+    in a parsed table; arbitrary products are bilinear extensions.
     """
 
     __slots__ = ("ring", "group", "action_table")

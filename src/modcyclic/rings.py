@@ -50,7 +50,7 @@ class FiniteRing:
     """Finite commutative ring with identity (the identity may be zero).
 
     `mul_table[i][j]` is g_i * g_j as a tuple of reduced canonical
-    coordinates.
+    coordinates; a parsed table holds one tuple per distinct product.
     """
 
     __slots__ = ("group", "mul_table", "one")

@@ -1,9 +1,10 @@
 import copy
 import json
+import random
 
 import pytest
 
-from helpers import reference_dumps, ring_mul
+from helpers import reference_dumps, reference_parse, ring_mul
 from modcyclic import abelian, instances, intlinalg, modules, rings
 from modcyclic.abelian import NotFiniteError
 from modcyclic.instances import (
@@ -344,3 +345,46 @@ def test_parse_work_is_per_row(e, monkeypatch):
     assert len(in_checks) == 3
     assert len(calls) - sum(in_checks) <= 8 * e, (len(calls), in_checks)
     assert len(calls) <= 5 * e * e, len(calls)
+
+
+def shifted(doc, p, seed):
+    """`doc` with every table entry moved by a seeded multiple of p, some
+    to negative values and some past 255."""
+    rng = random.Random(seed)
+    doc = copy.deepcopy(doc)
+    for sec, key in (("ring", "mul"), ("module", "action")):
+        doc[sec][key] = [[[x + p * rng.choice((-2, -1, 0, 0, 90)) for x in vec] for vec in row]
+                         for row in doc[sec][key]]
+    return doc
+
+
+def test_generator_tables_share_one_tuple_per_distinct_vector(monkeypatch):
+    # Every slot of a generator table that holds a given reduced vector
+    # holds the same tuple, on the identity branch (trunc), on the Smith
+    # pass (the randquot module has relations past its diagonal), on a
+    # product of the two, and on an identity-coordinate file spelled with
+    # negative entries and entries past 255, which are read entry by entry
+    # and hold vectors that differ as written but agree once reduced.  The
+    # tables equal the vector-by-vector reference parse.
+    trunc, randquot = gen_trunc(3, 4, [4, 2]), gen_randquot(4, 123)
+    mg = parse_instance(randquot).module.group
+    assert not instances._is_identity(mg.from_can, len(mg.to_can))
+    paths = []
+    real = instances._as_int
+
+    def counted(value, path):
+        paths.append(path)
+        return real(value, path)
+
+    monkeypatch.setattr(instances, "_as_int", counted)
+    for doc in (trunc, randquot, gen_prod(trunc, randquot), shifted(trunc, 3, 31)):
+        text = dumps(doc)
+        parsed = parse_instance(text)
+        tables = (parsed.ring.mul_table, parsed.module.action_table)
+        for table in tables:
+            vecs = [vec for row in table for vec in row]
+            assert len({id(vec) for vec in vecs}) == len(set(vecs))
+        assert reference_parse(json.loads(text))[1:3] == tables
+    assert any(p.startswith(("ring.mul[", "module.action[")) for p in paths)
+    vecs = [vec for row in shifted(trunc, 3, 31)["ring"]["mul"] for vec in row]
+    assert len(set(map(tuple, vecs))) > len({tuple(x % 3 for x in vec) for vec in vecs})

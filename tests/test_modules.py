@@ -136,30 +136,35 @@ def test_module_validate_violations():
     assert "associativity" in axioms2
 
 
+ASSOC_DOCS = [gen_trunc(2, 3, [3, 2]), gen_randquot(4, 6), gen_zmod(12, [4, 6]),
+              gen_randquot(10 ** 25, 6, max_deg=3, summands=2),
+              gen_prod(gen_zmod(2 ** 70, [2 ** 35]), gen_trunc(3, 2))]
+
+
+def corrupt(table, group, rng):
+    """A copy of a generator table with one seeded entry replaced by a
+    seeded element of `group`."""
+    table = [list(row) for row in table]
+    row = table[rng.randrange(len(table))]
+    row[rng.randrange(len(row))] = group.element(
+        tuple(rng.randrange(d) for d in group.invariant_factors)).coords
+    return table
+
+
 def test_associativity_matches_the_elementwise_law():
     # The validators check associativity on packed operator rows.  Against
     # the law itself, (g_i*g_k)*x_j == g_i*(g_k*x_j) element by element, on
     # seeded one-entry corruptions of the ring and of the module tables.
     # The 10^25 and 2^70 moduli give slots wider than 64 bits.
     rng = random.Random(12)
-    docs = [gen_trunc(2, 3, [3, 2]), gen_randquot(4, 6), gen_zmod(12, [4, 6]),
-            gen_randquot(10 ** 25, 6, max_deg=3, summands=2),
-            gen_prod(gen_zmod(2 ** 70, [2 ** 35]), gen_trunc(3, 2))]
-
-    def corrupt(table, group):
-        table = [list(row) for row in table]
-        row = table[rng.randrange(len(table))]
-        row[rng.randrange(len(row))] = group.element(
-            tuple(rng.randrange(d) for d in group.invariant_factors)).coords
-        return table
 
     def failures(diags):
         return [d.where for d in diags if d.axiom == "associativity"]
 
-    for ring, mod in (parse(doc) for doc in docs):
+    for ring, mod in (parse(doc) for doc in ASSOC_DOCS):
         gens, xs = ring.group.gens(), mod.group.gens()
         for _ in range(12):
-            bad = FiniteRing(ring.group, corrupt(ring.mul_table, ring.group), ring.one)
+            bad = FiniteRing(ring.group, corrupt(ring.mul_table, ring.group, rng), ring.one)
             expected = [f"mul(g{i}, g{k}, *)" for i, a in enumerate(gens)
                         for k, b in enumerate(gens)
                         if any(ring_mul(bad, ring_mul(bad, a, b), x)
@@ -167,12 +172,41 @@ def test_associativity_matches_the_elementwise_law():
                                for x in gens)]
             assert failures(ring_validate(bad)) == expected
 
-            bad = FiniteModule(ring, mod.group, corrupt(mod.action_table, mod.group))
+            bad = FiniteModule(ring, mod.group, corrupt(mod.action_table, mod.group, rng))
             expected = [f"act(g{i}, g{k}, *)" for i, a in enumerate(gens)
                         for k, b in enumerate(gens)
                         if any(bad.act(ring_mul(ring, a, b), x) != bad.act(a, bad.act(b, x))
                                for x in xs)]
             assert failures(module_validate(bad)) == expected
+
+
+def test_validators_do_not_rely_on_shared_vectors():
+    # A parsed table holds one tuple per distinct vector.  The same tables
+    # with every vector a distinct copy, valid and with one seeded entry
+    # corrupted, must give the validators' diagnostics unchanged.  The copy
+    # goes through a list: tuple() of a tuple is that tuple.
+    rng = random.Random(31)
+
+    def unshared(table):
+        copy = [[tuple(list(vec)) for vec in row] for row in table]
+        assert not {id(v) for row in copy for v in row} & {id(v) for row in table for v in row}
+        assert len({id(v) for row in copy for v in row}) == sum(map(len, copy))
+        return copy
+
+    found = set()
+    for ring, mod in (parse(doc) for doc in ASSOC_DOCS):
+        tables = [(ring.mul_table, mod.action_table)] + [
+            (corrupt(ring.mul_table, ring.group, rng), corrupt(mod.action_table, mod.group, rng))
+            for _ in range(6)]
+        for mul, act in tables:
+            shared = FiniteRing(ring.group, mul, ring.one)
+            copied = FiniteRing(ring.group, unshared(mul), ring.one)
+            diags = ring_validate(shared)
+            assert ring_validate(copied) == diags
+            module_diags = module_validate(FiniteModule(shared, mod.group, act))
+            assert module_validate(FiniteModule(copied, mod.group, unshared(act))) == module_diags
+            found.update(d.axiom for d in diags + module_diags)
+    assert found == {"well-definedness", "commutativity", "associativity", "identity"}
 
 
 def test_ideal_times_submodule_examples():
