@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain
@@ -111,7 +112,7 @@ def _decoded(entries: list):
 
 
 def _as_vector(value, length: int, path: str) -> list:
-    if not isinstance(value, list) or len(value) != length:
+    if not isinstance(value, (list, tuple)) or len(value) != length:
         raise InstanceFormatError(f"{path}: expected a vector of length {int_to_str(length)}")
     # Every spelling the C-level pass misses takes the per-entry path, the
     # only one that builds each entry's path for its error message.
@@ -121,28 +122,52 @@ def _as_vector(value, length: int, path: str) -> list:
     return out
 
 
+class _Spellings(dict):
+    """One table's vector spellings, each the tuple of a list's entries,
+    and their values as a tuple, from one `_decoded` pass per spelling.
+    Only a spelling of strings is stored, so that it is read once and its
+    slots share one tuple: a bool or a float would find a stored spelling
+    of ints equal to it.  A spelling the pass misses gives None."""
+
+    def __missing__(self, key):
+        vals = _decoded(key)
+        if vals is not None:
+            vals = tuple(vals)
+            if type(key[0]) is str:
+                self[key] = vals
+        return vals
+
+
 def _as_table(value, rows: int, cols: int, path: str) -> list:
+    """A `rows` x `cols` table of vectors of length `cols`, as lists of
+    tuples, each spelling read once through one `_Spellings`."""
     if not isinstance(value, list) or len(value) != rows:
         raise InstanceFormatError(f"{path}: expected {int_to_str(rows)} rows")
+    spellings = _Spellings()
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise InstanceFormatError(f"{path}[{i}]: expected {int_to_str(cols)} entries")
-        # A row of `cols` vectors of `cols` entries decodes in one pass;
-        # any other row vector by vector, for the error messages.
-        flat = None
+        # Only a row of `cols` lists of `cols` entries is looked up, since
+        # the tuple() of a string or an object can be a stored spelling.
+        # Any other row, an unhashable entry, and each vector the lookup
+        # gives None for, take `_as_vector`, for the error messages.
+        vecs = [None] * cols
         if set(map(type, row)) == {list} and set(map(len, row)) == {cols}:
-            flat = _decoded(list(chain.from_iterable(row)))
-        if flat is None:
-            out.append([_as_vector(v, cols, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-        else:
-            out.append([flat[t:t + cols] for t in range(0, len(flat), cols)])
+            with suppress(TypeError):
+                vecs = list(map(spellings.__getitem__, map(tuple, row)))
+        if None in vecs:
+            vecs = [tuple(_as_vector(v, cols, f"{path}[{i}][{j}]")) if vec is None else vec
+                    for j, (vec, v) in enumerate(zip(vecs, row))]
+        out.append(vecs)
     return out
 
 
 def decode_document(obj) -> dict:
     """Check the raw JSON object against the schema and convert every
-    integer; returns a plain dict with Python ints."""
+    integer; returns a plain dict with Python ints.  Relations and `one`
+    are lists.  Table vectors are tuples: one per distinct spelling in a
+    table, shared by every slot spelled alike (see `_as_table`)."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("top level must be an object")
     # Both keys are optional: the family generators' documents omit them.
@@ -250,16 +275,19 @@ def dumps(doc: dict) -> str:
 
 # -- parsing into canonical objects ------------------------------------------
 #
-# `parse_instance` passes each table on as a value, in three stages: the
-# decoded nested table (rows x cols vectors) goes to `_to_canonical`, which
-# returns its flat rows in canonical coordinates (row i is T[i][0], ...,
-# T[i][cols-1] concatenated); `_descent_diagnostics` and `_canonical_table`
-# take those rows and return the diagnostics and the generator table, whose
-# vectors are reduced once per distinct vector, one tuple per distinct
-# reduced vector.  Each pass is one `lincomb` per table row, relation or
-# generator over whole flat rows, never one per table vector.  A pass that
-# needs the table's columns builds the transposed view (row j is T[0][j],
-# ..., T[rows-1][j] concatenated) and drops it when it ends.
+# `parse_instance` passes each table on as a value: the decoded nested
+# table (rows x cols vectors, each a tuple shared by every slot spelled
+# alike) goes to `_descent_diagnostics` and `_canonical_table`, which
+# return the diagnostics and the generator table, whose vectors are reduced
+# once per distinct vector, one tuple per distinct reduced vector.  The
+# table's flat rows in canonical coordinates (row i is T[i][0], ...,
+# T[i][cols-1] concatenated) are built by `_to_canonical`, once, and only
+# for a pass that reads them: the descent check once a relation survives,
+# and a generator table whose change of coordinates is not the identity.
+# Each pass is one `lincomb` per table row, relation or generator over
+# whole flat rows, never one per table vector.  A pass that needs the
+# table's columns builds the transposed view (row j is T[0][j], ...,
+# T[rows-1][j] concatenated) and drops it when it ends.
 
 def _transposed(rows, cols: int, width: int) -> list:
     """The transposed view of flat rows of `cols` vectors of `width`."""
@@ -274,15 +302,22 @@ def _is_identity(rows, n: int) -> bool:
                                   for i, row in enumerate(rows))
 
 
+def _built_once(build, *args):
+    """A function that returns build(*args), calling `build` on its first
+    call only."""
+    built = []
+
+    def get():
+        if not built:
+            built.append(build(*args))
+        return built[0]
+    return get
+
+
 def _to_canonical(table, group: CanonicalGroup) -> list:
     """The flat rows of the user table `table` in canonical coordinates,
     unreduced: one `lincomb` per canonical coordinate over the columns of
-    the table's vectors, one per generator of `group`.
-    When `to_can` is the identity (as for a presentation in Smith form
-    with no unit factor), user and canonical coordinates agree, so the
-    user rows, flattened, are what those `lincomb`s would give."""
-    if _is_identity(group.to_can, group.rank):
-        return [list(chain.from_iterable(row)) for row in table]
+    the table's vectors, one per generator of `group`."""
     rows, k, r = len(table), len(group.to_can), group.rank
     entries = list(chain.from_iterable(chain.from_iterable(table)))
     count = len(entries) // k if k else 0
@@ -294,16 +329,19 @@ def _to_canonical(table, group: CanonicalGroup) -> list:
     return [out[i * width:(i + 1) * width] for i in range(rows)]
 
 
-def _canonical_table(rows, row_group: CanonicalGroup, col_group: CanonicalGroup) -> list:
-    """The generator table [[T(a, b) for b] for a] of a table held as flat
-    rows in canonical coordinates of `col_group`, T(a, b) the product of
-    the canonical generators a of `row_group` and b of `col_group`, given
-    in user coordinates by the groups' `from_can`: one `lincomb` per row
-    generator over the rows, then one per column generator over the
-    transposed partial products.  When both are identities, T(a, b) is
-    vector b of flat row a.  Every vector goes through one cache keyed by
-    the unreduced vector, so each distinct one is reduced once and each
-    distinct reduced vector is one tuple, shared by every slot holding it."""
+def _canonical_table(table, flat_rows, row_group: CanonicalGroup,
+                     col_group: CanonicalGroup) -> list:
+    """The generator table [[T(a, b) for b] for a] of the decoded user
+    table `table`, T(a, b) the product of the canonical generators a of
+    `row_group` and b of `col_group`, given in user coordinates by the
+    groups' `from_can`.  When both are identities and so is the column
+    group's `to_can`, T(a, b) is the decoded vector table[a][b].  Otherwise
+    `flat_rows()` gives the table's flat rows in canonical coordinates of
+    `col_group`, and T is one `lincomb` per row generator over them, then
+    one per column generator over the transposed partial products.  Every
+    vector goes through one cache keyed by the unreduced vector, so each
+    distinct one is reduced once and each distinct reduced vector is one
+    tuple, shared by every slot holding it."""
     row_reps, col_reps = row_group.from_can, col_group.from_can
     cols, c = len(col_group.to_can), col_group.rank
     canon = {}  # each reduced vector, as its own key and value
@@ -313,10 +351,10 @@ def _canonical_table(rows, row_group: CanonicalGroup, col_group: CanonicalGroup)
         reduced = tuple(map(mod, vec, col_group.invariant_factors))
         return canon.setdefault(reduced, reduced)
 
-    if _is_identity(row_reps, len(rows)) and _is_identity(col_reps, cols):
-        # zip over c references to one iterator takes its entries c at a time
-        return [list(map(shared, zip(*[iter(row)] * c))) for row in rows]
-    partial_t = _transposed([lincomb(ra, rows, cols * c) for ra in row_reps], cols, c)
+    if (_is_identity(row_reps, len(table)) and _is_identity(col_reps, cols)
+            and _is_identity(col_group.to_can, c)):
+        return [list(map(shared, row)) for row in table]
+    partial_t = _transposed([lincomb(ra, flat_rows(), cols * c) for ra in row_reps], cols, c)
     by_col = [tuple(lincomb(cb, partial_t, len(row_reps) * c)) for cb in col_reps]
     return [[shared(col[a * c:(a + 1) * c]) for col in by_col] for a in range(len(row_reps))]
 
@@ -325,8 +363,8 @@ def _descent_diagnostics(doc: dict, mul_rows, act_rows, rg: CanonicalGroup,
                          mg: CanonicalGroup) -> list:
     """User-level well-definedness: every stated relation of `doc` must be
     killed by the bilinear tables, otherwise the table does not descend to
-    the presented groups.  `mul_rows` and `act_rows` are the tables' flat
-    rows in canonical coordinates, unreduced; a relation combination of
+    the presented groups.  `mul_rows()` and `act_rows()` give the tables'
+    flat rows in canonical coordinates, unreduced; a relation combination of
     them is the image of the same combination of the user vectors, since
     the change of coordinates is linear.
 
@@ -359,14 +397,14 @@ def _descent_diagnostics(doc: dict, mul_rows, act_rows, rg: CanonicalGroup,
     # rho x g_j from the flat rows and g_j x rho from the transposed view,
     # rho x m_j, and g_i x sigma, each for every generator at once
     diags = unkilled(doc["ring"]["relations"], rg,
-                     lambda: [mul_rows, _transposed(mul_rows, k, rg.rank)], k,
+                     lambda: [mul_rows(), _transposed(mul_rows(), k, rg.rank)], k,
                      lambda idx, j: f"ring relation {idx} x g{j}",
                      "multiplication does not kill a stated ring relation")
-    diags += unkilled(doc["ring"]["relations"], mg, lambda: [act_rows], m,
+    diags += unkilled(doc["ring"]["relations"], mg, lambda: [act_rows()], m,
                       lambda idx, j: f"ring relation {idx} x m{j}",
                       "module action does not kill a stated ring relation")
     diags += unkilled(doc["module"]["relations"], mg,
-                      lambda: [_transposed(act_rows, m, mg.rank)], k,
+                      lambda: [_transposed(act_rows(), m, mg.rank)], k,
                       lambda idx, i: f"g{i} x module relation {idx}",
                       "module action does not kill a stated module relation")
     return diags
@@ -409,15 +447,17 @@ def parse_instance(source) -> ParsedInstance:
             "entries are normalized modulo the relations and commutativity "
             "is checked canonically")
 
-    # Both tables as flat rows in canonical coordinates, unreduced, once.
-    # Each user table is popped from the document as it is converted, so
-    # that the document holds no table through validation.
-    mul_rows = _to_canonical(doc["ring"].pop("mul"), rg)
-    act_rows = _to_canonical(doc["module"].pop("action"), mg)
+    # Each user table is popped from the document, so that the document
+    # holds no table through validation.  Its flat rows in canonical
+    # coordinates, unreduced, are built at most once, and only by a pass
+    # that reads them: the descent check once a relation survives, and a
+    # generator table whose change of coordinates is not the identity.
+    mul, act = doc["ring"].pop("mul"), doc["module"].pop("action")
+    mul_rows, act_rows = _built_once(_to_canonical, mul, rg), _built_once(_to_canonical, act, mg)
     diags = _descent_diagnostics(doc, mul_rows, act_rows, rg, mg)
-    mul_can = _canonical_table(mul_rows, rg, rg)
-    act_can = _canonical_table(act_rows, rg, mg)
-    del mul_rows, act_rows
+    mul_can = _canonical_table(mul, mul_rows, rg, rg)
+    act_can = _canonical_table(act, act_rows, rg, mg)
+    del mul, act, mul_rows, act_rows
 
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])
@@ -517,11 +557,12 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
         """The product of two sections, ring or module: A's vectors padded
         on the right with zeros to the total generator count, B's on the
         left; A's relations then B's, and the block-diagonal table, A's rows
-        then B's.  Every vector is a fresh list."""
+        then B's.  Every vector is a fresh list, whether the decoded
+        vector it is built from is a list or a tuple."""
         na, nb = sa["num_gens"], sb["num_gens"]
 
         def rows(vecs_a, vecs_b):
-            return [v + [0] * nb for v in vecs_a] + [[0] * na + v for v in vecs_b]
+            return [[*v, *[0] * nb] for v in vecs_a] + [[*[0] * na, *v] for v in vecs_b]
 
         return {"num_gens": na + nb, "relations": rows(sa["relations"], sb["relations"]),
                 table: [rows(row, [[0] * nb] * nb) for row in sa[table]]

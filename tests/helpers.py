@@ -521,7 +521,7 @@ def reference_dumps(doc):
 
 
 def _reference_vector(value, length, path):
-    if not isinstance(value, list) or len(value) != length:
+    if not isinstance(value, (list, tuple)) or len(value) != length:
         raise instances.InstanceFormatError(f"{path}: expected a vector of length {length}")
     return [instances._as_int(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
@@ -533,13 +533,14 @@ def _reference_table(value, rows, cols, veclen, path):
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise instances.InstanceFormatError(f"{path}[{i}]: expected {cols} entries")
-        out.append([_reference_vector(v, veclen, f"{path}[{i}][{j}]")
+        out.append([tuple(_reference_vector(v, veclen, f"{path}[{i}][{j}]"))
                     for j, v in enumerate(row)])
     return out
 
 
 def reference_decode(obj):
-    """`instances.decode_document`, one vector and one entry at a time."""
+    """`instances.decode_document`, one vector and one entry at a time:
+    relations and `one` as lists, table vectors as tuples."""
     error = instances.InstanceFormatError
     if not isinstance(obj, dict):
         raise error("top level must be an object")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import reference_dumps, reference_parse, ring_mul
+from helpers import reference_decode, reference_dumps, reference_parse, ring_mul
 from modcyclic import abelian, instances, intlinalg, modules, rings
 from modcyclic.abelian import NotFiniteError
 from modcyclic.instances import (
@@ -44,11 +44,13 @@ def test_roundtrip_preserves_canonical_data():
     for label, doc in family_docs():
         text = dumps(doc)
         doc2 = loads(text)
-        assert doc2 == doc, label
+        # decoded, the table vectors are tuples, the generator's are lists
+        assert doc2 == instances.decode_document(doc), label
+        before = copy.deepcopy((doc, doc2))
         p1 = parse_instance(doc)
         p2 = parse_instance(doc2)
         # parsing reads its argument and changes nothing in it
-        assert doc == loads(text) and doc2 == loads(text), label
+        assert (doc, doc2) == before, label
         assert p1.ring.group.invariant_factors == p2.ring.group.invariant_factors
         assert p1.ring.mul_table == p2.ring.mul_table
         assert p1.ring.one == p2.ring.one
@@ -122,7 +124,7 @@ def test_decoding_errors_name_the_entry():
 
     for entry, value in ((" 7 ", 7), ("+7", 7), ("-7", -7), ("007", 7), (7, 7),
                          ("1" + "0" * 5000, 10 ** 5000)):
-        assert decode(entry) == [1, 0, value]
+        assert decode(entry) == (1, 0, value)
     path = "ring.mul[0][0][2]"
     for entry in ("1_0", "\u0663", "\u00b2", "", "7.0", "1" * 4999 + "x",
                   "\u0663" * 5001):
@@ -204,6 +206,22 @@ def test_identity_solved_when_omitted():
         before = copy.deepcopy((a, b, bare))
         assert gen_prod(*bare) == gen_prod(a, b)
         assert (a, b, bare) == before
+
+
+def test_gen_prod_takes_decoded_documents():
+    # Decoded table vectors are tuples.  The product of two decoded
+    # documents equals the product of the dicts they were written from, and
+    # every vector of it is a fresh list.
+    for a, b in [(gen_trunc(2, 3), gen_zmod(6, [2, 3])),
+                 (gen_randquot(4, 123), gen_trunc(3, 2, [2, 1])),
+                 (gen_prod(gen_zmod(4, [2, 4]), gen_trunc(2, 2)), gen_zmod(3, [3]))]:
+        prod = gen_prod(loads(dumps(a)), loads(dumps(b)))
+        assert prod == gen_prod(a, b)
+        vecs = [prod["ring"]["one"], *prod["ring"]["relations"], *prod["module"]["relations"],
+                *(vec for sec, key in (("ring", "mul"), ("module", "action"))
+                  for row in prod[sec][key] for vec in row)]
+        assert all(type(vec) is list for vec in vecs)
+        assert len({id(vec) for vec in vecs}) == len(vecs)
 
 
 def test_supplied_identity_must_be_correct():
@@ -324,6 +342,87 @@ def test_a_row_the_spelling_table_misses_is_read_entry_by_entry(monkeypatch):
     assert [p for p in paths if p != "version" and not p.endswith("num_gens")] == [
         "ring.relations[0][0]", "module.relations[0][0]", "module.relations[0][1]"]
     assert loads(text) == instances.decode_document(doc)
+
+
+TABLES = (("ring", "mul"), ("module", "action"))
+
+
+def test_decode_reads_each_table_spelling_once(monkeypatch):
+    # A bound on the work, not the time: the decoder reads each distinct
+    # spelling of a table vector once per table, however many slots hold
+    # it, and every slot holding it gets the same tuple.
+    text = dumps(gen_trunc(3, 12, [12, 6]))
+    raw = json.loads(text)
+    calls, per_table = [], []
+    real_decoded, real_table = instances._decoded, instances._as_table
+
+    def decoded(entries):
+        calls.append(entries)
+        return real_decoded(entries)
+
+    def as_table(*args):
+        start = len(calls)
+        out = real_table(*args)
+        per_table.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(instances, "_decoded", decoded)
+    monkeypatch.setattr(instances, "_as_table", as_table)
+    doc = loads(text)
+    spellings = [{tuple(vec) for row in raw[sec][key] for vec in row} for sec, key in TABLES]
+    assert per_table == [len(s) for s in spellings]
+    assert sum(per_table) * 10 < sum(len(row) for sec, key in TABLES for row in raw[sec][key])
+    for (sec, key), distinct in zip(TABLES, spellings):
+        vecs = [vec for row in doc[sec][key] for vec in row]
+        assert len({id(vec) for vec in vecs}) == len(distinct)
+
+
+def test_decoded_table_vectors_are_shared_tuples():
+    # After `loads`, every table vector is a tuple, and the vectors spelled
+    # alike in one table are one tuple object.
+    for label, doc in family_docs():
+        text = dumps(doc)
+        raw, decoded = json.loads(text), loads(text)
+        for sec, key in TABLES:
+            spelled = [tuple(vec) for row in raw[sec][key] for vec in row]
+            vecs = [vec for row in decoded[sec][key] for vec in row]
+            assert all(type(vec) is tuple for vec in vecs), label
+            first = {}
+            assert all(first.setdefault(s, vec) is vec for s, vec in zip(spelled, vecs)), label
+
+
+def decode_outcome(decode, raw):
+    try:
+        return decode(raw)
+    except InstanceFormatError as exc:
+        return f"InstanceFormatError: {exc}"
+
+
+@pytest.mark.parametrize("slots", [
+    # a stored spelling, then the same entries with a boolean in front
+    {(0, 0): ["1", "0"], (1, 0): [True, "0"]},
+    # int literals, which are never stored, then a boolean equal to them
+    {(0, 0): [1, 0], (0, 1): [True, 0]},
+    {(0, 0): [1, 0], (0, 1): [1.0, 0]},
+    # a vector spelled as a string, or an object, whose tuple() is a stored key
+    {(0, 0): ["1", "0"], (1, 1): "10"},
+    {(0, 0): ["1", "0"], (1, 1): {"1": "0", "0": "0"}},
+    # other spellings of a stored vector's values
+    {(0, 0): ["1", "0"], (0, 1): ["01", "0"]},
+    {(0, 0): ["1", "0"], (1, 0): [" 1", "0"]},
+    {(0, 0): ["0", "0"], (1, 1): ["-0", "0"]},
+])
+def test_decoding_a_spelling_after_its_twin_matches_the_reference(slots):
+    # Each vector that is not a list of strings the decoder's table reads
+    # gives exactly what the per-entry reference gives, value or error,
+    # after a vector the decoder stored, in the same table or row.
+    raw = json.loads(dumps(gen_trunc(2, 2)))
+    for (i, j), vec in slots.items():
+        raw["ring"]["mul"][i][j] = vec
+    text = json.dumps(raw)
+    expected = decode_outcome(reference_decode, json.loads(text))
+    assert decode_outcome(loads, text) == expected
+    assert decode_outcome(instances.decode_document, json.loads(text)) == expected
 
 
 @pytest.mark.parametrize("e", [16, 32])

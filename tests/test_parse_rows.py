@@ -11,11 +11,13 @@ purpose: the families as they are (every trunc group, every zmod ring) and
 a share of the random presentations, some with a leading 1, as diag(1, 4).
 Those groups skip the Smith pass, and those with no unit factor also skip
 the parser's changes of coordinates, which are identities for them; the
-rest take the general passes.  Some draws then get one
-table entry moved, or one entry or vector of the JSON document spelled
-wrong.  The parser must give exactly what the reference gives: the same
-canonical tables and identity, the same diagnostics in the same order, or
-the same error.
+rest take the general passes.  Some draws then get one table entry moved,
+or one entry or vector of the JSON document spelled wrong; rarely, a whole
+table vector is replaced by the string of its entries or by a JSON object
+keyed by them, whose tuple() can be a spelling the decoder stored.  The
+parser must give exactly what the reference gives: the same canonical
+tables and identity, the same diagnostics in the same order, or the same
+error.
 """
 
 import json
@@ -162,6 +164,12 @@ def documents(draw):
             vec[rnd.randrange(len(vec))] = rnd.choice(BAD_SPELLINGS)
         else:
             vec.pop()
+    slots = [(row, j) for sec, key in (("ring", "mul"), ("module", "action"))
+             for row in raw[sec][key] for j, vec in enumerate(row) if vec]
+    if slots and rnd.random() < 0.1:  # a whole vector as a string or an object
+        row, j = rnd.choice(slots)
+        entries = list(map(str, row[j]))
+        row[j] = rnd.choice(("".join(entries), dict.fromkeys(entries, "0")))
     return raw
 
 
