@@ -560,13 +560,14 @@ def gen_prod(doc_a: dict, doc_b: dict) -> dict:
         then B's.  Every vector is a fresh list, whether the decoded
         vector it is built from is a list or a tuple."""
         na, nb = sa["num_gens"], sb["num_gens"]
+        za, zb = [0] * na, [0] * nb
 
         def rows(vecs_a, vecs_b):
-            return [[*v, *[0] * nb] for v in vecs_a] + [[*[0] * na, *v] for v in vecs_b]
+            return [[*v, *zb] for v in vecs_a] + [[*za, *v] for v in vecs_b]
 
         return {"num_gens": na + nb, "relations": rows(sa["relations"], sb["relations"]),
-                table: [rows(row, [[0] * nb] * nb) for row in sa[table]]
-                + [rows([[0] * na] * na, row) for row in sb[table]]}
+                table: [rows(row, [zb] * nb) for row in sa[table]]
+                + [rows([za] * na, row) for row in sb[table]]}
 
     def one_of(doc):
         if doc["ring"].get("one") is not None:
