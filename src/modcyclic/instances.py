@@ -34,7 +34,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain
-from operator import itemgetter, mod
+from operator import mod
 
 from .abelian import CanonicalGroup, NotFiniteError, canonicalize
 from .intlinalg import lincomb
@@ -275,24 +275,23 @@ def dumps(doc: dict) -> str:
 
 # -- parsing into canonical objects ------------------------------------------
 #
-# `parse_instance` passes each table on as a value: the decoded nested
-# table (rows x cols vectors, each a tuple shared by every slot spelled
-# alike) goes to `_descent_diagnostics` and `_canonical_table`, which
-# return the diagnostics and the generator table, whose vectors are reduced
-# once per distinct vector, one tuple per distinct reduced vector.  The
-# table's flat rows in canonical coordinates (row i is T[i][0], ...,
-# T[i][cols-1] concatenated) are built by `_to_canonical`, once, and only
-# for a pass that reads them: the descent check once a relation survives,
-# and a generator table whose change of coordinates is not the identity.
-# Each pass is one `lincomb` per table row, relation or generator over
-# whole flat rows, never one per table vector.  A pass that needs the
-# table's columns builds the transposed view (row j is T[0][j], ...,
-# T[rows-1][j] concatenated) and drops it when it ends.
+# `parse_instance` moves each table into canonical coordinates in two
+# stages.  `_in_canonical` turns the decoded nested table (rows x cols
+# vectors, each a tuple shared by every slot spelled alike) into a table of
+# the same shape whose slot [i][j] is the vector T[i][j] in reduced
+# canonical coordinates of the column group: one conversion per distinct
+# decoded vector, one tuple per distinct converted vector.  The descent
+# check and the generator table both read that converted table, with one
+# `lincomb` per table row, relation or generator over its flat rows (row i
+# is T[i][0], ..., T[i][cols-1] concatenated) or its flat columns (row j is
+# T[0][j], ..., T[rows-1][j]), built by `_flat_rows` only for a pass that
+# reads them: the descent check once a relation survives, and a generator
+# table whose change of coordinates is not the identity.
 
-def _transposed(rows, cols: int, width: int) -> list:
-    """The transposed view of flat rows of `cols` vectors of `width`."""
-    return [list(chain.from_iterable(map(itemgetter(slice(j * width, (j + 1) * width)), rows)))
-            for j in range(cols)]
+def _flat_rows(table) -> list:
+    """Each row of a nested table of vectors as one list, its vectors
+    concatenated; `_flat_rows(zip(*table))` gives the flat columns."""
+    return [list(chain.from_iterable(row)) for row in table]
 
 
 def _is_identity(rows, n: int) -> bool:
@@ -302,78 +301,64 @@ def _is_identity(rows, n: int) -> bool:
                                   for i, row in enumerate(rows))
 
 
-def _built_once(build, *args):
-    """A function that returns build(*args), calling `build` on its first
-    call only."""
-    built = []
-
-    def get():
-        if not built:
-            built.append(build(*args))
-        return built[0]
-    return get
-
-
-def _to_canonical(table, group: CanonicalGroup) -> list:
-    """The flat rows of the user table `table` in canonical coordinates,
-    unreduced: one `lincomb` per canonical coordinate over the columns of
-    the table's vectors, one per generator of `group`."""
-    rows, k, r = len(table), len(group.to_can), group.rank
-    entries = list(chain.from_iterable(chain.from_iterable(table)))
-    count = len(entries) // k if k else 0
-    columns = [entries[s::k] for s in range(k)]
-    out = [0] * (count * r)
-    for t, coeffs in enumerate(zip(*group.to_can)):
-        out[t::r] = lincomb(coeffs, columns, count)
-    width = k * r
-    return [out[i * width:(i + 1) * width] for i in range(rows)]
-
-
-def _canonical_table(table, flat_rows, row_group: CanonicalGroup,
-                     col_group: CanonicalGroup) -> list:
-    """The generator table [[T(a, b) for b] for a] of the decoded user
-    table `table`, T(a, b) the product of the canonical generators a of
-    `row_group` and b of `col_group`, given in user coordinates by the
-    groups' `from_can`.  When both are identities and so is the column
-    group's `to_can`, T(a, b) is the decoded vector table[a][b].  Otherwise
-    `flat_rows()` gives the table's flat rows in canonical coordinates of
-    `col_group`, and T is one `lincomb` per row generator over them, then
-    one per column generator over the transposed partial products.  Every
-    vector goes through one cache keyed by the unreduced vector, so each
-    distinct one is reduced once and each distinct reduced vector is one
-    tuple, shared by every slot holding it."""
-    row_reps, col_reps = row_group.from_can, col_group.from_can
-    cols, c = len(col_group.to_can), col_group.rank
+def _in_canonical(table, group: CanonicalGroup) -> list:
+    """The decoded user table `table` with each vector in reduced canonical
+    coordinates of `group`.  Each distinct decoded vector is converted
+    once, by one `lincomb` over `group.to_can` and one reduction, and each
+    distinct result is one tuple, shared by every slot holding it."""
+    to_can, factors, r = group.to_can, group.invariant_factors, group.rank
     canon = {}  # each reduced vector, as its own key and value
 
     @cache
+    def converted(vec):
+        reduced = tuple(map(mod, lincomb(vec, to_can, r), factors))
+        return canon.setdefault(reduced, reduced)
+
+    return [list(map(converted, row)) for row in table]
+
+
+def _canonical_table(table, row_group: CanonicalGroup, col_group: CanonicalGroup) -> list:
+    """The generator table [[T(a, b) for b] for a] of `table`, a user table
+    already in reduced canonical coordinates of `col_group` (see
+    `_in_canonical`), T(a, b) the product of the canonical generators a of
+    `row_group` and b of `col_group`, given in user coordinates by the
+    groups' `from_can`.  When both are identities, the canonical generators
+    are the user ones and the table is `table` itself.  Otherwise T is one
+    `lincomb` per row generator over the table's flat rows, then one per
+    column generator over the partial products' flat columns, and each
+    distinct reduced vector is one tuple, shared by every slot holding it."""
+    row_reps, col_reps = row_group.from_can, col_group.from_can
+    cols, c = len(col_group.to_can), col_group.rank
+    if _is_identity(row_reps, len(table)) and _is_identity(col_reps, cols):
+        return table
+    flat = _flat_rows(table)
+    partial = [lincomb(ra, flat, cols * c) for ra in row_reps]
+    partial_t = _flat_rows([p[j * c:(j + 1) * c] for p in partial] for j in range(cols))
+    by_col = [lincomb(cb, partial_t, len(row_reps) * c) for cb in col_reps]
+    canon = {}  # each reduced vector, as its own key and value
+
     def shared(vec):
         reduced = tuple(map(mod, vec, col_group.invariant_factors))
         return canon.setdefault(reduced, reduced)
 
-    if (_is_identity(row_reps, len(table)) and _is_identity(col_reps, cols)
-            and _is_identity(col_group.to_can, c)):
-        return [list(map(shared, row)) for row in table]
-    partial_t = _transposed([lincomb(ra, flat_rows(), cols * c) for ra in row_reps], cols, c)
-    by_col = [tuple(lincomb(cb, partial_t, len(row_reps) * c)) for cb in col_reps]
     return [[shared(col[a * c:(a + 1) * c]) for col in by_col] for a in range(len(row_reps))]
 
 
-def _descent_diagnostics(doc: dict, mul_rows, act_rows, rg: CanonicalGroup,
-                         mg: CanonicalGroup) -> list:
+def _descent_diagnostics(doc: dict, mul, act, rg: CanonicalGroup, mg: CanonicalGroup) -> list:
     """User-level well-definedness: every stated relation of `doc` must be
     killed by the bilinear tables, otherwise the table does not descend to
-    the presented groups.  `mul_rows()` and `act_rows()` give the tables'
-    flat rows in canonical coordinates, unreduced; a relation combination of
+    the presented groups.  `mul` and `act` are the user tables in reduced
+    canonical coordinates (see `_in_canonical`); a relation combination of
     them is the image of the same combination of the user vectors, since
-    the change of coordinates is linear.
+    the change of coordinates is linear, and the reduction changes no
+    residue modulo the target's orders.
 
     One `lincomb` per relation and side covers every generator, and only a
     relation that is not killed is split per generator, for its
     diagnostics.  A relation is first reduced modulo the exponent of the
     target group, which changes no combination modulo the target's orders,
     so one that vanishes there is killed outright, and a side builds its
-    views, the transposed ones included, only once a relation survives."""
+    flat rows or columns only once a relation survives."""
     k, m = doc["ring"]["num_gens"], doc["module"]["num_gens"]
 
     def unkilled(rels, group, views, blocks, where, what):
@@ -394,17 +379,17 @@ def _descent_diagnostics(doc: dict, mul_rows, act_rows, rg: CanonicalGroup,
                                     for vec in vecs))
         return diags
 
-    # rho x g_j from the flat rows and g_j x rho from the transposed view,
+    # rho x g_j from the flat rows and g_j x rho from the flat columns,
     # rho x m_j, and g_i x sigma, each for every generator at once
     diags = unkilled(doc["ring"]["relations"], rg,
-                     lambda: [mul_rows(), _transposed(mul_rows(), k, rg.rank)], k,
+                     lambda: [_flat_rows(mul), _flat_rows(zip(*mul))], k,
                      lambda idx, j: f"ring relation {idx} x g{j}",
                      "multiplication does not kill a stated ring relation")
-    diags += unkilled(doc["ring"]["relations"], mg, lambda: [act_rows()], m,
+    diags += unkilled(doc["ring"]["relations"], mg, lambda: [_flat_rows(act)], m,
                       lambda idx, j: f"ring relation {idx} x m{j}",
                       "module action does not kill a stated ring relation")
     diags += unkilled(doc["module"]["relations"], mg,
-                      lambda: [_transposed(act_rows(), m, mg.rank)], k,
+                      lambda: [_flat_rows(zip(*act))], k,
                       lambda idx, i: f"g{i} x module relation {idx}",
                       "module action does not kill a stated module relation")
     return diags
@@ -414,12 +399,13 @@ def parse_instance(source) -> ParsedInstance:
     """Build the canonical ring and module from a document (dict or JSON
     text).
 
-    Canonicalizes both groups, converts the tables to canonical
-    coordinates, checks that they descend to the presented groups, solves
-    for the identity when the file omits it, and runs the ring and module
-    validators.  Every parse runs every check, so a returned instance is a
-    commutative ring and a module over it, with the well-defined tables
-    `run` requires.  Raises InstanceFormatError, NotFiniteError, or
+    Canonicalizes both groups, converts each table to reduced canonical
+    coordinates (see `_in_canonical`), checks from the converted tables
+    that they descend to the presented groups, builds the generator tables
+    from them, solves for the identity when the file omits it, and runs the
+    ring and module validators.  Every parse runs every check, so a
+    returned instance is a commutative ring and a module over it, with the
+    well-defined tables `run` requires.  Raises InstanceFormatError, NotFiniteError, or
     ValidationFailure.
     """
     if isinstance(source, str):
@@ -448,16 +434,14 @@ def parse_instance(source) -> ParsedInstance:
             "is checked canonically")
 
     # Each user table is popped from the document, so that the document
-    # holds no table through validation.  Its flat rows in canonical
-    # coordinates, unreduced, are built at most once, and only by a pass
-    # that reads them: the descent check once a relation survives, and a
-    # generator table whose change of coordinates is not the identity.
-    mul, act = doc["ring"].pop("mul"), doc["module"].pop("action")
-    mul_rows, act_rows = _built_once(_to_canonical, mul, rg), _built_once(_to_canonical, act, mg)
-    diags = _descent_diagnostics(doc, mul_rows, act_rows, rg, mg)
-    mul_can = _canonical_table(mul, mul_rows, rg, rg)
-    act_can = _canonical_table(act, act_rows, rg, mg)
-    del mul, act, mul_rows, act_rows
+    # holds no table through validation, and converted to reduced
+    # canonical coordinates once; the descent check and the generator
+    # table read the converted table.
+    mul = _in_canonical(doc["ring"].pop("mul"), rg)
+    act = _in_canonical(doc["module"].pop("action"), mg)
+    diags = _descent_diagnostics(doc, mul, act, rg, mg)
+    mul_can, act_can = _canonical_table(mul, rg, rg), _canonical_table(act, rg, mg)
+    del mul, act
 
     if doc["ring"].get("one") is not None:
         one_el = rg.from_user(doc["ring"]["one"])

@@ -171,6 +171,28 @@ def test_canonicalize_takes_a_smith_form_as_it_is(drawn):
     assert g.invariant_factors == tuple(d for d in chain if d > 1)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), drawn=smith_chains())
+def test_identity_from_can_implies_identity_to_can(seed, drawn):
+    # A table whose groups both have an identity `from_can` is its own
+    # generator table, which is right only if the column group's `to_can`
+    # is the identity too.  On the Smith pass, v^-1 = I modulo e gives
+    # v = I modulo e, and every d_i divides e.  Checked on a scrambled
+    # presentation, a Smith form, and a Smith form with a redundant row,
+    # which takes the Smith pass.
+    rng = random.Random(seed)
+    chain, _ = drawn
+    k, rows, _ = random_finite_presentation(rng, max_order=400)
+    smith = [list(row) for row in diagonal(chain)]
+    coeffs = [rng.randint(-3, 3) for _ in chain]
+    stacked = smith + [[sum(c * row[j] for c, row in zip(coeffs, smith))
+                        for j in range(len(chain))]]
+    for rels, n in ((rows, k), (smith, len(chain)), (stacked, len(chain))):
+        g = canonicalize(rels, n)
+        if g.from_can == diagonal([1] * n):
+            assert g.to_can == g.from_can, (rels, g.to_can)
+
+
 def test_canonicalize_near_a_smith_form_takes_the_smith_pass():
     # Not a chain, a negative factor, an extra zero row, one entry off the
     # diagonal: each takes the one Smith pass and gives what it gives.

@@ -425,27 +425,6 @@ def test_decoding_a_spelling_after_its_twin_matches_the_reference(slots):
     assert decode_outcome(instances.decode_document, json.loads(text)) == expected
 
 
-@pytest.mark.parametrize("e", [16, 32])
-def test_parse_work_is_per_row(e, monkeypatch):
-    # A bound on the work, not the time: each table pass makes one kernel
-    # call per table row, relation or generator.  One call per table vector
-    # would make 6e^2 + 1 outside the checks and about 14e^2 in all.
-    doc = gen_trunc(2, e)
-    calls = count_lincomb(monkeypatch)
-    in_checks = []
-    for name in ("_descent_diagnostics", "ring_validate", "module_validate"):
-        def counted(*args, _check=getattr(instances, name)):
-            start = len(calls)
-            out = _check(*args)
-            in_checks.append(len(calls) - start)
-            return out
-        monkeypatch.setattr(instances, name, counted)
-    parse_instance(doc)
-    assert len(in_checks) == 3
-    assert len(calls) - sum(in_checks) <= 8 * e, (len(calls), in_checks)
-    assert len(calls) <= 5 * e * e, len(calls)
-
-
 def shifted(doc, p, seed):
     """`doc` with every table entry moved by a seeded multiple of p, some
     to negative values and some past 255."""
@@ -455,6 +434,64 @@ def shifted(doc, p, seed):
         doc[sec][key] = [[[x + p * rng.choice((-2, -1, 0, 0, 90)) for x in vec] for vec in row]
                          for row in doc[sec][key]]
     return doc
+
+
+@pytest.mark.parametrize("case", [16, 32, "randquot", "shifted"])
+def test_parse_work_is_per_row(case, monkeypatch):
+    # A bound on the work, not the time: the conversion to canonical
+    # coordinates makes at most one kernel call per distinct decoded vector
+    # of a table, and every later pass one per table row, relation or
+    # generator.  Cases: trunc(2, e) for e = 16 and 32, a randquot module
+    # that takes the Smith pass, and a trunc file whose vectors differ as
+    # written but agree once reduced.  On trunc(2, e) one call per table
+    # vector would make 6e^2 + 1 outside the checks and about 14e^2 in all.
+    # On both trunc files every relation vanishes modulo p, so no flat row
+    # or column is built, and the generator tables are the converted tables.
+    if case == "randquot":
+        doc = gen_randquot(4, 123)
+    elif case == "shifted":
+        doc = shifted(gen_trunc(3, 4, [4, 2]), 3, 31)
+    else:
+        doc = gen_trunc(2, case)
+    calls = count_lincomb(monkeypatch)
+    in_checks, converted, flat, generator = [], [], [], []
+    for name in ("_descent_diagnostics", "ring_validate", "module_validate"):
+        def counted(*args, _check=getattr(instances, name)):
+            start = len(calls)
+            out = _check(*args)
+            in_checks.append(len(calls) - start)
+            return out
+        monkeypatch.setattr(instances, name, counted)
+
+    def converting(table, group, _convert=instances._in_canonical):
+        start = len(calls)
+        out = _convert(table, group)
+        converted.append((len(calls) - start, len({vec for row in table for vec in row}), out))
+        return out
+
+    def flattening(table, _flat=instances._flat_rows):
+        flat.append(None)
+        return _flat(table)
+
+    def tabulating(*args, _table=instances._canonical_table):
+        generator.append(_table(*args))
+        return generator[-1]
+
+    monkeypatch.setattr(instances, "_in_canonical", converting)
+    monkeypatch.setattr(instances, "_flat_rows", flattening)
+    monkeypatch.setattr(instances, "_canonical_table", tabulating)
+    parse_instance(doc)
+    assert len(in_checks) == 3 and len(converted) == 2
+    assert all(made <= distinct for made, distinct, _ in converted), converted
+    if case == "randquot":
+        assert flat  # a module relation survives, and the Smith pass reads flat rows
+        return
+    assert flat == []
+    assert len(generator) == 2
+    assert all(out is table for out, (_, _, table) in zip(generator, converted))
+    if case != "shifted":
+        assert len(calls) - sum(in_checks) <= 8 * case, (len(calls), in_checks)
+        assert len(calls) <= 5 * case * case, len(calls)
 
 
 def test_generator_tables_share_one_tuple_per_distinct_vector(monkeypatch):
