@@ -223,7 +223,10 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
     by the same gcd step as every other row (Domich, Kannan & Trotter
     1987; Cohen, Alg. 2.4.8), so no entry exceeds D and pivot j divides D.
     The HNF of a lattice holding D*Z^c is unique, so the order of the
-    folds does not change the result.  When the
+    folds does not change the result.  A fold by a multiple of the pivot
+    row, and the reduction of the rows above it, touch only the pivot's
+    nonzero columns, in place: the working rows are fresh lists from the
+    first reduction modulo D, so the rows of m are never written.  When the
     rows of m already span D*Z^c this is the exact HNF of m without its
     zero rows.  A caller that needs the transform t with t @ m = h reads
     it from the HNF of [m | I]: its left block is h, its right one t.
@@ -249,23 +252,27 @@ def hnf(m: IntMatrix, modulus: int) -> Hnf:
                 continue
             if pivot is None:
                 pivot = row
+                support = list(compress(range(c), pivot))
                 continue
             y = pivot[j]
             if x % y == 0:
                 q = x // y
-                row = [(s - q * t) % mod for s, t in zip(row, pivot)]
+                for t in support:
+                    row[t] = (row[t] - q * pivot[t]) % mod
             else:
                 g, s, t = xgcd(y, x)
                 u, w = y // g, x // g
                 pivot, row = ([(s * p + t * z) % mod for p, z in zip(pivot, row)],
                               [(u * z - w * p) % mod for p, z in zip(pivot, row)])
+                support = list(compress(range(c), pivot))
             if any(row):
                 rest.append(row)
         piv = pivot[j]
-        for i, prev in enumerate(out):
+        for prev in out:
             q = prev[j] // piv
             if q:
-                out[i] = prev[:j] + [(s - q * t) % mod for s, t in zip(prev[j:], pivot[j:])]
+                for t in support:
+                    prev[t] = (prev[t] - q * pivot[t]) % mod
         out.append(pivot)
         rows = rest
     return Hnf(IntMatrix(out, c))

@@ -34,7 +34,10 @@ class FiniteModule:
 
     `action_table[i][j]` is (ring generator i) * (module generator j), as a
     tuple of reduced canonical coordinates, one tuple per distinct product
-    in a parsed table; arbitrary products are bilinear extensions.
+    in a parsed table; arbitrary products are bilinear extensions.  Every
+    vector of a parsed table is reduced modulo the module's invariant
+    factors, so `images` of a generator and `products` of a ring
+    generator return the table's own tuples.
     """
 
     __slots__ = ("ring", "group", "action_table")
@@ -62,10 +65,16 @@ class FiniteModule:
                                           self.group.rank))
 
     def images(self, m: Element) -> list:
-        """g_i * m for every ring generator g_i, in order."""
+        """g_i * m for every ring generator g_i, in order.  When m is the
+        module generator m_k itself, these are column k of the table, its
+        own tuples, which every parsed table holds reduced; otherwise one
+        `lincomb` per row, reduced."""
         _check_group(self.group, m.group)
-        n = self.group.rank
-        return [self.group.element(lincomb(m.coords, row, n)) for row in self.action_table]
+        g = self.group
+        if list(filter(None, m.coords)) == [1]:
+            k = m.coords.index(1)
+            return [Element(g, row[k]) for row in self.action_table]
+        return [g.element(lincomb(m.coords, row, g.rank)) for row in self.action_table]
 
     def __repr__(self) -> str:
         return f"FiniteModule(order={self.order})"

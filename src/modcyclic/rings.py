@@ -51,6 +51,9 @@ class FiniteRing:
 
     `mul_table[i][j]` is g_i * g_j as a tuple of reduced canonical
     coordinates; a parsed table holds one tuple per distinct product.
+    Every vector of a parsed table is reduced modulo the invariant
+    factors, so `products` and `images` of a canonical generator return
+    the table's own tuples.
     """
 
     __slots__ = ("group", "mul_table", "one")
@@ -128,10 +131,21 @@ def _rows_differ(lhs, rhs, w: int, factors) -> bool:
                for a, b in zip(lhs, rhs) if a != b)
 
 
+def _by_id(table) -> dict:
+    """The distinct vector objects of a generator table, keyed by `id`."""
+    flat = list(chain.from_iterable(table))
+    return dict(zip(map(id, flat), flat))
+
+
 def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -> list:
     """Operator-identity associativity check shared by ring and module
     validators; `act_table[i][j]` is generator i of the ring acting on
-    generator j of the target, as canonical coordinates."""
+    generator j of the target, as canonical coordinates.  Each quantity
+    that depends on one table vector is computed once per vector object
+    and looked up by its `id`: no slot's tuple is hashed.  The tables hold
+    every keyed vector for the whole call, so no id is reused meanwhile.
+    Equal vectors held as distinct objects are each computed once: that
+    costs time, not correctness."""
     r = ring.group.rank
     n = len(act_factors)
     if not n:
@@ -140,22 +154,20 @@ def _assoc_diagnostics(ring: "FiniteRing", act_table, act_factors, label: str) -
     # slot width: no unreduced sum on either side reaches 2^w
     w = (max(r * ring.group.exponent, n * e_t) * e_t).bit_length() + 1
     shifts = range(0, w * n, w)
-    # Tables repeat their vectors, a commutative one at least in pairs, and
-    # each quantity below depends on one table vector: it is computed once
-    # per distinct vector.
-    vectors = set(chain.from_iterable(act_table))
-    packed = {vec: sum(map(lshift, vec, shifts)) for vec in vectors}
-    ops = [list(map(packed.__getitem__, row)) for row in act_table]
+    # A parsed table shares one tuple per distinct vector, so the dicts
+    # below hold one entry per distinct vector.
+    vectors = _by_id(act_table)
+    packed = {key: sum(map(lshift, vec, shifts)) for key, vec in vectors.items()}
+    ops = [list(map(packed.__getitem__, map(id, row))) for row in act_table]
     op_cols = list(zip(*ops))  # op_cols[t][i]: g_i acting on generator t, packed
-    # rhs_of[v][i] = g_i * v and lhs_of[v][j] = v * x_j, packed
-    rhs_of = {vec: lincomb(vec, op_cols, r) for vec in vectors}
-    lhs_of = {vec: tuple(lincomb(vec, ops, n))
-              for vec in set(chain.from_iterable(ring.mul_table))}
+    # rhs_of[id(v)][i] = g_i * v and lhs_of[id(v)][j] = v * x_j, packed
+    rhs_of = {key: lincomb(vec, op_cols, r) for key, vec in vectors.items()}
+    lhs_of = {key: tuple(lincomb(vec, ops, n)) for key, vec in _by_id(ring.mul_table).items()}
     failed = []
     for k, mul_col in enumerate(zip(*ring.mul_table)):
         # row i: g_i (g_k x_j) and (g_i g_k) x_j over every j, packed
-        rhs = list(zip(*map(rhs_of.__getitem__, act_table[k])))
-        lhs = list(map(lhs_of.__getitem__, mul_col))
+        rhs = list(zip(*map(rhs_of.__getitem__, map(id, act_table[k]))))
+        lhs = list(map(lhs_of.__getitem__, map(id, mul_col)))
         if lhs != rhs:
             failed.extend((i, k) for i in range(r)
                           if lhs[i] != rhs[i] and _rows_differ(lhs[i], rhs[i], w, act_factors))
@@ -197,10 +209,16 @@ def _well_defined_diagnostics(table, row_orders, col_orders, col: str, what: str
 def products(coeffs, table, factors) -> list:
     """x*h_j, as reduced coordinates, for every column generator h_j of a
     generator table (`mul_table` or `action_table`, `factors` the orders
-    of the h_j), x with coordinates `coeffs` over the row generators: one
-    `lincomb` over the rows x does not skip, their vectors concatenated."""
+    of the h_j), x with coordinates `coeffs` over the row generators.
+    When x is the row generator g_k itself, the answer is row k of the
+    table, its own tuples: every vector of a parsed table is already
+    reduced.  Otherwise it is one `lincomb` over the rows x does not skip,
+    their vectors concatenated."""
+    nonzero = list(filter(None, coeffs))
+    if nonzero == [1]:
+        return list(table[coeffs.index(1)])
     n = len(factors)
-    flat = lincomb(list(filter(None, coeffs)),
+    flat = lincomb(nonzero,
                    [list(chain.from_iterable(row)) for row in compress(table, coeffs)], n * n)
     flat = tuple(map(mod, flat, factors * n))
     return [flat[j * n:(j + 1) * n] for j in range(n)]

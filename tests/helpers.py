@@ -34,6 +34,24 @@ def ring_mul(ring, a, b):
     return ring.group.element(bilinear(ring.mul_table, a.coords, b.coords, ring.group.rank))
 
 
+def reference_products(coeffs, table, factors):
+    """x*h_j for every column generator h_j of a generator table, x with
+    coordinates `coeffs`: `lincomb` over the table's whole flat rows, then
+    each product reduced modulo `factors`.  The reference for
+    `rings.products`."""
+    n = len(factors)
+    flat = lincomb(coeffs, [[x for vec in row for x in vec] for row in table], n * n)
+    return [tuple(x % d for x, d in zip(flat[j * n:(j + 1) * n], factors)) for j in range(n)]
+
+
+def reference_images(coeffs, table, factors):
+    """g_i*m for every row generator g_i of an action table, m with
+    coordinates `coeffs`: one `lincomb` per row, reduced modulo `factors`.
+    The reference for `FiniteModule.images`."""
+    return [tuple(x % d for x, d in zip(lincomb(coeffs, row, len(factors)), factors))
+            for row in table]
+
+
 def vec_mat(v, m):
     """Row vector times IntMatrix, with one entry of v per row of m."""
     if len(v) != m.rows:

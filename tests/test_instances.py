@@ -524,3 +524,28 @@ def test_generator_tables_share_one_tuple_per_distinct_vector(monkeypatch):
     assert any(p.startswith(("ring.mul[", "module.action[")) for p in paths)
     vecs = [vec for row in shifted(trunc, 3, 31)["ring"]["mul"] for vec in row]
     assert len(set(map(tuple, vecs))) > len({tuple(x % 3 for x in vec) for vec in vecs})
+
+
+def test_every_parsed_table_vector_is_reduced():
+    # `rings.products` and `FiniteModule.images` return a generator's
+    # products as the table's own tuples, unreduced by them: every vector
+    # of every parsed table must already lie in [0, d_j) coordinate by
+    # coordinate, for the invariant factors d of its column group.  Over
+    # the family files, the identity branch and the Smith pass, big
+    # moduli, files written with negative entries and entries past 255,
+    # and the same files as text.
+    docs = [doc for _, doc in family_docs()] + [
+        gen_randquot(4, 6), gen_prod(gen_zmod(2 ** 70, [2 ** 35]), gen_randquot(4, 123)),
+        gen_randquot(10 ** 25, 6, max_deg=3, summands=2),
+        shifted(gen_trunc(3, 4, [4, 2]), 3, 31), shifted(gen_trunc(2, 5, [5, 1]), 2, 7)]
+    smith = 0
+    for doc in docs:
+        for parsed in (parse_instance(doc), parse_instance(dumps(doc))):
+            ring, module = parsed.ring, parsed.module
+            for table, group in ((ring.mul_table, ring.group), (module.action_table, module.group)):
+                factors = group.invariant_factors
+                for vec in (vec for row in table for vec in row):
+                    assert type(vec) is tuple and len(vec) == len(factors)
+                    assert all(0 <= x < d for x, d in zip(vec, factors)), vec
+            smith += not instances._is_identity(module.group.from_can, len(module.group.to_can))
+    assert smith >= 6

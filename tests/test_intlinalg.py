@@ -153,6 +153,37 @@ def test_hnf_modulus_adds_the_multiples():
         hnf(identity(2), modulus=0)
 
 
+def test_hnf_of_sparse_matrices_matches_the_reference():
+    # `hnf` folds and reduces over the pivot's nonzero columns only, in
+    # place.  On seeded matrices with at least 80% zero entries, rows that
+    # are zero modulo D and rows D*e_j, under prime and composite D, it
+    # gives the HNF of m plus D*Z^c, and leaves its argument as it was.
+    rng = random.Random(80)
+    zeros = cells = 0
+    for big in (2, 3, 7, 101, 2 ** 61 - 1, 4, 12, 360, 2 ** 70, 6 ** 30):
+        for _ in range(30):
+            r, c = rng.randint(1, 12), rng.randint(5, 12)
+            rows = [[0] * c for _ in range(r)]
+            for cell in rng.sample(range(r * c), rng.randint(0, r * c // 5)):
+                rows[cell // c][cell % c] = rng.randint(-3 * big, 3 * big)
+            for _ in range(rng.randint(0, 2)):  # zero modulo D, with at most one entry
+                row = [0] * c
+                row[rng.randrange(c)] = big * rng.randint(-2, 2)
+                rows.append(row)
+            for j in rng.sample(range(c), rng.randint(0, 2)):
+                rows.append([big if i == j else 0 for i in range(c)])
+            rng.shuffle(rows)
+            m = IntMatrix(rows, c)
+            before = [list(row) for row in m.data]
+            zeros += sum(row.count(0) for row in m.data)
+            cells += m.rows * c
+            assert sum(row.count(0) for row in m.data) >= 0.8 * m.rows * c
+            exact = exact_hnf(IntMatrix(m.data + diagonal([big] * c), c)).h
+            assert hnf(m, modulus=big).h == IntMatrix(exact.data[:c], c)
+            assert [list(row) for row in m.data] == before
+    assert zeros >= 0.85 * cells
+
+
 def test_snf_hnf_randomized():
     rng = random.Random(2024)
     for _ in range(250):

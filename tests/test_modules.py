@@ -1,9 +1,21 @@
 import random
+from functools import cache
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modcyclic.abelian import GroupMismatchError, subgroup_span
-from modcyclic.instances import gen_prod, gen_randquot, gen_trunc, gen_zmod, parse_instance
+from modcyclic import rings
+from modcyclic.abelian import Element, GroupMismatchError, subgroup_span
+from modcyclic.instances import (
+    _is_identity,
+    gen_prod,
+    gen_randquot,
+    gen_trunc,
+    gen_zmod,
+    parse_instance,
+)
 from modcyclic.modules import (
     FiniteModule,
     ann_element,
@@ -14,12 +26,14 @@ from modcyclic.modules import (
     scalar_extension,
     spans_extension,
 )
-from modcyclic.rings import FiniteRing, ideal_span, products, ring_validate
+from modcyclic.rings import FiniteRing, _assoc_diagnostics, ideal_span, products, ring_validate
 
 from helpers import (
     additive_closure,
     bilinear,
     is_action_closed,
+    reference_images,
+    reference_products,
     ring_mul,
     span_coords,
     subgroup_coords,
@@ -113,6 +127,102 @@ def test_images_match_mul_and_act():
                     ring_mul(ring, u, g).coords for g in gens]
                 assert products(u.coords, mod.action_table, dm) == [
                     mod.act(u, mj).coords for mj in mgens]
+
+
+# trunc on the identity branch, two randquot files whose module groups take
+# the Smith pass, and a `gen_prod` of the two kinds
+TABLE_DOCS = [gen_trunc(2, 6, [6, 3]), gen_trunc(3, 3, [2]), gen_randquot(4, 123),
+              gen_randquot(4, 6), gen_prod(gen_trunc(2, 3, [3, 2]), gen_randquot(4, 123))]
+
+
+@cache
+def table_instances():
+    parsed = [parse(doc) for doc in TABLE_DOCS]
+    assert all(mod.group.rank for _, mod in parsed)
+    assert sum(not _is_identity(mod.group.from_can, len(mod.group.to_can))
+               for _, mod in parsed) == 3
+    return parsed
+
+
+def coefficient_vectors(group):
+    """Unit vectors, with coefficient 1 or any other, and random vectors,
+    some of whose entries lie outside [0, d_i)."""
+    r, e = group.rank, group.exponent
+
+    def unit(k, c):
+        return tuple(c if i == k else 0 for i in range(r))
+
+    return st.one_of(
+        st.builds(unit, st.integers(0, r - 1), st.just(1)),
+        st.builds(unit, st.integers(0, r - 1), st.integers(-e, 2 * e)),
+        st.lists(st.integers(-e, 2 * e), min_size=r, max_size=r).map(tuple))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_products_and_images_match_the_lincomb_reference(data):
+    # `products` over either table equals `lincomb` over its flat rows,
+    # reduced, and `FiniteModule.images` one `lincomb` per row, reduced,
+    # both when the shortcut for a generator applies and when it does not.
+    ring, mod = data.draw(st.sampled_from(table_instances()))
+    for table, group in ((ring.mul_table, ring.group), (mod.action_table, mod.group)):
+        x = data.draw(coefficient_vectors(ring.group))
+        factors = group.invariant_factors
+        assert products(x, table, factors) == reference_products(x, table, factors)
+    m = data.draw(coefficient_vectors(mod.group))
+    assert [y.coords for y in mod.images(Element(mod.group, m))] == reference_images(
+        m, mod.action_table, mod.group.invariant_factors)
+
+
+def test_a_generator_gets_the_tables_own_tuples():
+    # The products of a canonical generator with coefficient 1 are row k
+    # of the ring's or the module's table, and the images of a module
+    # generator column k of the action table: the same tuple objects.
+    for ring, mod in table_instances():
+        d, dm = ring.group.invariant_factors, mod.group.invariant_factors
+        for k, g in enumerate(ring.group.gens()):
+            for table, factors in ((ring.mul_table, d), (mod.action_table, dm)):
+                got = products(g.coords, table, factors)
+                assert len(got) == len(table[k])
+                assert all(p is vec for p, vec in zip(got, table[k]))
+            assert all(y.coords is vec for y, vec in zip(ring.images(g), ring.mul_table[k]))
+        for k, m in enumerate(mod.group.gens()):
+            got = mod.images(m)
+            assert len(got) == ring.group.rank
+            assert all(y.coords is row[k] for y, row in zip(got, mod.action_table))
+
+
+@pytest.mark.parametrize("doc", [gen_trunc(2, 16), gen_randquot(4, 123)],
+                         ids=["trunc", "randquot"])
+def test_assoc_memo_is_one_lincomb_per_vector_object(doc, monkeypatch):
+    # `_assoc_diagnostics` makes one `lincomb` per distinct vector object
+    # of the acting table for g_i*v, then one per distinct vector object
+    # of the multiplication table for v*x_j, and no other.  The first kind
+    # all combine one list of packed columns, the second one list of
+    # packed rows, which tells them apart.
+    ring, mod = parse(doc)
+    calls = []
+    real = rings.lincomb
+
+    def counting(coeffs, rows, n):
+        calls.append((id(coeffs), id(rows)))
+        return real(coeffs, rows, n)
+
+    monkeypatch.setattr(rings, "lincomb", counting)
+    mul_ids = [id(vec) for vec in chain.from_iterable(ring.mul_table)]
+    for table, factors in ((ring.mul_table, ring.group.invariant_factors),
+                           (mod.action_table, mod.group.invariant_factors)):
+        calls.clear()
+        assert _assoc_diagnostics(ring, table, factors, "t") == []
+        act_ids = [id(vec) for vec in chain.from_iterable(table)]
+        kinds = list(dict.fromkeys(rows for _, rows in calls))
+        assert len(kinds) == 2
+        rhs = [vec for vec, rows in calls if rows == kinds[0]]
+        lhs = [vec for vec, rows in calls if rows == kinds[1]]
+        assert calls == [(vec, kinds[0]) for vec in rhs] + [(vec, kinds[1]) for vec in lhs]
+        assert sorted(rhs) == sorted(set(act_ids))
+        assert sorted(lhs) == sorted(set(mul_ids))
+        assert len(set(act_ids)) < len(act_ids)
 
 
 def test_module_validate_ok():

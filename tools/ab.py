@@ -16,8 +16,10 @@ base for odd i, so a drift in the machine's speed falls on both sides
 alike.  Every (exit code, report) of every round must equal the base
 tree's first round; the first difference exits 1.
 
-It prints each tree's median round and the median, minimum and maximum of
-the per-pair ratio base / head (above 1: head is faster).  Pairs measured
+It prints each tree's median round; the median, minimum and maximum of
+the per-pair ratio base / head (above 1: head is faster); that ratio's
+first and third quartiles; and in how many pairs head was faster, the
+count the benchmark's rule for a claimed gain reads.  Pairs measured
 in one process resolve changes that separate processes do not: one tree's
 best round varies between processes by more than many changes gain.
 """
@@ -110,8 +112,11 @@ def main(argv=None) -> int:
           "every report equal")
     for side in ("base", "head"):
         print(f"  {side} median round {statistics.median(times[side]) * 1e3:.1f} ms")
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"  base/head per pair: median {statistics.median(ratios):.3f}, "
           f"min {min(ratios):.3f}, max {max(ratios):.3f}")
+    print(f"  base/head quartiles {q1:.3f} to {q3:.3f}; head faster in "
+          f"{sum(r > 1 for r in ratios)} of {len(ratios)} pairs")
     return 0
 
 
